@@ -79,9 +79,10 @@ class JointState:
     roll: float = 0.0
 
     def __post_init__(self):
-        if self.cylinder_radius <= 0.0:
+        # Written as not (x > 0) so that NaN is rejected too.
+        if not self.cylinder_radius > 0.0:
             raise ValidationError(f"cylinder_radius must be > 0, got {self.cylinder_radius}")
-        if self.cylinder_height <= 0.0:
+        if not self.cylinder_height > 0.0:
             raise ValidationError(f"cylinder_height must be > 0, got {self.cylinder_height}")
 
     def closure_residual(self, geom: DerivedGeometry, turn_count: int = 1) -> float:
@@ -125,10 +126,10 @@ class BackboneCurve:
             raise ValidationError(
                 f"need s of shape (N,) and points of shape (N, 3), got {s.shape} and {pts.shape}"
             )
-        if s.size and np.any(np.diff(s) <= 0.0):
-            raise ValidationError("arc-length samples must be strictly increasing")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(pts))):
+        if not (np.isfinite(s).all() and np.isfinite(pts).all()):
             raise ValidationError("curve contains non-finite values")
+        if not (s[1:] > s[:-1]).all():
+            raise ValidationError("arc-length samples must be strictly increasing")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "points", pts)
 
@@ -183,10 +184,10 @@ def tendon_length_from_stroke(
     When ``geom`` is given, also rejects lengths beyond the geometric
     growth bound l_na + 2 pi n d_t-na, past which no real shape exists.
     """
-    if stroke < 0.0:
-        raise DomainError(f"tendon stroke must be >= 0, got {stroke}")
-    if tension < 0.0:
-        raise DomainError(f"tendon tension must be >= 0, got {tension}")
+    if not 0.0 <= stroke < math.inf:
+        raise DomainError(f"tendon stroke must be finite and >= 0, got {stroke}")
+    if not 0.0 <= tension < math.inf:
+        raise DomainError(f"tendon tension must be finite and >= 0, got {tension}")
     elongation = tension * tendon.total_length / tendon.stiffness_n
     length = slack_length - stroke + elongation
     if length <= 0.0:
@@ -341,12 +342,12 @@ def forward_kinematics(
     """
     if samples is None:
         samples = backbone_samples(geom.na_length)
-    s = np.asarray(samples, dtype=float)
+    s = np.array(samples, dtype=float)  # a copy: clamping must not touch the caller's array
     if s.ndim != 1 or s.size == 0:
         raise ValidationError(f"samples must be a non-empty 1-D array, got shape {s.shape}")
-    if np.any(np.diff(s) < 0.0):
+    if (s[1:] < s[:-1]).any():
         raise ValidationError("samples must be sorted ascending")
-    s = np.array([_check_range(v, geom.na_length, "arc length") for v in s])
+    _clamp_sorted(s, geom.na_length, "arc length")
 
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
     angle = 2.0 * math.pi * turn_count * s / geom.na_length
@@ -420,6 +421,26 @@ def ftl_tip(
         joint, geom, np.array([eta * geom.na_length]), turn_count
     )
     return curve.points[0]
+
+
+def _clamp_sorted(values: np.ndarray, upper: float, label: str) -> None:
+    """Vectorised :func:`_check_range` for an ascending array, in place.
+
+    Sorted order means only the endpoints can leave [0, upper], so the
+    range test is O(1); NaN, which defeats both the order and the range
+    comparisons, takes one vectorised test. Values in the slop band are
+    clamped, and an offending array raises the same error as the scalar
+    check would for its first bad value.
+    """
+    slop = _REL_SLOP * max(upper, 1.0)
+    low, high = values[0], values[-1]
+    if not (-slop <= low and high <= upper + slop) or np.isnan(values).any():
+        for value in values:
+            _check_range(value, upper, label)
+    if low < 0.0:
+        values[values < 0.0] = 0.0
+    if high > upper:
+        values[values > upper] = upper
 
 
 def _check_range(value: float, upper: float, label: str) -> float:

@@ -7,6 +7,7 @@ generation is ever partitioned across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,7 @@ def synthetic_sweep(
     for s in markers:
         if not 0.0 <= s <= geom.na_length:
             raise ValidationError(
-                f"marker arc length {s} outside [0, {geom.na_length:.6g}] mm"
+                f"marker arc length {s} outside [0, {geom.na_length}] mm"
             )
     n = len(stroke_profile)
     if n == 0:
@@ -212,6 +213,13 @@ def ftl_run(
     sampled on a fixed master arc-length grid truncated at eta * l_na (the
     exact tip appended), so the body at a smaller eta is literally a prefix
     of the body at any larger one.
+
+    Under a fixed joint state the tip at eta lies on the final backbone at
+    s = eta * l_na, so forward kinematics runs exactly twice: once on the
+    master grid and once on the tip arc lengths. Cost grows with body
+    samples + eta steps, plus a small fixed cost per body. Bodies slice the
+    shared master arrays, which are therefore read-only, as are the arrays
+    of every body: writing into one body cannot corrupt another.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid()
@@ -226,20 +234,27 @@ def ftl_run(
 
     count = DEFAULT_BACKBONE_SAMPLES if body_samples is None else body_samples
     master = backbone_samples(geom.na_length, count)
-    full_curve = forward_kinematics(joint, geom, master, turn_count)
+    full = forward_kinematics(joint, geom, master, turn_count)
+    s_tips = grid * geom.na_length
+    tip_curve = forward_kinematics(joint, geom, s_tips, turn_count)
+    full.s.flags.writeable = full.points.flags.writeable = False
 
-    tips = np.empty((grid.size, 3))
+    # A body keeps the master samples with s <= s_tip (forgiving one part in
+    # 1e15) and appends the tip unless its last kept sample already is it.
+    # The master grid starts at 0 <= s_tip, so every body keeps a sample.
+    kept = np.searchsorted(full.s, s_tips * (1.0 + 1e-15), side="right")
+    last = kept - 1
+    on_grid = full.s[last] >= s_tips
+    tips = np.where(on_grid[:, None], full.points[last], tip_curve.points)
+
     bodies: list[BackboneCurve] = []
-    for k, eta in enumerate(grid):
-        s_tip = eta * geom.na_length
-        keep = full_curve.s[full_curve.s <= s_tip * (1.0 + 1e-15)]
-        if keep.size == 0 or keep[-1] < s_tip:
-            samples = np.append(keep, s_tip)
-        else:
-            samples = keep
-        body = forward_kinematics(joint, geom, samples, turn_count)
-        bodies.append(body)
-        tips[k] = body.points[-1]
+    for k, (m, exact) in enumerate(zip(kept.tolist(), on_grid.tolist())):
+        s, points = full.s[:m], full.points[:m]
+        if not exact:
+            s = np.concatenate((s, tip_curve.s[k : k + 1]))
+            points = np.concatenate((points, tip_curve.points[k : k + 1]))
+            s.flags.writeable = points.flags.writeable = False
+        bodies.append(BackboneCurve(s=s, points=points))
     return TipTrajectory(eta=grid, points=tips), bodies
 
 
@@ -280,15 +295,17 @@ def phantom_clearance(
     if tube_outer_radius < 0.0:
         raise ValidationError(f"tube_outer_radius must be >= 0, got {tube_outer_radius}")
     direction = np.asarray(phantom.axis_direction, dtype=float)
-    norm = np.linalg.norm(direction)
+    norm = math.hypot(*direction.tolist())
     if abs(norm - 1.0) > 1e-6:
         raise DomainError(f"degenerate phantom axis: |direction| = {norm:.9g}")
 
     offsets = curve.points - phantom.axis_point
     along = offsets @ direction
-    radial = offsets - np.outer(along, direction)
-    distances = np.linalg.norm(radial, axis=1)
-    clearance = float(np.min(distances) - phantom.radius - tube_outer_radius)
+    radial = offsets - along[:, None] * direction
+    # sqrt is monotone and correctly rounded: the root of the least squared
+    # distance is the least distance, bit for bit.
+    nearest = math.sqrt((radial * radial).sum(axis=1).min())
+    clearance = float(nearest - phantom.radius - tube_outer_radius)
     return clearance, clearance < 0.0
 
 

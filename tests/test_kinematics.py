@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helikin.errors import DomainError, NonPhysicalError, OverActuationError
+from helikin.errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
 from helikin.kinematics import (
+    _REL_SLOP,
+    BackboneCurve,
     JointState,
     backbone_samples,
     cylinder_axis,
@@ -55,6 +58,19 @@ class TestTendonLengthFromStroke:
             tendon_length_from_stroke(-0.1, 0.0, tendon, geom.slack_tendon_length)
         with pytest.raises(DomainError):
             tendon_length_from_stroke(0.0, -1.0, tendon, geom.slack_tendon_length)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, tendon, geom, value):
+        with pytest.raises(DomainError, match="stroke"):
+            tendon_length_from_stroke(value, 0.0, tendon, geom.slack_tendon_length)
+        with pytest.raises(DomainError, match="tension"):
+            tendon_length_from_stroke(0.0, value, tendon, geom.slack_tendon_length)
+
+    def test_non_finite_stroke_never_reaches_a_joint(self, tendon, geom):
+        with pytest.raises(DomainError):
+            joint_from_actuation(math.nan, 0.0, tendon, geom)
+        with pytest.raises(DomainError):
+            joint_from_actuation(1.0, math.nan, tendon, geom)
 
     def test_rejects_collapsed_length(self, tendon, geom):
         with pytest.raises(DomainError):
@@ -261,6 +277,56 @@ class TestForwardKinematics:
             forward_kinematics(joint, geom, np.array([geom.na_length + 1.0]))
 
 
+class TestForwardKinematicsBoundaries:
+    """Range and order checks on the arc-length samples."""
+
+    @staticmethod
+    def _joint(tendon, geom):
+        return joint_from_actuation(3.0, 0.0, tendon, geom, roll=0.5)
+
+    def test_interior_nan_raises(self, tendon, geom):
+        samples = np.array([0.0, 10.0, math.nan, 30.0])
+        with pytest.raises(DomainError, match="arc length nan"):
+            forward_kinematics(self._joint(tendon, geom), geom, samples)
+
+    def test_samples_within_slop_clamp_to_the_ends(self, tendon, geom):
+        length = geom.na_length
+        slop = 0.5 * _REL_SLOP * length
+        samples = np.array([-slop, 1.0, length + slop])
+        curve = forward_kinematics(self._joint(tendon, geom), geom, samples)
+        assert curve.s[0] == 0.0
+        assert curve.s[-1] == length
+        exact = forward_kinematics(self._joint(tendon, geom), geom, np.array([0.0, 1.0, length]))
+        assert np.array_equal(curve.points, exact.points)
+
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_value_past_the_slop_is_named(self, tendon, geom, end):
+        length = geom.na_length
+        slop = 2.0 * _REL_SLOP * length
+        bad = -slop if end == "low" else length + slop
+        samples = np.array([bad, 1.0]) if end == "low" else np.array([1.0, bad])
+        with pytest.raises(DomainError, match=re.escape(f"arc length {bad} outside")):
+            forward_kinematics(self._joint(tendon, geom), geom, samples)
+
+    def test_returned_samples_do_not_alias_the_input(self, tendon, geom):
+        samples = np.linspace(0.0, geom.na_length, 9)
+        curve = forward_kinematics(self._joint(tendon, geom), geom, samples)
+        assert not np.shares_memory(curve.s, samples)
+        curve.s[0] = 5.0
+        assert samples[0] == 0.0
+
+    def test_curve_rejects_nan_and_unsorted_samples(self):
+        points = np.zeros((3, 3))
+        with pytest.raises(ValidationError):
+            BackboneCurve(s=np.array([0.0, math.nan, 2.0]), points=points)
+        with pytest.raises(ValidationError):
+            BackboneCurve(s=np.array([0.0, 2.0, 1.0]), points=points)
+        with pytest.raises(ValidationError):
+            BackboneCurve(s=np.array([0.0, 1.0, 1.0]), points=points)
+        with pytest.raises(ValidationError):
+            BackboneCurve(s=np.array([0.0, 1.0, 2.0]), points=np.array([[0.0, 0.0, math.nan]] * 3))
+
+
 class TestProgression:
     def test_zero_progression(self, geom):
         state = ftl_actuation(0.0, rest_joint(geom), geom)
@@ -310,6 +376,11 @@ class TestJointState:
     def test_closure_residual_of_actuation_map_output(self, tendon, geom):
         joint = joint_from_actuation(1.3, 2.0, tendon, geom)
         assert joint.closure_residual(geom) < 1e-9
+
+    @pytest.mark.parametrize("radius, height", [(math.nan, 10.0), (1.0, math.nan)])
+    def test_rejects_nan_dimensions(self, radius, height):
+        with pytest.raises(ValidationError):
+            JointState(radius, height, 0.0)
 
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(Exception):

@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helikin.errors import GridMismatchError, ValidationError
+from helikin.geometry import derive_geometry
 from helikin.estimation import position_based_estimate, rmse, stroke_based_estimate
 from helikin.kinematics import (
     BackboneCurve,
     JointState,
     TipTrajectory,
+    backbone_samples,
+    cylinder_axis,
     forward_kinematics,
     joint_from_actuation,
     rot_x,
@@ -26,6 +30,8 @@ from helikin.simulation import (
 )
 
 from .oracles import point_line_distance
+
+BODY_SAMPLES = 129
 
 
 def _profile(n=9, max_stroke=4.0, tension=0.0):
@@ -98,6 +104,13 @@ class TestSyntheticSweep:
                 geom, tendon, _profile(), [geom.na_length + 5.0], NoiseSpec(), 0.0, tube
             )
 
+    def test_marker_error_names_the_exact_bound(self, tube, tendon, geom):
+        # 64.0645 lies just past l_na = 64.06446963716715; a bound rounded
+        # to six digits would read as the marker itself.
+        assert 64.0645 > geom.na_length
+        with pytest.raises(ValidationError, match=f"\\[0, {geom.na_length!r}\\]"):
+            synthetic_sweep(geom, tendon, _profile(), [64.0645], NoiseSpec(), 0.0, tube)
+
     def test_position_noise_scales_with_sigma(self, tube, tendon, geom):
         deviations = []
         for sigma in (0.1, 0.5, 1.0):
@@ -139,6 +152,71 @@ class TestFtlRun:
         tip_rev_pts = tip_fwd.points[::-1]
         tip_rev = TipTrajectory(eta=grid, points=tip_rev_pts[::-1])
         assert np.array_equal(tip_rev.points, tip_fwd.points)
+
+    def test_one_body_per_eta_step(self, tendon, geom):
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, roll=0.4)
+        for steps in (2, 7, 101, 1001):
+            tip, bodies = ftl_run(joint, geom, default_eta_grid(steps))
+            assert len(tip) == len(bodies) == steps
+
+    def test_shared_rows_are_bit_identical_to_the_final_body(self, tendon, geom):
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, roll=0.8)
+        _, bodies = ftl_run(joint, geom, default_eta_grid(1001), body_samples=BODY_SAMPLES)
+        final = bodies[-1]
+        assert len(final) == BODY_SAMPLES
+        master = np.linspace(0.0, geom.na_length, BODY_SAMPLES)
+        for body in bodies:
+            # Every row but the tip sits on the master grid.
+            m = len(body) - 1
+            assert np.array_equal(body.s[:m], master[:m])
+            assert np.array_equal(body.points[:m], final.points[:m])
+
+    def test_tip_rows_are_forward_kinematics_at_the_tip(self, tendon, geom):
+        joint = joint_from_actuation(4.0, 0.0, tendon, geom, roll=2.0)
+        grid = default_eta_grid(1001)
+        s_tips = grid * geom.na_length
+        tip, bodies = ftl_run(joint, geom, grid)
+        at_tips = forward_kinematics(joint, geom, s_tips)
+        master = forward_kinematics(joint, geom, backbone_samples(geom.na_length))
+        lookup = {float(s): row for s, row in zip(master.s, master.points)}
+        for k, body in enumerate(bodies):
+            # The last sample is the tip, or a master sample within 1e-15 of it.
+            assert body.s[-1] == pytest.approx(s_tips[k], rel=1e-15, abs=0.0)
+            if body.s[-1] == s_tips[k]:
+                assert np.array_equal(body.points[-1], at_tips.points[k])
+            else:
+                assert np.array_equal(body.points[-1], lookup[float(body.s[-1])])
+            assert np.array_equal(tip.points[k], body.points[-1])
+
+    def test_bodies_are_read_only(self, tendon, geom):
+        joint = joint_from_actuation(2.0, 0.0, tendon, geom)
+        _, bodies = ftl_run(joint, geom, default_eta_grid(11))
+        before = bodies[-1].points.copy()
+        for body in (bodies[0], bodies[3], bodies[-1]):
+            with pytest.raises(ValueError):
+                body.points[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                body.s[-1] = 0.0
+        assert np.array_equal(bodies[-1].points, before)
+
+    def test_two_turn_tube_prefix_and_fidelity(self, tube, tendon):
+        tube2 = dataclasses.replace(tube, turn_count=2)
+        geom2 = derive_geometry(tube2)
+        joint = joint_from_actuation(1.5, 0.0, tendon, geom2, roll=0.7, turn_count=2)
+        assert joint.closure_residual(geom2, turn_count=2) < 1e-12
+        grid = default_eta_grid(201)
+        tip, bodies = ftl_run(joint, geom2, grid, turn_count=2)
+        final = bodies[-1]
+        for body in bodies:
+            m = len(body) - 1
+            assert np.array_equal(body.points[:m], final.points[:m])
+        backbone = forward_kinematics(joint, geom2, grid * geom2.na_length, turn_count=2)
+        assert ftl_fidelity(tip, backbone).max_distance == 0.0
+        # The tip trace stays on the imaginary cylinder at the centerline radius.
+        point, direction = cylinder_axis(joint, geom2)
+        distances = point_line_distance(tip.points, point, direction)
+        bend_radius = joint.cylinder_radius - geom2.composite_na_offset
+        assert np.allclose(distances, bend_radius, atol=1e-9)
 
     def test_grid_validation(self, geom, tendon):
         joint = joint_from_actuation(1.0, 0.0, tendon, geom)
