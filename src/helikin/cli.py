@@ -203,23 +203,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     data = fileio.read_marker_csv(args.input)
     lines = ["eta,H_mm,phi_truth_rad,R_mm,phi_model_rad"]
-    for index, point in zip(data["index"], data["points"]):
-        est = position_based_estimate(point, geom, tube.turn_count)
-        lines.append(
-            ",".join(
-                "{:.12g}".format(v)
-                for v in (
-                    index,
-                    est.cylinder_height,
-                    est.phi_truth,
-                    est.cylinder_radius,
-                    est.phi_model,
-                )
-            )
-        )
+    failures = []
+    for i, (index, point) in enumerate(zip(data["index"], data["points"])):
+        # Like the stroke path: a failed sample becomes a nan row.
+        try:
+            est = position_based_estimate(point, geom, tube.turn_count)
+        except DomainError as exc:
+            failures.append((i, str(exc)))
+            values = (math.nan,) * 4
+        else:
+            values = (est.cylinder_height, est.phi_truth, est.cylinder_radius, est.phi_model)
+        lines.append(",".join("{:.12g}".format(v) for v in (index, *values)))
     fileio.atomic_write_text(args.output, "\n".join(lines) + "\n")
-    print(f"position-based estimates for {len(data['index'])} samples -> {args.output}")
-    return 0
+    for index, message in failures:
+        print(f"sample {index}: {message}", file=sys.stderr)
+    n = len(data["index"])
+    print(f"position-based estimates: {n - len(failures)}/{n} ok -> {args.output}")
+    return 3 if n and len(failures) == n else 0
 
 
 def _has_marker_header(path: str) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .geometry import DerivedGeometry, TendonSpec
-from .kinematics import JointState, TipTrajectory, joint_from_actuation
+from .kinematics import JointState, TipTrajectory, actuation_failures, joints_from_actuation
 
 __all__ = [
     "Method",
@@ -146,28 +146,23 @@ def stroke_based_estimate(
     """Estimate joint states from (stroke, tension) samples.
 
     The roll angle theta is not observable from the tendon and must be
-    supplied by the caller. Per-sample failures are collected instead of
-    aborting the batch, since recorded stroke logs routinely contain
-    samples outside the model's domain.
+    supplied by the caller. All samples go through the batch actuation
+    map (:func:`~helikin.kinematics.joints_from_actuation`) at once.
+    Per-sample failures are collected instead of aborting the batch,
+    since recorded stroke logs routinely contain samples outside the
+    model's domain: a failed sample has joint None and phi nan, and
+    ``failures`` pairs its index with the scalar map's error message.
     """
-    joints: list[JointState | None] = []
-    phis: list[float] = []
-    failures: list[tuple[int, str]] = []
-    for i, (stroke, tension) in enumerate(actuation):
-        try:
-            joint = joint_from_actuation(stroke, tension, tendon, geom, roll, turn_count)
-        except DomainError as exc:
-            joints.append(None)
-            phis.append(math.nan)
-            failures.append((i, str(exc)))
-        else:
-            joints.append(joint)
-            phis.append(joint.deflection)
+    pairs = list(actuation)
+    strokes = [p[0] for p in pairs]
+    tensions = [p[1] for p in pairs]
+    batch = joints_from_actuation(strokes, tensions, tendon, geom, turn_count)
+    joints = batch.joint_states(roll)
     return EstimateResult(
         method=Method.STROKE_BASED,
-        joint_series=tuple(joints),
-        per_sample_phi=tuple(phis),
-        failures=tuple(failures),
+        joint_series=joints,
+        per_sample_phi=tuple(math.nan if j is None else j.deflection for j in joints),
+        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom, turn_count),
     )
 
 
@@ -185,6 +180,8 @@ def position_based_estimate(
     if tip.shape != (3,):
         raise ValidationError(f"tip must have shape (3,), got {tip.shape}")
     height = float(np.linalg.norm(tip))
+    if not math.isfinite(height):
+        raise DomainError(f"tip {tip.tolist()} has non-finite coordinates")
     if height == 0.0:
         raise DomainError("tip at the origin carries no shape information")
     if height > geom.na_length * (1.0 + 1e-12):

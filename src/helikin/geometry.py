@@ -65,9 +65,11 @@ class TubeSpec:
     tendon_radius: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.inner_radius < self.outer_radius:
+        # Guards read not (x > 0) and not (x >= 0), which NaN fails too;
+        # isfinite rejects inf.
+        if not (0.0 < self.inner_radius < self.outer_radius and math.isfinite(self.outer_radius)):
             raise ValidationError(
-                f"need 0 < inner_radius < outer_radius, got "
+                f"need 0 < inner_radius < outer_radius, both finite, got "
                 f"{self.inner_radius} and {self.outer_radius}"
             )
         positive = {
@@ -77,23 +79,19 @@ class TubeSpec:
             "tendon_radius": self.tendon_radius,
         }
         for name, value in positive.items():
-            if value <= 0.0:
-                raise ValidationError(f"{name} must be > 0, got {value}")
-        if self.bridge_length < 0.0:
-            raise ValidationError(
-                f"bridge_length must be >= 0, got {self.bridge_length}"
-            )
-        if self.circumferential_offset < 0.0:
-            raise ValidationError(
-                f"circumferential_offset must be >= 0, got {self.circumferential_offset}"
-            )
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        for name in ("bridge_length", "circumferential_offset"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         # pi itself is tolerated: a full annulus means zero offset, which the
         # geometry pipeline reports with a warning instead of rejecting.
         if not 0.0 < self.remaining_half_angle <= math.pi:
             raise ValidationError(
                 f"remaining_half_angle must lie in (0, pi], got {self.remaining_half_angle}"
             )
-        if self.turn_count < 1 or int(self.turn_count) != self.turn_count:
+        if not (self.turn_count >= 1 and float(self.turn_count).is_integer()):
             raise ValidationError(f"turn_count must be an integer >= 1, got {self.turn_count}")
         if self.tendon_radius >= self.inner_radius:
             raise ValidationError(
@@ -112,8 +110,9 @@ class TendonSpec:
 
     def __post_init__(self):
         for name in ("total_length", "cross_section_area", "elastic_modulus"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def stiffness_n(self) -> float:

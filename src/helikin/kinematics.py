@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .geometry import DerivedGeometry, TendonSpec
 
 __all__ = [
     "JointState",
+    "JointBatch",
     "ActuationState",
     "BackboneCurve",
     "TipTrajectory",
@@ -41,6 +43,8 @@ __all__ = [
     "deflection_angle",
     "tendon_length_from_cylinder",
     "joint_from_actuation",
+    "joints_from_actuation",
+    "actuation_failures",
     "rest_joint",
     "helix_point",
     "to_frame1",
@@ -215,21 +219,33 @@ def cylinder_from_tendon_length(
     :class:`OverActuationError` when the stroke is too large for a real
     height and :class:`NonPhysicalError` when R would be non-positive.
     """
-    d = geom.tendon_na_distance
-    two_pi_n = 2.0 * math.pi * turn_count
-    radius = (geom.na_length**2 - tendon_length**2) / (2.0 * two_pi_n**2 * d) + d / 2.0
+    radius, height_sq = _radius_and_height_sq(tendon_length, geom, turn_count)
     if radius <= 0.0:
         raise NonPhysicalError(
             f"non-physical cylinder radius {radius:.6g} mm for tendon length "
             f"{tendon_length:.6g} mm"
         )
-    height_sq = tendon_length**2 - (two_pi_n * (radius - d)) ** 2
     if height_sq <= 0.0:
         raise OverActuationError(
             f"over-actuated: tendon length {tendon_length:.6g} mm leaves no real "
             f"cylinder height (H^2 = {height_sq:.6g})"
         )
     return radius, math.sqrt(height_sq)
+
+
+def _radius_and_height_sq(tendon_length, geom: DerivedGeometry, turn_count: int):
+    """R and H^2 from the tendon length, for a float or an array alike.
+
+    Squares are written x * x: numpy evaluates ``array**2`` as x * x while
+    Python's ``float**2`` calls pow, and the two differ in the last bit on
+    about 0.1 % of inputs. One expression form keeps the scalar and the
+    batch actuation maps bit-equal.
+    """
+    d = geom.tendon_na_distance
+    two_pi_n = 2.0 * math.pi * turn_count
+    radius = (geom.na_length**2 - tendon_length * tendon_length) / (2.0 * two_pi_n**2 * d) + d / 2.0
+    bent = two_pi_n * (radius - d)
+    return radius, tendon_length * tendon_length - bent * bent
 
 
 def deflection_angle(
@@ -269,6 +285,94 @@ def joint_from_actuation(
     radius, height = cylinder_from_tendon_length(length, geom, turn_count)
     phi = deflection_angle(radius, height, geom.composite_na_offset, turn_count)
     return JointState(radius, height, phi, roll)
+
+
+class JointBatch(NamedTuple):
+    """The actuation map over a batch of B samples; every field has shape (B,).
+
+    ``ok`` is False on the rows :func:`joint_from_actuation` would reject;
+    R, H and phi are nan there.
+    """
+
+    ok: np.ndarray
+    cylinder_radius: np.ndarray
+    cylinder_height: np.ndarray
+    deflection: np.ndarray
+
+    def joint_states(self, roll: float = 0.0) -> tuple[JointState | None, ...]:
+        """One :class:`JointState` per row at roll ``roll``, None where rejected."""
+        # Row by row rather than through tolist(), which would hold three
+        # full lists of floats at once.
+        return tuple(
+            JointState(float(radius), float(height), float(phi), roll) if ok else None
+            for ok, radius, height, phi in zip(
+                self.ok, self.cylinder_radius, self.cylinder_height, self.deflection
+            )
+        )
+
+
+def joints_from_actuation(
+    strokes: np.ndarray,
+    tensions: np.ndarray,
+    tendon: TendonSpec,
+    geom: DerivedGeometry,
+    turn_count: int = 1,
+) -> JointBatch:
+    """Vectorised :func:`joint_from_actuation` over strokes and tensions of shape (B,).
+
+    The scalar map's checks become one accept mask instead of an exception:
+    finite, non-negative stroke and tension, a tendon length in
+    (0, l_na + 2 pi n d_t-na), R > 0 and H^2 > 0. R and H are bit-equal to
+    the scalar map's; phi comes from numpy's arctan2 and may differ from
+    ``math.atan2`` in the last bit. :func:`actuation_failures` gives the
+    scalar map's error for each rejected row.
+    """
+    strokes = np.asarray(strokes, dtype=float)
+    tensions = np.asarray(tensions, dtype=float)
+    if strokes.ndim != 1 or tensions.shape != strokes.shape:
+        raise ValidationError(
+            f"need strokes and tensions of one shape (B,), got {strokes.shape} and {tensions.shape}"
+        )
+    two_pi_n = 2.0 * math.pi * turn_count
+    bound = geom.na_length + two_pi_n * geom.tendon_na_distance
+    # Non-finite inputs propagate as inf/nan until the mask drops them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        # The expression of tendon_length_from_stroke, elementwise.
+        length = geom.slack_tendon_length - strokes + tensions * tendon.total_length / tendon.stiffness_n
+        radius, height_sq = _radius_and_height_sq(length, geom, turn_count)
+        ok = (
+            (0.0 <= strokes) & (strokes < math.inf)
+            & (0.0 <= tensions) & (tensions < math.inf)
+            & (length > 0.0) & (length < bound)
+            & (radius > 0.0) & (height_sq > 0.0)
+        )
+    radius = np.where(ok, radius, np.nan)
+    height = np.sqrt(np.where(ok, height_sq, np.nan))
+    phi = np.arctan2(two_pi_n * (radius - geom.composite_na_offset), height)
+    return JointBatch(ok, radius, height, phi)
+
+
+def actuation_failures(
+    strokes,
+    tensions,
+    ok: np.ndarray,
+    tendon: TendonSpec,
+    geom: DerivedGeometry,
+    turn_count: int = 1,
+) -> tuple[tuple[int, str], ...]:
+    """(index, message) for every row a :class:`JointBatch` rejected.
+
+    Runs the scalar :func:`joint_from_actuation` on the rejected rows of
+    ``strokes`` and ``tensions`` only, so each message is the one a
+    per-sample loop would report.
+    """
+    failures = []
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            joint_from_actuation(strokes[i], tensions[i], tendon, geom, 0.0, turn_count)
+        except DomainError as exc:
+            failures.append((i, str(exc)))
+    return tuple(failures)
 
 
 def rest_joint(geom: DerivedGeometry, roll: float = 0.0, turn_count: int = 1) -> JointState:

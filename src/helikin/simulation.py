@@ -18,12 +18,14 @@ from .geometry import DerivedGeometry, TendonSpec, TubeSpec
 from .kinematics import (
     DEFAULT_BACKBONE_SAMPLES,
     BackboneCurve,
+    JointBatch,
     JointState,
     TipTrajectory,
+    actuation_failures,
     backbone_samples,
     cylinder_axis,
     forward_kinematics,
-    joint_from_actuation,
+    joints_from_actuation,
 )
 
 __all__ = [
@@ -51,8 +53,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.position_sigma < 0.0 or self.stroke_sigma < 0.0:
-            raise ValidationError("noise sigmas must be >= 0")
+        # not (x >= 0) rejects NaN too; isfinite rejects inf.
+        for name in ("position_sigma", "stroke_sigma"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValidationError(f"noise {name} must be finite and >= 0, got {value}")
 
     def sample_rng(self, index: int) -> np.random.Generator:
         """Independent stream for one sample, stable under parallel generation."""
@@ -131,9 +136,21 @@ def synthetic_sweep(
 
     Marker tracks are forward-kinematics positions at the given arc
     lengths; the noiseless channel is always kept next to the noisy one.
-    Kinematics failures are recorded per sample, with NaN rows in the
-    tracks, so a profile that wanders out of the model's domain still
-    produces an aligned dataset.
+
+    The whole profile goes through the batch actuation map
+    (:func:`~helikin.kinematics.joints_from_actuation`) at once, and the
+    markers and the tip of every accepted sample are evaluated in one
+    closed-form pass, written in place into the preallocated track
+    arrays; they agree with :func:`forward_kinematics` to rounding. Noise
+    comes from one ``default_rng([seed, i])`` stream per sample, drawn in
+    a fixed order: the stroke first, then one (x, y, z) triple per marker
+    in ascending arc-length order. The streams do not depend on the
+    batching, so the noise is bit-identical to a per-sample loop.
+
+    Samples the actuation map rejects are recorded, not fatal: their
+    joint is None, their track and tip rows are NaN, and ``failures``
+    pairs each index with the scalar map's error message. A profile that
+    wanders out of the model's domain still produces an aligned dataset.
     """
     for s in markers:
         if not 0.0 <= s <= geom.na_length:
@@ -147,35 +164,37 @@ def synthetic_sweep(
     tensions = np.array([p[1] for p in stroke_profile], dtype=float)
     marker_s = np.asarray(sorted(markers), dtype=float)
 
-    joints: list[JointState | None] = []
-    failures: list[tuple[int, str]] = []
-    tracks_true = {s: np.full((n, 3), np.nan) for s in marker_s}
-    tracks_noisy = {s: np.full((n, 3), np.nan) for s in marker_s}
-    tips_true = np.full((n, 3), np.nan)
-    strokes_noisy = np.empty(n)
-
+    # The noisy tracks are views of one (n, markers, 3) block, which first
+    # receives the raw position draws in place.
+    stroke_draws = np.empty(n)
+    noisy = np.empty((n, marker_s.size, 3))
     for i in range(n):
-        # One stream per sample; draw order is fixed: stroke first, then
-        # one (x, y, z) triple per marker in ascending arc-length order.
         rng = noise.sample_rng(i)
-        strokes_noisy[i] = strokes[i] + noise.stroke_sigma * rng.standard_normal()
-        position_noise = noise.position_sigma * rng.standard_normal((marker_s.size, 3))
-        try:
-            joint = joint_from_actuation(
-                strokes[i], tensions[i], tendon, geom, roll, tube.turn_count
-            )
-        except DomainError as exc:
-            joints.append(None)
-            failures.append((i, str(exc)))
-            continue
-        joints.append(joint)
-        curve = forward_kinematics(joint, geom, marker_s, tube.turn_count)
-        for k, s in enumerate(marker_s):
-            tracks_true[s][i] = curve.points[k]
-            tracks_noisy[s][i] = curve.points[k] + position_noise[k]
-        tips_true[i] = forward_kinematics(
-            joint, geom, np.array([geom.na_length]), tube.turn_count
-        ).points[0]
+        stroke_draws[i] = rng.standard_normal()
+        rng.standard_normal(out=noisy[i])
+    strokes_noisy = strokes + noise.stroke_sigma * stroke_draws
+
+    batch = joints_from_actuation(strokes, tensions, tendon, geom, tube.turn_count)
+    rows = np.flatnonzero(batch.ok)
+    tracks_true = {s: np.full((n, 3), np.nan) for s in marker_s}
+    tips_true = np.full((n, 3), np.nan)
+
+    _centerline_points_into(
+        batch,
+        rows,
+        roll,
+        [*marker_s, geom.na_length],
+        [*(tracks_true[s] for s in marker_s), tips_true],
+        geom,
+        tube.turn_count,
+    )
+
+    noisy *= noise.position_sigma
+    noisy[~batch.ok] = np.nan
+    tracks_noisy = {}
+    for k, s in enumerate(marker_s):
+        noisy[rows, k] += tracks_true[s][rows]
+        tracks_noisy[s] = noisy[:, k]
 
     return SyntheticDataset(
         tube=tube,
@@ -184,13 +203,47 @@ def synthetic_sweep(
         strokes=strokes,
         tensions=tensions,
         strokes_noisy=strokes_noisy,
-        joints=tuple(joints),
+        joints=batch.joint_states(roll),
         marker_arclengths=tuple(marker_s),
         tracks_true=tracks_true,
         tracks_noisy=tracks_noisy,
         tips_true=tips_true,
-        failures=tuple(failures),
+        failures=actuation_failures(
+            strokes, tensions, batch.ok, tendon, geom, tube.turn_count
+        ),
     )
+
+
+def _centerline_points_into(
+    batch: JointBatch,
+    rows: np.ndarray,
+    roll: float,
+    arclengths: list[float],
+    outs: list[np.ndarray],
+    geom: DerivedGeometry,
+    turn_count: int,
+) -> None:
+    """Write the centerline point at each arc length into ``outs[k][rows]``.
+
+    This is :func:`forward_kinematics` in closed form for the accepted
+    rows of a batch at once: the helix point, tilted by -phi about Y, then
+    rolled by ``roll`` about X. It agrees with FK to rounding, and builds
+    no per-sample transform.
+    """
+    bend_radius = batch.cylinder_radius[rows] - geom.composite_na_offset
+    height = batch.cylinder_height[rows]
+    cos_phi, sin_phi = np.cos(batch.deflection[rows]), np.sin(batch.deflection[rows])
+    cos_roll, sin_roll = math.cos(roll), math.sin(roll)
+    two_pi_n = 2.0 * math.pi * turn_count
+    for s, out in zip(arclengths, outs):
+        angle = two_pi_n * s / geom.na_length
+        hx = s * height / geom.na_length
+        hy = bend_radius - bend_radius * math.cos(angle)
+        hz = bend_radius * math.sin(angle)
+        out[rows, 0] = cos_phi * hx - sin_phi * hz
+        z1 = sin_phi * hx + cos_phi * hz
+        out[rows, 1] = cos_roll * hy - sin_roll * z1
+        out[rows, 2] = sin_roll * hy + cos_roll * z1
 
 
 def default_eta_grid(steps: int = DEFAULT_ETA_STEPS) -> np.ndarray:

@@ -162,6 +162,36 @@ class TestEstimateCommand:
         assert last[3] == pytest.approx(3.138983758103423, abs=1e-9)
         assert last[4] == pytest.approx(last[2], abs=1e-9)
 
+    def test_position_records_per_sample_failures(self, tmp_path, spec_file, capsys):
+        tips = tmp_path / "tips.csv"
+        out = tmp_path / "estimates.csv"
+        points = np.array([[60.9, 5.0, 1.0], [100.0, 0.0, 0.0], [64.0, 0.0, 0.0]])
+        fileio.write_marker_csv(tips, np.array([0.0, 0.5, 1.0]), points)
+        args = [
+            "estimate", "--spec", spec_file, "--method", "position",
+            "-i", str(tips), "-o", str(out),
+        ]
+        assert main(args) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[2] == "0.5,nan,nan,nan,nan"
+        assert all("nan" not in line for line in (lines[1], lines[3]))
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sample 1: tip norm 100")
+        assert "2/3 ok" in captured.out
+
+    def test_position_exits_3_when_every_sample_fails(self, tmp_path, spec_file, capsys):
+        tips = tmp_path / "tips.csv"
+        fileio.write_marker_csv(tips, np.array([0.0]), np.array([[100.0, 0.0, 0.0]]))
+        out = tmp_path / "estimates.csv"
+        args = [
+            "estimate", "--spec", spec_file, "--method", "position",
+            "-i", str(tips), "-o", str(out),
+        ]
+        assert main(args) == 3
+        assert out.read_text().splitlines()[1] == "0,nan,nan,nan,nan"
+        assert "sample 0:" in capsys.readouterr().err
+
     def test_stroke_round_trip(self, tmp_path, spec_file):
         strokes = tmp_path / "strokes.csv"
         strokes.write_text("dl_t_mm,T_N\n0,0\n2,0\n")

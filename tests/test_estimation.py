@@ -80,8 +80,31 @@ class TestStrokeBasedEstimate:
         assert result.failures[0][0] == 1
         assert "over-actuated" in result.failures[0][1]
 
+    def test_failures_carry_the_scalar_messages(self, tendon, geom):
+        # ints stay ints in the messages, as a per-sample loop reports them
+        actuation = [(9, 0), (1.0, math.nan), (-1, 0.0), (2.0, 0.0), (math.inf, 0.0)]
+        result = stroke_based_estimate(iter(actuation), geom, tendon, roll=0.1)
+        expected = []
+        for i, (stroke, tension) in enumerate(actuation):
+            try:
+                joint_from_actuation(stroke, tension, tendon, geom)
+            except DomainError as exc:
+                expected.append((i, str(exc)))
+        assert list(result.failures) == expected
+        assert [j is None for j in result.joint_series] == [True, True, True, False, True]
+        assert result.per_sample_phi[3] == result.joint_series[3].deflection
+
+    def test_empty_log(self, tendon, geom):
+        result = stroke_based_estimate([], geom, tendon, roll=0.0)
+        assert result.joint_series == () and result.failures == ()
+
 
 class TestPositionBasedEstimate:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tip_rejected(self, geom, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            position_based_estimate(np.array([60.0, bad, 0.0]), geom)
+
     def test_straight_tube_tip(self, tube, geom):
         estimate = position_based_estimate(np.array([64.0, 0.0, 0.0]), geom)
         assert estimate.cylinder_height == pytest.approx(64.0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helikin.errors import DomainError, ValidationError
 from helikin.geometry import (
+    TendonSpec,
     TubeSpec,
     composite_neutral_axis_offset,
     derive_geometry,
@@ -263,6 +264,21 @@ class TestTubeSpecValidation:
             ("remaining_half_angle", 3.2),
             ("turn_count", 0),
             ("tendon_radius", 0.9),  # >= inner radius
+            # NaN fails every comparison; inf is caught by isfinite.
+            ("inner_radius", math.nan),
+            ("outer_radius", math.nan),
+            ("outer_radius", math.inf),
+            ("notch_axial_width", math.nan),
+            ("notch_circumferential_extent", math.inf),
+            ("bridge_length", math.nan),
+            ("bridge_length", math.inf),
+            ("circumferential_offset", math.nan),
+            ("patterned_length", math.nan),
+            ("patterned_length", math.inf),
+            ("remaining_half_angle", math.nan),
+            ("turn_count", math.nan),
+            ("turn_count", math.inf),
+            ("tendon_radius", math.nan),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -281,3 +297,13 @@ class TestTubeSpecValidation:
         values[field] = value
         with pytest.raises(ValidationError):
             TubeSpec(**values)
+
+
+class TestTendonSpecValidation:
+    @pytest.mark.parametrize("field", ["total_length", "cross_section_area", "elastic_modulus"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_fields(self, field, value):
+        values = dict(total_length=475.0, cross_section_area=1.135e-6, elastic_modulus=53.97)
+        values[field] = value
+        with pytest.raises(ValidationError, match=field):
+            TendonSpec(**values)

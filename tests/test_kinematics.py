@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helikin.errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
+from helikin.geometry import TendonSpec
 from helikin.kinematics import (
     _REL_SLOP,
     BackboneCurve,
     JointState,
+    actuation_failures,
     backbone_samples,
     cylinder_axis,
     cylinder_from_tendon_length,
@@ -20,6 +22,7 @@ from helikin.kinematics import (
     ftl_tip,
     helix_point,
     joint_from_actuation,
+    joints_from_actuation,
     rest_joint,
     tendon_length_from_cylinder,
     tendon_length_from_stroke,
@@ -387,3 +390,111 @@ class TestJointState:
             JointState(0.0, 10.0, 0.0)
         with pytest.raises(Exception):
             JointState(1.0, -5.0, 0.0)
+
+
+# 100x the default tendon's compliance (0.78 mm/N): within 10 N its
+# elongation reaches both R = 0 and the growth bound.
+SOFT_TENDON = TendonSpec(total_length=475.0, cross_section_area=1.135e-8, elastic_modulus=53.97)
+
+
+def _max_stroke(tendon, geom):
+    """Stroke at H^2 = 0 and zero tension: tendon length l_na - 2 pi d_t-na."""
+    return geom.slack_tendon_length - (geom.na_length - 2.0 * math.pi * geom.tendon_na_distance)
+
+
+def _scalar_outcome(stroke, tension, tendon, geom):
+    try:
+        return joint_from_actuation(stroke, tension, tendon, geom)
+    except DomainError as exc:
+        return exc
+
+
+def _adjacent_floats(lo, hi, flips):
+    """Bisect floats to a pair (a, nextafter(a)) with flips(a) false and flips(next) true."""
+    assert not flips(lo) and flips(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + (hi - lo) / 2.0
+        lo, hi = (mid, hi) if not flips(mid) else (lo, mid)
+    return lo, hi
+
+
+def _assert_batch_matches_scalar(strokes, tensions, tendon, geom):
+    """Same rejected set and messages, R and H bit-equal, phi within 2 ulp.
+
+    Each error class words its message differently, so equal messages
+    mean equal classes.
+    """
+    batch = joints_from_actuation(strokes, tensions, tendon, geom)
+    failures = dict(actuation_failures(strokes, tensions, batch.ok, tendon, geom))
+    assert len(failures) == int((~batch.ok).sum())
+    for i, (stroke, tension) in enumerate(zip(strokes, tensions)):
+        outcome = _scalar_outcome(stroke, tension, tendon, geom)
+        radius, height = batch.cylinder_radius[i], batch.cylinder_height[i]
+        phi = batch.deflection[i]
+        if isinstance(outcome, DomainError):
+            assert not batch.ok[i]
+            assert failures[i] == str(outcome)
+            assert np.isnan([radius, height, phi]).all()
+        else:
+            assert batch.ok[i] and i not in failures
+            assert (radius, height) == (outcome.cylinder_radius, outcome.cylinder_height)
+            assert abs(phi - outcome.deflection) <= 2.0 * np.spacing(abs(outcome.deflection))
+
+
+class TestJointBatch:
+    def test_domain_boundaries_match_scalar(self, tendon, geom):
+        def error(stroke, tension, tendon):
+            outcome = _scalar_outcome(stroke, tension, tendon, geom)
+            return outcome if isinstance(outcome, DomainError) else None
+
+        # H^2 = 0: the last accepted stroke and the first over-actuated one.
+        smax = _max_stroke(tendon, geom)
+        h_pair = _adjacent_floats(smax - 1e-6, smax + 1e-6, lambda s: error(s, 0.0, tendon))
+        assert isinstance(error(h_pair[1], 0.0, tendon), OverActuationError)
+        # A soft tendon's elongation reaches R = 0, then the growth bound.
+        r_pair = _adjacent_floats(0.0, 10.0, lambda t: error(0.0, t, SOFT_TENDON))
+        assert isinstance(error(0.0, r_pair[1], SOFT_TENDON), NonPhysicalError)
+        g_pair = _adjacent_floats(
+            r_pair[1], 10.0, lambda t: "growth bound" in str(error(0.0, t, SOFT_TENDON))
+        )
+        _assert_batch_matches_scalar([*h_pair, 0.0, 2.0], [0.0, 0.0, 0.0, 5.0], tendon, geom)
+        _assert_batch_matches_scalar([0.0] * 4, [*r_pair, *g_pair], SOFT_TENDON, geom)
+
+    @given(
+        samples=st.lists(
+            st.tuples(st.floats(0.0, 1.05), st.floats(0.0, 10.0)), min_size=1, max_size=40
+        ),
+        soft=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_batch_equals_scalar(self, tendon, geom, samples, soft):
+        # Strokes as a fraction of the largest valid stroke at zero tension.
+        tendon = SOFT_TENDON if soft else tendon
+        smax = _max_stroke(tendon, geom)
+        strokes = [fraction * smax for fraction, _ in samples]
+        tensions = [tension for _, tension in samples]
+        _assert_batch_matches_scalar(strokes, tensions, tendon, geom)
+
+    def test_non_finite_and_negative_inputs_rejected_like_scalar(self, tendon, geom):
+        strokes = [math.nan, math.inf, -math.inf, -0.1, 1.0, 1.0, 1.0, 2.0]
+        tensions = [0.0, 0.0, 0.0, 0.0, math.nan, math.inf, -1.0, 0.0]
+        batch = joints_from_actuation(strokes, tensions, tendon, geom)
+        assert batch.ok.tolist() == [False] * 7 + [True]
+        _assert_batch_matches_scalar(strokes, tensions, tendon, geom)
+
+    def test_joint_states_carry_roll_and_none_for_rejected(self, tendon, geom):
+        batch = joints_from_actuation([2.0, 9.0], [0.0, 0.0], tendon, geom)
+        joint, rejected = batch.joint_states(roll=0.4)
+        assert rejected is None
+        scalar = joint_from_actuation(2.0, 0.0, tendon, geom, roll=0.4)
+        assert joint.cylinder_radius == scalar.cylinder_radius
+        assert joint.cylinder_height == scalar.cylinder_height
+        assert joint.deflection == pytest.approx(scalar.deflection, rel=1e-15)
+        assert joint.roll == 0.4
+        assert type(joint.cylinder_radius) is float
+
+    def test_shape_mismatch_rejected(self, tendon, geom):
+        with pytest.raises(ValidationError):
+            joints_from_actuation([1.0, 2.0], [0.0], tendon, geom)
+        with pytest.raises(ValidationError):
+            joints_from_actuation([[1.0]], [[0.0]], tendon, geom)

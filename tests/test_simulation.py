@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helikin.errors import GridMismatchError, ValidationError
+from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.geometry import derive_geometry
 from helikin.estimation import position_based_estimate, rmse, stroke_based_estimate
 from helikin.kinematics import (
@@ -121,6 +121,76 @@ class TestSyntheticSweep:
             s = dataset.marker_arclengths[0]
             deviations.append(rmse(dataset.tracks_noisy[s], dataset.tracks_true[s]))
         assert deviations[0] < deviations[1] < deviations[2]
+
+
+def _max_stroke(geom, turn_count):
+    """Largest valid stroke at zero tension: tendon length l_na - 2 pi n d_t-na."""
+    return geom.slack_tendon_length - (
+        geom.na_length - 2.0 * math.pi * turn_count * geom.tendon_na_distance
+    )
+
+
+class TestSweepBatchPath:
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    def test_rows_match_scalar_kinematics(self, tube, tendon, turn_count):
+        tube_n = dataclasses.replace(tube, turn_count=turn_count)
+        geom_n = derive_geometry(tube_n)
+        rng = np.random.default_rng(turn_count)
+        strokes = rng.uniform(0.0, 1.05 * _max_stroke(geom_n, turn_count), 120)
+        tensions = rng.uniform(0.0, 10.0, 120)
+        markers = [geom_n.na_length, 10.0, 33.2, 0.0]
+        dataset = synthetic_sweep(
+            geom_n, tendon, list(zip(strokes.tolist(), tensions.tolist())), markers,
+            NoiseSpec(position_sigma=0.5, stroke_sigma=0.05, seed=turn_count), 0.7, tube_n,
+        )
+        assert 0 < len(dataset.failures) < 120
+        failures = dict(dataset.failures)
+        for i, joint in enumerate(dataset.joints):
+            try:
+                scalar = joint_from_actuation(
+                    strokes[i], tensions[i], tendon, geom_n, 0.7, turn_count
+                )
+            except DomainError as exc:
+                assert joint is None and failures[i] == str(exc)
+                assert np.isnan(dataset.tips_true[i]).all()
+                continue
+            assert (joint.cylinder_radius, joint.cylinder_height) == (
+                scalar.cylinder_radius, scalar.cylinder_height,
+            )
+            assert joint.closure_residual(geom_n, turn_count) < 1e-12
+            s = np.array(dataset.marker_arclengths)
+            points = forward_kinematics(scalar, geom_n, s, turn_count).points
+            tip = forward_kinematics(scalar, geom_n, s[-1:], turn_count).points[0]
+            rows = np.array([dataset.tracks_true[s_k][i] for s_k in s])
+            assert np.abs(rows - points).max() <= 1e-12
+            assert np.abs(dataset.tips_true[i] - tip).max() <= 1e-12
+
+    def test_noise_is_the_documented_streams_bit_for_bit(self, tube, tendon, geom):
+        noise = NoiseSpec(position_sigma=0.3, stroke_sigma=0.05, seed=2024)
+        profile = _profile(n=25, max_stroke=8.0)  # the last few samples over-actuate
+        dataset = synthetic_sweep(geom, tendon, profile, [50.0, 10.0, 33.2], noise, 0.2, tube)
+        assert dataset.failures
+        for i, (stroke, _) in enumerate(profile):
+            rng = np.random.default_rng([2024, i])
+            z_stroke = rng.standard_normal()
+            z_markers = rng.standard_normal((3, 3))
+            assert dataset.strokes_noisy[i] == stroke + 0.05 * z_stroke
+            for k, s in enumerate(dataset.marker_arclengths):
+                noisy, true = dataset.tracks_noisy[s][i], dataset.tracks_true[s][i]
+                if dataset.joints[i] is None:
+                    assert np.isnan(noisy).all() and np.isnan(true).all()
+                else:
+                    # noisy - true would round; the sum is what the sweep stores.
+                    assert np.array_equal(noisy, true + 0.3 * z_markers[k])
+
+    def test_every_sample_rejected(self, tube, tendon, geom):
+        dataset = synthetic_sweep(
+            geom, tendon, [(9.0, 0.0), (math.nan, 0.0)], [33.2], NoiseSpec(seed=1), 0.0, tube
+        )
+        assert dataset.joints == (None, None)
+        assert [i for i, _ in dataset.failures] == [0, 1]
+        assert np.isnan(dataset.tracks_noisy[33.2]).all()
+        assert np.isnan(dataset.tips_true).all()
 
 
 class TestFtlRun:
@@ -363,6 +433,12 @@ class TestNoiseSpec:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValidationError):
             NoiseSpec(position_sigma=-0.1)
+
+    @pytest.mark.parametrize("field", ["position_sigma", "stroke_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            NoiseSpec(**{field: value})
 
     def test_sample_streams_are_index_stable(self):
         noise = NoiseSpec(position_sigma=1.0, seed=5)
