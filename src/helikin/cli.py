@@ -202,19 +202,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         return 0
 
     data = fileio.read_marker_csv(args.input)
-    lines = ["eta,H_mm,phi_truth_rad,R_mm,phi_model_rad"]
+    # Like the stroke path: a failed sample becomes a nan row.
+    values = np.full((len(data["index"]), 4), math.nan)
     failures = []
-    for i, (index, point) in enumerate(zip(data["index"], data["points"])):
-        # Like the stroke path: a failed sample becomes a nan row.
+    for i, point in enumerate(data["points"]):
         try:
             est = position_based_estimate(point, geom, tube.turn_count)
         except DomainError as exc:
             failures.append((i, str(exc)))
-            values = (math.nan,) * 4
         else:
-            values = (est.cylinder_height, est.phi_truth, est.cylinder_radius, est.phi_model)
-        lines.append(",".join("{:.12g}".format(v) for v in (index, *values)))
-    fileio.atomic_write_text(args.output, "\n".join(lines) + "\n")
+            values[i] = (est.cylinder_height, est.phi_truth, est.cylinder_radius, est.phi_model)
+    fileio.write_table_csv(
+        args.output, ["eta", "H_mm", "phi_truth_rad", "R_mm", "phi_model_rad"], [data["index"], *values.T]
+    )
     for index, message in failures:
         print(f"sample {index}: {message}", file=sys.stderr)
     n = len(data["index"])
@@ -323,14 +323,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     clearances = np.array(
         [phantom_clearance(body, phantom, tube.outer_radius)[0] for body in bodies]
     )
-    fileio.atomic_write_text(
-        outdir / "clearance.csv",
-        "\n".join(
-            ["eta,clearance_mm"]
-            + ["{:.12g},{:.12g}".format(e, c) for e, c in zip(grid, clearances)]
-        )
-        + "\n",
-    )
+    fileio.write_table_csv(outdir / "clearance.csv", ["eta", "clearance_mm"], [grid, clearances])
 
     summary = {
         "stroke_mm": args.stroke,

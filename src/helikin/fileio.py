@@ -6,6 +6,13 @@ tendon JSON which keeps its customary m^2 / GPa units. Floats are written
 with 12 significant digits so round-trips preserve values well beyond the
 tolerances used anywhere in the package. Writes are atomic
 (write-then-rename) so a crashed run never leaves a truncated file.
+
+CSV tables are formatted with one ``%`` call per file and parsed with one
+``np.loadtxt`` call, which reads a cell to the same float64 as ``float()``.
+Readers accept blank lines, CRLF or CR line endings and quoted cells such
+as ``"1.5"``; ``float()``'s underscore separators (``1_0``) are rejected.
+Every row must have as many cells as the header; a bad row raises
+ValidationError naming the path and its 1-based line in the file.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +41,7 @@ __all__ = [
     "dump_derived_geometry",
     "load_phantom_spec",
     "dump_phantom_spec",
+    "write_table_csv",
     "write_backbone_csv",
     "read_backbone_csv",
     "write_tip_csv",
@@ -46,7 +55,7 @@ __all__ = [
     "write_dataset_bundle",
 ]
 
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"
 
 _TUBE_FIELDS = (
     "inner_radius",
@@ -61,10 +70,6 @@ _TUBE_FIELDS = (
     "tendon_radius",
 )
 _TENDON_FIELDS = ("total_length", "cross_section_area", "elastic_modulus")
-
-
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -174,83 +179,88 @@ def dump_phantom_spec(phantom: PhantomSpec) -> str:
     )
 
 
-def _csv_rows(path: str | Path, expected_header: list[str], optional: int = 0) -> list[list[float]]:
-    """Read a CSV, check the header (allowing `optional` trailing columns)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty CSV") from None
+def _read_table(
+    path: str | Path, expected_header: list[str], optional: int = 0, samples: str | None = None
+) -> np.ndarray:
+    """Read a CSV of floats as an (n, columns) array after checking its header.
+
+    The header may omit the `optional` trailing columns. With `samples`, a
+    file with no data rows is rejected as having "no <samples>".
+    """
+    with open(path) as handle:
+        first = handle.readline()
+        if not first:
+            raise ValidationError(f"{path}: empty CSV")
+        header = next(csv.reader([first]))
         required = expected_header[: len(expected_header) - optional]
         if header[: len(required)] != required:
             raise ValidationError(
                 f"{path}: expected header starting with {','.join(required)}, "
                 f"got {','.join(header)}"
             )
-        if optional and header[len(required):] not in (
-            [],
-            expected_header[len(required):],
-        ):
+        if optional and header[len(required):] not in ([], expected_header[len(required):]):
             raise ValidationError(
                 f"{path}: optional columns must be exactly "
                 f"{','.join(expected_header[len(required):])}"
             )
         width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValidationError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return rows
+        start = handle.tell()
+        # np.loadtxt warns on a body of blank lines only; that is zero rows here.
+        if all(line == "\n" for line in handle):
+            if samples:
+                raise ValidationError(f"{path}: no {samples}")
+            return np.empty((0, width))
+        handle.seek(start)
+        try:
+            data = _parse(handle)
+            if data.shape[1] != width:
+                raise ValueError(f"expected {width} columns, got {data.shape[1]}")
+        except ValueError as exc:
+            handle.seek(start)
+            raise ValidationError(_bad_row(path, handle, width) or f"{path}: {exc}") from None
+    return data
 
 
-def _table(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _parse(lines: Iterable[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _bad_row(path: str | Path, lines: Iterable[str], width: int) -> str | None:
+    """Name the file line and the cause of the first row that does not parse."""
+    for lineno, cells in enumerate(csv.reader(lines), start=2):
+        if cells and len(cells) != width:
+            return f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
+        for cell in cells:
+            try:  # quoted, so a cell holding commas or quotes is judged alone
+                _parse(['"' + cell.replace('"', '""') + '"'])
+            except ValueError:
+                return f"{path}:{lineno}: could not convert string to float: {cell!r}"
+    return None
+
+
+def write_table_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns under a header, every cell as %.12g."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    text = (row * len(table)) % tuple(table.ravel().tolist())
+    atomic_write_text(path, ",".join(header) + "\n" + text)
 
 
 def write_backbone_csv(path: str | Path, curve: BackboneCurve) -> None:
-    atomic_write_text(
-        path,
-        _table(
-            ["s_mm", "x_mm", "y_mm", "z_mm"],
-            [curve.s, curve.points[:, 0], curve.points[:, 1], curve.points[:, 2]],
-        ),
-    )
+    write_table_csv(path, ["s_mm", "x_mm", "y_mm", "z_mm"], [curve.s, *curve.points.T])
 
 
 def read_backbone_csv(path: str | Path) -> BackboneCurve:
-    rows = _csv_rows(path, ["s_mm", "x_mm", "y_mm", "z_mm"])
-    data = np.asarray(rows, dtype=float)
+    data = _read_table(path, ["s_mm", "x_mm", "y_mm", "z_mm"], samples="curve samples")
     return BackboneCurve(s=data[:, 0], points=data[:, 1:4])
 
 
 def write_tip_csv(path: str | Path, trajectory: TipTrajectory) -> None:
-    atomic_write_text(
-        path,
-        _table(
-            ["eta", "x_mm", "y_mm", "z_mm"],
-            [
-                trajectory.eta,
-                trajectory.points[:, 0],
-                trajectory.points[:, 1],
-                trajectory.points[:, 2],
-            ],
-        ),
-    )
+    write_table_csv(path, ["eta", "x_mm", "y_mm", "z_mm"], [trajectory.eta, *trajectory.points.T])
 
 
 def read_tip_csv(path: str | Path) -> TipTrajectory:
-    rows = _csv_rows(path, ["eta", "x_mm", "y_mm", "z_mm"])
-    data = np.asarray(rows, dtype=float)
+    data = _read_table(path, ["eta", "x_mm", "y_mm", "z_mm"], samples="trajectory samples")
     return TipTrajectory(eta=data[:, 0], points=data[:, 1:4])
 
 
@@ -261,46 +271,23 @@ def write_joints_csv(
     joints: list[JointState | None],
 ) -> None:
     """Joint sweep CSV; failed samples serialize as nan joint columns."""
-    lines = ["dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad"]
-    for stroke, tension, joint in zip(strokes, tensions, joints):
-        if joint is None:
-            cells = [_fmt(stroke), _fmt(tension), "nan", "nan", "nan", "nan"]
-        else:
-            cells = [
-                _fmt(stroke),
-                _fmt(tension),
-                _fmt(joint.cylinder_radius),
-                _fmt(joint.cylinder_height),
-                _fmt(joint.deflection),
-                _fmt(joint.roll),
-            ]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    failed = (math.nan,) * 4
+    values = [
+        failed if j is None else (j.cylinder_radius, j.cylinder_height, j.deflection, j.roll)
+        for j in joints
+    ]
+    write_table_csv(
+        path,
+        ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"],
+        [strokes, tensions, *np.array(values, dtype=float).reshape(-1, 4).T],
+    )
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
     """Actuation profile CSV with header dl_t_mm[,T_N]; tension defaults to 0."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty CSV") from None
-        if header[:1] != ["dl_t_mm"] or header not in (["dl_t_mm"], ["dl_t_mm", "T_N"]):
-            raise ValidationError(f"{path}: expected header dl_t_mm[,T_N], got {','.join(header)}")
-        profile = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                stroke = float(row[0])
-                tension = float(row[1]) if len(row) > 1 else 0.0
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            profile.append((stroke, tension))
-    if not profile:
-        raise ValidationError(f"{path}: no actuation samples")
-    return profile
+    data = _read_table(path, ["dl_t_mm", "T_N"], optional=1, samples="actuation samples")
+    tensions = data[:, 1] if data.shape[1] == 2 else np.zeros(len(data))
+    return list(zip(data[:, 0].tolist(), tensions.tolist()))
 
 
 def write_marker_csv(
@@ -311,19 +298,16 @@ def write_marker_csv(
     tensions: np.ndarray | None = None,
 ) -> None:
     header = ["eta", "x_mm", "y_mm", "z_mm"]
-    columns = [np.asarray(index, dtype=float)] + [np.asarray(points)[:, k] for k in range(3)]
+    columns = [index, *np.asarray(points, dtype=float).T]
     if strokes is not None:
-        if tensions is None:
-            tensions = np.zeros_like(np.asarray(strokes, dtype=float))
         header += ["dl_t_mm", "T_N"]
-        columns += [np.asarray(strokes, dtype=float), np.asarray(tensions, dtype=float)]
-    atomic_write_text(path, _table(header, columns))
+        columns += [strokes, np.zeros_like(strokes, dtype=float) if tensions is None else tensions]
+    write_table_csv(path, header, columns)
 
 
 def read_marker_csv(path: str | Path) -> dict[str, np.ndarray | None]:
     """Marker/trajectory CSV -> dict with index, points and optional actuation."""
-    rows = _csv_rows(path, ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"], optional=2)
-    data = np.asarray(rows, dtype=float)
+    data = _read_table(path, ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"], optional=2)
     has_actuation = data.shape[1] == 6
     return {
         "index": data[:, 0],
@@ -349,14 +333,11 @@ def comparison_to_json(comparison: TrajectoryComparison) -> str:
 
 
 def write_comparison_csv(path: str | Path, index: np.ndarray, comparison: TrajectoryComparison) -> None:
-    atomic_write_text(
-        path,
-        _table(["eta", "d_e_mm"], [np.asarray(index, dtype=float), comparison.per_sample_distances]),
-    )
+    write_table_csv(path, ["eta", "d_e_mm"], [index, comparison.per_sample_distances])
 
 
 def _marker_file_tag(arclength: float) -> str:
-    return _fmt(arclength).replace(".", "p").replace("-", "m")
+    return (_FLOAT_FMT % arclength).replace(".", "p").replace("-", "m")
 
 
 def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> list[Path]:

@@ -1,8 +1,13 @@
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helikin import fileio
 from helikin.errors import ValidationError
@@ -185,6 +190,179 @@ class TestMarkerCsv:
         data = fileio.read_marker_csv(path)
         assert data["strokes"] is None
         assert path.read_text().splitlines()[0] == "eta,x_mm,y_mm,z_mm"
+
+
+class TestCsvReaderSyntax:
+    @pytest.mark.parametrize(
+        "body, line, cause",
+        [
+            ("0,0,0,0\n1,1,1\n", 3, "expected 4 columns, got 3"),
+            ("0,0,0,0\n1,abc,1,1\n", 3, "could not convert string to float: 'abc'"),
+            ("0,0,0,0,\n", 2, "expected 4 columns, got 5"),
+            ("0,0,0,0\n\n\n1,1,x,1\n", 5, "could not convert string to float: 'x'"),
+            ("0,0,0,0\n\n1,1,1\n", 4, "expected 4 columns, got 3"),
+            ("\n0,0,0,0,0\n", 3, "expected 4 columns, got 5"),
+            ("0,0,0,0\n1,1,1,\n", 3, "could not convert string to float: ''"),
+            ("0,0,0,0\n1,1,1,\"\"\n", 3, "could not convert string to float: ''"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "reader, header", [(fileio.read_backbone_csv, "s_mm"), (fileio.read_tip_csv, "eta")]
+    )
+    def test_bad_row_names_path_and_file_line(self, tmp_path, reader, header, body, line, cause):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"{header},x_mm,y_mm,z_mm\n" + body)
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:{line}: {cause}"
+
+    @pytest.mark.parametrize(
+        "body, line, cause",
+        [
+            ("0,0\n1.5,abc\n", 3, "could not convert string to float: 'abc'"),
+            ("0,0\n\n\n1.5, \n", 5, "could not convert string to float: ' '"),
+        ],
+    )
+    def test_bad_stroke_row_names_path_and_file_line(self, tmp_path, body, line, cause):
+        path = tmp_path / "strokes.csv"
+        path.write_text("dl_t_mm,T_N\n" + body)
+        with pytest.raises(ValidationError) as info:
+            fileio.read_strokes_csv(path)
+        assert str(info.value) == f"{path}:{line}: {cause}"
+
+    def test_bad_marker_row_after_blank_lines(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        path.write_text("eta,x_mm,y_mm,z_mm,dl_t_mm,T_N\n0,0,0,0,0,0\n\n1,1,1,1,1\n")
+        with pytest.raises(ValidationError) as info:
+            fileio.read_marker_csv(path)
+        assert str(info.value) == f"{path}:4: expected 6 columns, got 5"
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("")
+        with pytest.raises(ValidationError, match="empty CSV"):
+            fileio.read_backbone_csv(path)
+
+    def test_blank_lines_crlf_and_quoted_cells_accepted(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        path.write_bytes(b'eta,x_mm,y_mm,z_mm\r\n\r\n0,"1.5",2,3\r\n\r\n1, 4 ,-5e-1,"6"\r\n\r\n')
+        data = fileio.read_marker_csv(path)
+        assert data["index"].tolist() == [0.0, 1.0]
+        assert data["points"].tolist() == [[1.5, 2.0, 3.0], [4.0, -0.5, 6.0]]
+        assert data["strokes"] is None
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_strokes_line_endings_accepted(self, tmp_path, eol):
+        path = tmp_path / "strokes.csv"
+        path.write_bytes(eol.join([b"dl_t_mm,T_N", b"0,0", b"", b'"1.5",0.25', b""]))
+        assert fileio.read_strokes_csv(path) == [(0.0, 0.0), (1.5, 0.25)]
+
+    @pytest.mark.parametrize("cell", ["1_0", "0x1p3", "\u0661"])
+    def test_underscore_hex_and_non_ascii_digits_rejected(self, tmp_path, cell):
+        path = tmp_path / "marker.csv"
+        path.write_text(f"eta,x_mm,y_mm,z_mm\n0,0,0,0\n1,{cell},0,0\n")
+        with pytest.raises(ValidationError) as info:
+            fileio.read_marker_csv(path)
+        assert str(info.value) == f"{path}:3: could not convert string to float: {cell!r}"
+
+    def test_ragged_stroke_rows_rejected(self, tmp_path):
+        path = tmp_path / "strokes.csv"
+        path.write_text("dl_t_mm,T_N\n0,0\n1.5\n")
+        with pytest.raises(ValidationError) as info:
+            fileio.read_strokes_csv(path)
+        assert str(info.value) == f"{path}:3: expected 2 columns, got 1"
+
+    def test_non_finite_cells_parse_like_float(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        path.write_text("eta,x_mm,y_mm,z_mm\n0,nan,inf,-inf\n1,-0,Infinity,-NaN\n")
+        points = fileio.read_marker_csv(path)["points"]
+        assert np.isnan(points[0, 0]) and points[0, 1] == math.inf and points[0, 2] == -math.inf
+        assert math.copysign(1.0, points[1, 0]) == -1.0 and points[1, 1] == math.inf
+        assert np.isnan(points[1, 2])
+
+
+class TestHeaderOnlyCsv:
+    def test_marker_reads_as_empty_arrays(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        fileio.write_marker_csv(path, np.zeros(0), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = fileio.read_marker_csv(path)
+        assert data["index"].shape == (0,)
+        assert data["points"].shape == (0, 3)
+        assert data["strokes"].shape == data["tensions"].shape == (0,)
+
+    def test_marker_without_actuation_and_blank_body(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        path.write_text("eta,x_mm,y_mm,z_mm\n\n\n")
+        data = fileio.read_marker_csv(path)
+        assert data["points"].shape == (0, 3)
+        assert data["strokes"] is None
+
+    @pytest.mark.parametrize(
+        "reader, header, rows",
+        [
+            (fileio.read_backbone_csv, "s_mm,x_mm,y_mm,z_mm", "curve samples"),
+            (fileio.read_tip_csv, "eta,x_mm,y_mm,z_mm", "trajectory samples"),
+            (fileio.read_strokes_csv, "dl_t_mm,T_N", "actuation samples"),
+        ],
+    )
+    def test_curve_tip_and_strokes_rejected(self, tmp_path, reader, header, rows):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: no {rows}"
+
+    def test_all_rejected_bundle_round_trip(self, tmp_path, tube, tendon, geom):
+        dataset = synthetic_sweep(
+            geom, tendon, [(9.0, 0.0), (math.nan, 0.0)], [33.2], NoiseSpec(seed=1), 0.0, tube
+        )
+        fileio.write_dataset_bundle(tmp_path / "bundle", dataset)
+        assert (tmp_path / "bundle" / "joints.csv").read_text().splitlines()[1:] == [
+            "9,0,nan,nan,nan,nan",
+            "nan,0,nan,nan,nan,nan",
+        ]
+        for name in ("tip.csv", "marker_33p2.csv", "marker_33p2_truth.csv"):
+            data = fileio.read_marker_csv(tmp_path / "bundle" / name)
+            assert data["points"].shape == (0, 3)
+            assert data["strokes"].shape == (0,)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e300]
+
+
+class TestTableWriterParity:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_matches_per_cell_format(self, tmp_path, seed, n):
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-30, 30, size=(n, 5))
+        table.flat[rng.choice(table.size, size=min(table.size, 12), replace=False)] = rng.choice(
+            _SPECIAL, size=min(table.size, 12)
+        )
+        header = ["a", "b", "c", "d", "e"]
+        path = tmp_path / "table.csv"
+        fileio.write_table_csv(path, header, list(table.T))
+        rows = [",".join(format(v, ".12g") for v in row) for row in table.tolist()]
+        expected = "".join(line + "\n" for line in [",".join(header)] + rows)
+        assert path.read_text() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4), min_size=1, max_size=8
+        )
+    )
+    def test_round_trip_is_float_of_12g(self, rows):
+        table = np.array(rows, dtype=float)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "marker.csv"
+            fileio.write_marker_csv(path, table[:, 0], table[:, 1:])
+            data = fileio.read_marker_csv(path)
+        loaded = np.column_stack([data["index"], data["points"]])
+        expected = np.array([[float(format(x, ".12g")) for x in row] for row in rows])
+        assert loaded.tobytes() == expected.tobytes()
 
 
 class TestComparisonOutputs:
