@@ -137,6 +137,19 @@ class BackboneCurve:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _trusted(cls, s: np.ndarray, points: np.ndarray) -> BackboneCurve:
+        """Curve over float64 arrays the caller has already shown to be valid.
+
+        Skips the shape, finiteness and order checks and keeps the arrays
+        as given, so it is only for rows taken from validated curves in
+        increasing arc-length order.
+        """
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "s", s)
+        object.__setattr__(curve, "points", points)
+        return curve
+
     def __len__(self) -> int:
         return self.s.size
 

@@ -68,7 +68,9 @@ class NoiseSpec:
 class PhantomSpec:
     """Infinite-cylinder obstacle: a point on its axis, unit direction, radius (mm).
 
-    Radius 0 degenerates to a line obstacle, which is allowed.
+    Radius 0 degenerates to a line obstacle, which is allowed. The spec
+    keeps read-only float64 copies of the axis arrays, so it cannot change
+    after validation and the caller's arrays stay their own.
     """
 
     axis_point: np.ndarray
@@ -76,18 +78,23 @@ class PhantomSpec:
     radius: float
 
     def __post_init__(self):
-        point = np.asarray(self.axis_point, dtype=float)
-        direction = np.asarray(self.axis_direction, dtype=float)
+        point = np.array(self.axis_point, dtype=float)
+        direction = np.array(self.axis_direction, dtype=float)
         if point.shape != (3,) or direction.shape != (3,):
             raise ValidationError("axis point and direction must have shape (3,)")
+        if not (np.isfinite(point).all() and np.isfinite(direction).all()):
+            raise ValidationError("phantom axis point and direction must be finite")
         if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
             raise ValidationError(
                 f"axis_direction must be a unit vector, |d| = {np.linalg.norm(direction):.9g}"
             )
-        if self.radius < 0.0:
-            raise ValidationError(f"phantom radius must be >= 0, got {self.radius}")
+        # not (r >= 0) rejects NaN too; isfinite rejects inf.
+        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
+            raise ValidationError(f"phantom radius must be finite and >= 0, got {self.radius}")
+        point.flags.writeable = direction.flags.writeable = False
         object.__setattr__(self, "axis_point", point)
         object.__setattr__(self, "axis_direction", direction)
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 @dataclass(frozen=True)
@@ -269,10 +276,17 @@ def ftl_run(
 
     Under a fixed joint state the tip at eta lies on the final backbone at
     s = eta * l_na, so forward kinematics runs exactly twice: once on the
-    master grid and once on the tip arc lengths. Cost grows with body
-    samples + eta steps, plus a small fixed cost per body. Bodies slice the
-    shared master arrays, which are therefore read-only, as are the arrays
-    of every body: writing into one body cannot corrupt another.
+    master grid and once on the tip arc lengths. One gather then copies
+    every body's rows into a single buffer, and each body is a read-only
+    slice of it, built without re-validation since its rows come from the
+    two validated curves in increasing order. A deployment costs
+    O(body samples + eta steps) array work plus a constant per body; the
+    body rows themselves are one memory copy. Writing into one body cannot
+    corrupt another.
+
+    Each body also refers to what the deployment shares (the rows of both
+    FK curves and every body's layout), so :func:`phantom_clearance` of a
+    body costs O(1) after the first body cleared against a phantom.
     """
     if eta_grid is None:
         eta_grid = default_eta_grid()
@@ -290,25 +304,68 @@ def ftl_run(
     full = forward_kinematics(joint, geom, master, turn_count)
     s_tips = grid * geom.na_length
     tip_curve = forward_kinematics(joint, geom, s_tips, turn_count)
-    full.s.flags.writeable = full.points.flags.writeable = False
 
     # A body keeps the master samples with s <= s_tip (forgiving one part in
     # 1e15) and appends the tip unless its last kept sample already is it.
     # The master grid starts at 0 <= s_tip, so every body keeps a sample.
     kept = np.searchsorted(full.s, s_tips * (1.0 + 1e-15), side="right")
-    last = kept - 1
-    on_grid = full.s[last] >= s_tips
-    tips = np.where(on_grid[:, None], full.points[last], tip_curve.points)
+    on_grid = full.s[kept - 1] >= s_tips
 
+    # Gather every body from [master rows; tip rows]: row r of body k is
+    # master row r for r < kept[k], then tip row k unless on the grid.
+    sizes = kept + ~on_grid
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    rows[rows == np.repeat(kept, sizes)] = len(full) + np.flatnonzero(~on_grid)
+    stacked = np.concatenate((full.points, tip_curve.points))
+    s = np.concatenate((full.s, tip_curve.s))[rows]
+    points = stacked[rows]
+    stacked.flags.writeable = s.flags.writeable = points.flags.writeable = False
+
+    deployment = _Deployment(stacked, len(full), kept, on_grid)
     bodies: list[BackboneCurve] = []
-    for k, (m, exact) in enumerate(zip(kept.tolist(), on_grid.tolist())):
-        s, points = full.s[:m], full.points[:m]
-        if not exact:
-            s = np.concatenate((s, tip_curve.s[k : k + 1]))
-            points = np.concatenate((points, tip_curve.points[k : k + 1]))
-            s.flags.writeable = points.flags.writeable = False
-        bodies.append(BackboneCurve(s=s, points=points))
-    return TipTrajectory(eta=grid, points=tips), bodies
+    start = 0
+    for k, end in enumerate(ends.tolist()):
+        body = BackboneCurve._trusted(s[start:end], points[start:end])
+        object.__setattr__(body, "_ftl", (deployment, k))
+        bodies.append(body)
+        start = end
+    return TipTrajectory(eta=grid, points=points[ends - 1]), bodies
+
+
+class _Deployment:
+    """What the bodies of one :func:`ftl_run` share.
+
+    ``rows`` holds the master rows, then one tip row per body. Body k is
+    master rows [0, kept[k]) plus, unless on_grid[k], tip row k. Per
+    phantom, the least squared distance of every body to the phantom axis
+    comes from one pass over these rows. It is kept for the last few
+    phantoms, keyed on identity: a PhantomSpec cannot change after
+    validation, and each entry holds its phantom, so the id is not reused
+    while the entry lives.
+    """
+
+    __slots__ = ("rows", "masters", "kept", "on_grid", "_least_sq")
+    _PHANTOMS_CACHED = 4
+
+    def __init__(self, rows: np.ndarray, masters: int, kept: np.ndarray, on_grid: np.ndarray):
+        self.rows, self.masters, self.kept, self.on_grid = rows, masters, kept, on_grid
+        self._least_sq: dict[int, tuple[PhantomSpec, np.ndarray]] = {}
+
+    def least_sq(self, phantom: PhantomSpec) -> np.ndarray:
+        """Per body, its least squared distance to the phantom axis."""
+        entry = self._least_sq.get(id(phantom))
+        if entry is None:
+            distance_sq = _axis_distance_sq(self.rows, phantom)
+            # min is exact, so the prefix minimum over the master rows is each
+            # body's own minimum over them, NaN propagation included.
+            least = np.minimum.accumulate(distance_sq[: self.masters])[self.kept - 1]
+            tip = distance_sq[self.masters :]
+            least = np.where(self.on_grid, least, np.minimum(least, tip))
+            if len(self._least_sq) >= self._PHANTOMS_CACHED:
+                del self._least_sq[next(iter(self._least_sq))]
+            entry = self._least_sq[id(phantom)] = (phantom, least)
+        return entry[1]
 
 
 def ftl_fidelity(tip: TipTrajectory, final_backbone: BackboneCurve) -> TrajectoryComparison:
@@ -342,24 +399,40 @@ def phantom_clearance(
     its distance to the phantom axis minus the phantom radius minus the
     tube's own outer radius, since the curve is a centerline. Negative
     clearance means contact.
+
+    A curve costs O(samples). A body from :func:`ftl_run` costs O(1): the
+    first body cleared against a phantom computes the distances of its
+    deployment's master and tip rows once (O(body samples + eta steps)),
+    and every body reads its own minimum from them. Both paths use the same
+    arithmetic, so a body's clearance is bit-identical to that of a plain
+    curve with the same rows.
     """
     if len(curve) == 0:
         raise ValidationError("clearance needs a non-empty curve")
-    if tube_outer_radius < 0.0:
-        raise ValidationError(f"tube_outer_radius must be >= 0, got {tube_outer_radius}")
-    direction = np.asarray(phantom.axis_direction, dtype=float)
-    norm = math.hypot(*direction.tolist())
-    if abs(norm - 1.0) > 1e-6:
-        raise DomainError(f"degenerate phantom axis: |direction| = {norm:.9g}")
-
-    offsets = curve.points - phantom.axis_point
-    along = offsets @ direction
-    radial = offsets - along[:, None] * direction
+    if not (tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)):
+        raise ValidationError(
+            f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius}"
+        )
+    ftl = getattr(curve, "_ftl", None)
+    # numpy multiplies a one-row operand through dot and longer ones through
+    # gemv, which round apart, so a one-row body (eta = 0) is scanned as is.
+    if ftl is None or len(curve) == 1:
+        least = _axis_distance_sq(curve.points, phantom).min()
+    else:
+        deployment, k = ftl
+        least = deployment.least_sq(phantom)[k]
     # sqrt is monotone and correctly rounded: the root of the least squared
     # distance is the least distance, bit for bit.
-    nearest = math.sqrt((radial * radial).sum(axis=1).min())
-    clearance = float(nearest - phantom.radius - tube_outer_radius)
+    clearance = float(math.sqrt(least) - phantom.radius - tube_outer_radius)
     return clearance, clearance < 0.0
+
+
+def _axis_distance_sq(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
+    """Squared distance of each (N, 3) point to the phantom's axis line."""
+    offsets = points - phantom.axis_point
+    along = offsets @ phantom.axis_direction
+    radial = offsets - along[:, None] * phantom.axis_direction
+    return (radial * radial).sum(axis=1)
 
 
 def phantom_on_cylinder_axis(

@@ -60,6 +60,14 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _polyline_points(px: np.ndarray) -> str:
+    """(N, 2) pixel coordinates as ``x,y x,y ...``, each ``%.10g`` like :func:`_fmt`.
+
+    One ``%`` call formats the whole polyline, not one call per point.
+    """
+    return (("%.10g,%.10g " * len(px)) % tuple(px.ravel().tolist()))[:-1]
+
+
 def _panel(
     projected: list[np.ndarray], labels: tuple[str, str], title: str, origin_x: float
 ) -> list[str]:
@@ -123,8 +131,7 @@ def _panel(
         )
 
     for k, uv in enumerate(projected):
-        px = to_px(uv)
-        coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in px)
+        coords = _polyline_points(to_px(uv))
         color = _COLORS[k % len(_COLORS)]
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -94,6 +94,23 @@ class TestPhantomJson:
         with pytest.raises(ValidationError, match="axis_point_mm"):
             fileio.load_phantom_spec(path)
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("axis_point_mm", [0.0, math.nan, 0.0]),
+            ("axis_direction", [math.nan, 0.0, 0.0]),
+            ("radius_mm", math.nan),
+            ("radius_mm", math.inf),
+        ],
+    )
+    def test_json_nan_and_infinity_rejected(self, tmp_path, field, value):
+        payload = {"axis_point_mm": [0.0, 10.0, 0.0], "axis_direction": [1.0, 0.0, 0.0], "radius_mm": 4.0}
+        payload[field] = value
+        path = tmp_path / "phantom.json"
+        path.write_text(json.dumps(payload))  # json writes NaN and Infinity
+        with pytest.raises(ValidationError, match="finite"):
+            fileio.load_phantom_spec(path)
+
 
 class TestCurveCsv:
     def test_backbone_round_trip(self, tendon, geom, tmp_path):

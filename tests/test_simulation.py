@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helikin import simulation
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.geometry import derive_geometry
 from helikin.estimation import position_based_estimate, rmse, stroke_based_estimate
@@ -420,6 +421,16 @@ class TestPhantomClearance:
         bend_radius = joint.cylinder_radius - geom.composite_na_offset
         assert np.allclose(distances, bend_radius, atol=1e-9)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.1])
+    def test_bad_tube_radius_rejected(self, radius):
+        phantom = PhantomSpec(
+            axis_point=np.array([0.0, 10.0, 0.0]),
+            axis_direction=np.array([1.0, 0.0, 0.0]),
+            radius=4.0,
+        )
+        with pytest.raises(ValidationError, match="tube_outer_radius must be finite and >= 0"):
+            phantom_clearance(self._straight_curve(), phantom, radius)
+
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValidationError):
             PhantomSpec(
@@ -447,3 +458,165 @@ class TestNoiseSpec:
         draw_c = noise.sample_rng(8).standard_normal(4)
         assert np.array_equal(draw_a, draw_b)
         assert not np.array_equal(draw_a, draw_c)
+
+
+class TestPhantomSpec:
+    @staticmethod
+    def _fields():
+        return {
+            "axis_point": np.array([1.0, 2.0, 3.0]),
+            "axis_direction": np.array([0.0, 0.0, 1.0]),
+            "radius": 2.0,
+        }
+
+    @pytest.mark.parametrize("field", ["axis_point", "axis_direction"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, field, value):
+        fields = self._fields()
+        fields[field][0] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            PhantomSpec(**fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_radius_rejected(self, value):
+        with pytest.raises(ValidationError, match="radius must be finite and >= 0"):
+            PhantomSpec(**{**self._fields(), "radius": value})
+
+    def test_keeps_read_only_float64_copies(self):
+        fields = self._fields()
+        phantom = PhantomSpec(**fields)
+        for name in ("axis_point", "axis_direction"):
+            stored = getattr(phantom, name)
+            assert stored.dtype == np.float64
+            assert not np.shares_memory(stored, fields[name])
+            with pytest.raises(ValueError):
+                stored[0] = 5.0
+            fields[name][0] = 7.0  # the caller's array stays writeable
+        assert np.array_equal(phantom.axis_point, [1.0, 2.0, 3.0])
+        assert np.array_equal(phantom.axis_direction, [0.0, 0.0, 1.0])
+
+    def test_lists_and_int_radius_are_converted(self):
+        phantom = PhantomSpec(axis_point=[0, 1, 2], axis_direction=[0, 1, 0], radius=3)
+        assert phantom.axis_point.dtype == np.float64
+        assert type(phantom.radius) is float
+
+
+def _bits(result):
+    clearance, collides = result
+    return clearance.hex(), collides
+
+
+class TestFtlBodyClearance:
+    """Clearance of an ftl_run body equals that of a plain curve with its rows, bit for bit."""
+
+    GRIDS = {
+        "one": np.array([0.37]),
+        "7": default_eta_grid(7),
+        "101": default_eta_grid(101),
+        "1001": default_eta_grid(1001),
+        # Every tip lands on a master sample: arc length k * l_na / 128.
+        "on_master": np.arange(BODY_SAMPLES) / (BODY_SAMPLES - 1),
+    }
+
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    def test_bodies_match_plain_curves(self, tube, tendon, turn_count, grid_name):
+        geom_n = derive_geometry(dataclasses.replace(tube, turn_count=turn_count))
+        stroke = 0.6 * _max_stroke(geom_n, turn_count)
+        joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.8, turn_count)
+        grid = self.GRIDS[grid_name]
+        _, bodies = ftl_run(joint, geom_n, grid, turn_count, BODY_SAMPLES)
+        assert len(bodies) == grid.size
+
+        master_s = backbone_samples(geom_n.na_length, BODY_SAMPLES)
+        on_grid = sum(body.s[-1] in master_s for body in bodies)
+        if grid_name == "on_master":
+            assert on_grid == grid.size
+        plain = []
+        for body in bodies:
+            assert not (body.s.flags.writeable or body.points.flags.writeable)
+            plain.append(BackboneCurve(s=body.s.copy(), points=body.points.copy()))
+
+        rng = np.random.default_rng(turn_count)
+        direction = rng.normal(size=3)
+        phantoms = [
+            phantom_on_cylinder_axis(joint, geom_n, 4.0),
+            PhantomSpec(rng.normal(scale=20.0, size=3), direction / np.linalg.norm(direction), 1.5),
+        ]
+        # Alternate the two phantoms over the same bodies, twice.
+        for phantom in phantoms * 2:
+            for body, curve in zip(bodies, plain):
+                assert _bits(phantom_clearance(body, phantom, 0.953)) == _bits(
+                    phantom_clearance(curve, phantom, 0.953)
+                )
+
+    def test_off_axis_phantoms_at_eta_zero(self, tendon, geom):
+        # The one-row body at eta = 0 rounds like a one-row curve.
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.4)
+        _, bodies = ftl_run(joint, geom, default_eta_grid(3))
+        first = BackboneCurve(s=bodies[0].s.copy(), points=bodies[0].points.copy())
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            direction = rng.normal(size=3)
+            phantom = PhantomSpec(rng.normal(scale=10.0, size=3), direction / np.linalg.norm(direction), 1.0)
+            assert _bits(phantom_clearance(bodies[0], phantom, 0.5)) == _bits(
+                phantom_clearance(first, phantom, 0.5)
+            )
+
+    def test_forward_kinematics_runs_twice(self, tendon, geom, monkeypatch):
+        samples = []
+        fk = simulation.forward_kinematics
+
+        def counting(joint, geom, s, turn_count):
+            samples.append(len(s))
+            return fk(joint, geom, s, turn_count)
+
+        monkeypatch.setattr(simulation, "forward_kinematics", counting)
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        ftl_run(joint, geom, default_eta_grid(1001), body_samples=BODY_SAMPLES)
+        assert samples == [BODY_SAMPLES, 1001]
+
+    def test_distance_rows_per_phantom(self, tendon, geom, monkeypatch):
+        rows = []
+        helper = simulation._axis_distance_sq
+
+        def counting(points, phantom):
+            rows.append(len(points))
+            return helper(points, phantom)
+
+        monkeypatch.setattr(simulation, "_axis_distance_sq", counting)
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        phantom = phantom_on_cylinder_axis(joint, geom, 4.0)
+        grid = default_eta_grid(1001)
+        _, bodies = ftl_run(joint, geom, grid, body_samples=BODY_SAMPLES)
+        assert sum(map(len, bodies)) == 65561
+        for body in bodies:
+            phantom_clearance(body, phantom, 0.953)
+        # The one-row body at eta = 0 is scanned on its own; every other body
+        # reads one pass over the master rows and one tip row per body.
+        assert rows == [1, BODY_SAMPLES + grid.size]
+        rows.clear()
+        for body in bodies[1:]:
+            phantom_clearance(body, phantom, 0.953)
+        assert rows == []
+
+        _, bodies = ftl_run(joint, geom, grid[1:], body_samples=BODY_SAMPLES)
+        for body in bodies:
+            phantom_clearance(body, phantom, 0.953)
+        assert rows == [BODY_SAMPLES + grid.size - 1]
+
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    def test_on_axis_clearance_closed_form(self, tube, tendon, turn_count):
+        geom_n = derive_geometry(dataclasses.replace(tube, turn_count=turn_count))
+        for fraction in (0.2, 0.6, 0.95):
+            stroke = fraction * _max_stroke(geom_n, turn_count)
+            joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.4, turn_count)
+            phantom = phantom_on_cylinder_axis(joint, geom_n, 2.0)
+            # R - y_na - r_phantom - r_outer
+            expected = joint.cylinder_radius - geom_n.composite_na_offset - 2.0 - tube.outer_radius
+            curve = forward_kinematics(joint, geom_n, turn_count=turn_count)
+            _, bodies = ftl_run(joint, geom_n, default_eta_grid(51), turn_count)
+            for body in [curve, *bodies]:
+                clearance, collides = phantom_clearance(body, phantom, tube.outer_radius)
+                assert clearance == pytest.approx(expected, abs=1e-9)
+                assert collides == (clearance < 0.0)

@@ -1,0 +1,33 @@
+import math
+
+import numpy as np
+import pytest
+
+from helikin import svgplot
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+
+
+def _per_point_join(px: np.ndarray) -> str:
+    """The polyline text as it was built before: one _fmt per numpy scalar."""
+    return " ".join(f"{svgplot._fmt(p[0])},{svgplot._fmt(p[1])}" for p in px)
+
+
+class TestPolylinePoints:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 1001])
+    def test_matches_per_point_format(self, seed, n):
+        rng = np.random.default_rng(seed)
+        px = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, size=(n, 2))
+        count = min(px.size, 12)
+        px.flat[rng.choice(px.size, size=count, replace=False)] = rng.choice(_SPECIAL, size=count)
+        assert svgplot._polyline_points(px) == _per_point_join(px)
+
+    def test_every_special_value(self):
+        px = np.array(list(zip(_SPECIAL, reversed(_SPECIAL))))
+        assert svgplot._polyline_points(px) == _per_point_join(px)
+
+    def test_non_contiguous_columns(self):
+        uv = np.arange(12.0).reshape(3, 4)[:, ::2] / 7.0
+        assert svgplot._polyline_points(uv) == _per_point_join(uv)
+
