@@ -507,7 +507,13 @@ def _bits(result):
 
 
 class TestFtlBodyClearance:
-    """Clearance of an ftl_run body equals that of a plain curve with its rows, bit for bit."""
+    """Clearance of an ftl_run body equals that of a plain curve with its rows, bit for bit.
+
+    The equality assumes numpy's matrix-vector product rounds each row alike
+    whatever its position and the row count, as the OpenBLAS gemv kernels of
+    numpy 2.4.6 on x86-64 do; on a BLAS whose leftover-row kernel rounds
+    apart these tests would fail by about one ulp on correct results.
+    """
 
     GRIDS = {
         "one": np.array([0.37]),
