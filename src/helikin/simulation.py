@@ -342,7 +342,10 @@ class _Deployment:
     comes from one pass over these rows. It is kept for the last phantom
     only, which is how a deployment is cleared: every body against one
     phantom. A PhantomSpec cannot change after validation, so identity
-    tells whether the kept result still holds.
+    tells whether the kept result still holds. The rows go through the same
+    ``_axis_distance_sq`` as a plain curve; the results match a per-body scan
+    bit for bit only where gemv rounds a row the same at any position and
+    row count (see :func:`phantom_clearance`).
     """
 
     __slots__ = ("rows", "masters", "kept", "on_grid", "_phantom", "_least_sq")
