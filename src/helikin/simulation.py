@@ -1,8 +1,15 @@
 """Synthetic experiments, FTL runs, fidelity scoring and clearance checks.
 
 Everything here is deterministic given a seed. Noise streams are derived
-per sample index from (seed, index), so datasets are reproducible even if
-generation is ever partitioned across workers.
+per sample index from (seed, index): sample i draws from
+``default_rng([seed, i])``, the stroke first, then the markers in
+ascending arc length, so datasets are reproducible even if generation is
+ever partitioned across workers. ``synthetic_sweep`` reproduces those
+streams bit for bit without building one ``default_rng`` per sample: it
+hashes every ``SeedSequence([seed, i])`` at once and sets each PCG64
+state directly. It falls back to ``NoiseSpec.sample_rng`` for a seed or
+index of 2**32 or more, or when the first or last sample disagrees with
+``default_rng``.
 """
 
 from __future__ import annotations
@@ -58,6 +65,11 @@ class NoiseSpec:
             value = getattr(self, name)
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValidationError(f"noise {name} must be finite and >= 0, got {value}")
+        # The seeds default_rng accepts; bool is an int but no seed.
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"noise seed must be an integer >= 0, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     def sample_rng(self, index: int) -> np.random.Generator:
         """Independent stream for one sample, stable under parallel generation."""
@@ -154,6 +166,14 @@ def synthetic_sweep(
     in ascending arc-length order. The streams do not depend on the
     batching, so the noise is bit-identical to a per-sample loop.
 
+    The sweep does not build those generators. It hashes
+    ``SeedSequence([seed, i])`` for every i in one uint32 numpy pass,
+    seeds PCG64 from each hash in Python ints, sets the state of one
+    reused generator and draws the sample's whole row in one call. If
+    the seed or an index does not fit one uint32 word, or the first or
+    last sample differs from ``default_rng``, every row is drawn from
+    :meth:`NoiseSpec.sample_rng` instead.
+
     Samples the actuation map rejects are recorded, not fatal: their
     joint is None, their track and tip rows are NaN, and ``failures``
     pairs each index with the scalar map's error message. A profile that
@@ -171,15 +191,11 @@ def synthetic_sweep(
     tensions = np.array([p[1] for p in stroke_profile], dtype=float)
     marker_s = np.asarray(sorted(markers), dtype=float)
 
-    # The noisy tracks are views of one (n, markers, 3) block, which first
-    # receives the raw position draws in place.
-    stroke_draws = np.empty(n)
-    noisy = np.empty((n, marker_s.size, 3))
-    for i in range(n):
-        rng = noise.sample_rng(i)
-        stroke_draws[i] = rng.standard_normal()
-        rng.standard_normal(out=noisy[i])
-    strokes_noisy = strokes + noise.stroke_sigma * stroke_draws
+    # The noisy tracks are views of the (n, markers, 3) part of the draws,
+    # scaled and offset in place.
+    draws = _noise_draws(noise, n, 1 + 3 * marker_s.size)
+    strokes_noisy = strokes + noise.stroke_sigma * draws[:, 0]
+    noisy = draws[:, 1:].reshape(n, marker_s.size, 3)
 
     batch = joints_from_actuation(strokes, tensions, tendon, geom, tube.turn_count)
     rows = np.flatnonzero(batch.ok)
@@ -219,6 +235,82 @@ def synthetic_sweep(
             strokes, tensions, batch.ok, tendon, geom, tube.turn_count
         ),
     )
+
+
+# SeedSequence's hash (O'Neill, "Developing a seed_seq Alternative",
+# pcg-random.org, 2015, as numpy implements it) and the PCG64 LCG
+# multiplier of its srandom (O'Neill, HMC-CS-2014-0905).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each i, as (n, 4) rows.
+
+    The seed and every index must fit one uint32 word, so the entropy is
+    the two words [seed, i] in a pool of 4. The hash constants do not
+    depend on the data; the seed and zero-padding lanes stay (1,) arrays
+    until mixing broadcasts them. uint32 arrays wrap as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(v) for v in (np.array([seed], np.uint32), index.astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    words = np.empty((index.size, 8), np.uint32)
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words[:, k] = value ^ value >> 16
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
+    """The (state, inc) that ``PCG64`` seeds from the words w0..w3: two LCG steps."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _noise_draws(noise: NoiseSpec, n: int, width: int) -> np.ndarray:
+    """Row i is ``noise.sample_rng(i).standard_normal(width)``, bit for bit."""
+    out = np.empty((n, width))
+    if noise.seed < 2**32 and n <= 2**32:
+        bitgen = np.random.PCG64(0)
+        generator = np.random.Generator(bitgen)
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        words = _seed_words(noise.seed, np.arange(n, dtype=np.uint32))
+        for row, w in zip(out, words.tolist()):
+            pcg["state"], pcg["inc"] = _pcg64_state(*w)
+            bitgen.state = state
+            generator.standard_normal(out=row)
+        if all(
+            np.array_equal(out[i], noise.sample_rng(i).standard_normal(width)) for i in {0, n - 1}
+        ):
+            return out
+    for i, row in enumerate(out):
+        noise.sample_rng(i).standard_normal(out=row)
+    return out
 
 
 def _centerline_points_into(

@@ -115,6 +115,18 @@ class TestSweepCommand:
     def test_requires_profile_source(self, tmp_path, spec_file):
         assert main(["sweep", "--spec", spec_file, "-o", str(tmp_path / "x.csv")]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, spec_file, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "sweep", "--spec", spec_file, "--stroke-max", "3", "--steps", "5",
+                "--seed", "-1", "-o", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestFtlCommand:
     def test_rest_joint_traces_x_axis(self, tmp_path, spec_file):
@@ -309,6 +321,11 @@ class TestDemoCommand:
         assert main(["demo", "--outdir", str(dir_b)]) == 0
         for name in sorted(p.name for p in dir_a.iterdir()):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["demo", "--outdir", str(tmp_path / "d"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"
 
 
 class TestHelpAndUnits:

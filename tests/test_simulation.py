@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helikin import simulation
 from helikin.errors import DomainError, GridMismatchError, ValidationError
@@ -192,6 +194,85 @@ class TestSweepBatchPath:
         assert [i for i, _ in dataset.failures] == [0, 1]
         assert np.isnan(dataset.tracks_noisy[33.2]).all()
         assert np.isnan(dataset.tips_true).all()
+
+
+
+def _reference_draws(seed, n, markers):
+    """One default_rng([seed, i]) per sample: the stroke, then (markers, 3)."""
+    z_stroke = np.empty(n)
+    z_markers = np.empty((n, markers, 3))
+    for i in range(n):
+        rng = np.random.default_rng([seed, i])
+        z_stroke[i] = rng.standard_normal()
+        z_markers[i] = rng.standard_normal((markers, 3))
+    return z_stroke, z_markers
+
+
+@pytest.fixture()
+def sample_rng_calls(monkeypatch):
+    """The sample indices NoiseSpec.sample_rng is called with, in order."""
+    calls = []
+    sample_rng = NoiseSpec.sample_rng
+    monkeypatch.setattr(
+        NoiseSpec, "sample_rng", lambda self, i: calls.append(i) or sample_rng(self, i)
+    )
+    return calls
+
+
+class TestNoiseStreams:
+    """The sweep's batched seeding against one default_rng([seed, i]) per sample."""
+
+    # Every centerline point at s = 0 is exactly 0, so that marker's noisy
+    # track is its raw draws; the other is checked as the sum the sweep stores.
+    MARKERS = [33.2, 0.0]
+
+    def _assert_documented_draws(self, tube, tendon, geom, seed, n, z_stroke, z_markers):
+        noise = NoiseSpec(position_sigma=1.0, stroke_sigma=1.0, seed=seed)
+        dataset = synthetic_sweep(geom, tendon, [(0.0, 0.0)] * n, self.MARKERS, noise, 0.0, tube)
+        assert np.array_equal(dataset.strokes_noisy, z_stroke[:n])
+        for k, s in enumerate(dataset.marker_arclengths):
+            truth = dataset.tracks_true[s]
+            assert np.array_equal(dataset.tracks_noisy[s], truth + z_markers[:n, k])
+        draws = simulation._noise_draws(noise, n, 1 + 3 * len(self.MARKERS))
+        assert np.array_equal(draws[:, 0], z_stroke[:n])
+        assert np.array_equal(draws[:, 1:], z_markers[:n].reshape(n, -1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1])
+    def test_fast_path_is_bit_identical(self, tube, tendon, geom, seed, sample_rng_calls):
+        z_stroke, z_markers = _reference_draws(seed, 10_000, len(self.MARKERS))
+        for n in (1, 2, 10_000):
+            sample_rng_calls.clear()
+            self._assert_documented_draws(tube, tendon, geom, seed, n, z_stroke, z_markers)
+            # Only the self-check of the first and last sample, per call.
+            assert sorted(sample_rng_calls) == sorted(2 * [*{0, n - 1}])
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64])
+    def test_seed_past_one_word_falls_back(self, tube, tendon, geom, seed, sample_rng_calls):
+        z_stroke, z_markers = _reference_draws(seed, 5, len(self.MARKERS))
+        self._assert_documented_draws(tube, tendon, geom, seed, 5, z_stroke, z_markers)
+        assert sample_rng_calls == 2 * list(range(5))
+
+    def test_wrong_hash_constant_fails_the_self_check(
+        self, tube, tendon, geom, monkeypatch, sample_rng_calls
+    ):
+        monkeypatch.setattr(simulation, "_MULT_A", simulation._MULT_A ^ 1)
+        seq = np.random.SeedSequence([7, 3])
+        assert not np.array_equal(
+            simulation._seed_words(7, np.array([3]))[0], seq.generate_state(4, np.uint64)
+        )
+        z_stroke, z_markers = _reference_draws(7, 50, len(self.MARKERS))
+        self._assert_documented_draws(tube, tendon, geom, 7, 50, z_stroke, z_markers)
+        # Each call: the failed check of sample 0, then every sample.
+        assert sample_rng_calls == 2 * [0, *range(50)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**32 - 1))
+    def test_hash_and_pcg64_state_match_numpy(self, seed, index):
+        words = simulation._seed_words(seed, np.array([index], dtype=np.uint32))[0]
+        seq = np.random.SeedSequence([seed, index])
+        assert np.array_equal(words, seq.generate_state(4, np.uint64))
+        state = np.random.PCG64(seq).state["state"]
+        assert simulation._pcg64_state(*words.tolist()) == (state["state"], state["inc"])
 
 
 class TestFtlRun:
@@ -450,6 +531,15 @@ class TestNoiseSpec:
     def test_non_finite_sigma_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            NoiseSpec(seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        noise = NoiseSpec(seed=np.uint64(2**63))
+        assert type(noise.seed) is int and noise.seed == 2**63
 
     def test_sample_streams_are_index_stable(self):
         noise = NoiseSpec(position_sigma=1.0, seed=5)
