@@ -322,7 +322,6 @@ class TestDemoCommand:
         for name in sorted(p.name for p in dir_a.iterdir()):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
-
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["demo", "--outdir", str(tmp_path / "d"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"

@@ -196,7 +196,6 @@ class TestSweepBatchPath:
         assert np.isnan(dataset.tips_true).all()
 
 
-
 def _reference_draws(seed, n, markers):
     """One default_rng([seed, i]) per sample: the stroke, then (markers, 3)."""
     z_stroke = np.empty(n)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Record perfbench runs as BENCH_<pr>.json files, and compare two such files.
 
-    python3 tools/bench_record.py --seeds 1 2 3 ../parent:BENCH_5.json .:BENCH_6.json
-    python3 tools/bench_record.py --workloads dataset --seeds 1 2 3 .:BENCH_6.json
+    python3 tools/bench_record.py --seeds 1,2,3 ../parent:BENCH_5.json .:BENCH_6.json
+    python3 tools/bench_record.py --workloads dataset --seeds 1,2,3 .:BENCH_6.json
     python3 tools/bench_record.py --diff BENCH_5.json BENCH_6.json
 
 Each CHECKOUT:OUT argument names a source checkout, whose own
@@ -35,13 +35,20 @@ WORKLOADS = ("dataset", "ftl_deploy", "control_loop", "cli")
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="*", metavar="CHECKOUT:OUT")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated")
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated")
     parser.add_argument("--seconds", type=float, help="measured time per run (default: BENCHMARK.json)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
     args = parser.parse_args(argv)
     if not args.diff and not args.targets:
         parser.error("give CHECKOUT:OUT targets or --diff A B")
+    args.workloads = args.workloads.split(",")
+    if not set(args.workloads) <= set(WORKLOADS):
+        parser.error(f"--workloads: choose from {', '.join(WORKLOADS)}")
+    try:
+        args.seeds = [int(seed) for seed in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds: not a comma-separated list of integers: {args.seeds!r}")
     return args
 
 
