@@ -282,6 +282,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    noise = NoiseSpec(seed=args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tube, tendon = _load_specs(args.spec)
@@ -295,8 +296,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     # stage 2: stroke sweep up to the demo stroke
     profile = [(float(v), 0.0) for v in np.linspace(0.0, args.stroke, 17)]
     dataset = synthetic_sweep(
-        geom, tendon, profile, list(presets.MARKER_ARCLENGTHS_MM), NoiseSpec(seed=args.seed),
-        theta, tube,
+        geom, tendon, profile, list(presets.MARKER_ARCLENGTHS_MM), noise, theta, tube
     )
     fileio.write_joints_csv(
         outdir / "joints.csv", dataset.strokes, dataset.tensions, list(dataset.joints)

@@ -191,10 +191,12 @@ def synthetic_sweep(
     tensions = np.array([p[1] for p in stroke_profile], dtype=float)
     marker_s = np.asarray(sorted(markers), dtype=float)
 
-    # The noisy tracks are views of the (n, markers, 3) part of the draws,
-    # scaled and offset in place.
+    # The noisy strokes and tracks are views of the draws' columns, scaled
+    # and offset in place, so the draws take no memory beyond them.
     draws = _noise_draws(noise, n, 1 + 3 * marker_s.size)
-    strokes_noisy = strokes + noise.stroke_sigma * draws[:, 0]
+    strokes_noisy = draws[:, 0]
+    strokes_noisy *= noise.stroke_sigma
+    strokes_noisy += strokes
     noisy = draws[:, 1:].reshape(n, marker_s.size, 3)
 
     batch = joints_from_actuation(strokes, tensions, tendon, geom, tube.turn_count)
@@ -282,7 +284,7 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         words[:, k] = value ^ value >> 16
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
@@ -300,8 +302,8 @@ def _noise_draws(noise: NoiseSpec, n: int, width: int) -> np.ndarray:
         pcg = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         words = _seed_words(noise.seed, np.arange(n, dtype=np.uint32))
-        for row, w in zip(out, words.tolist()):
-            pcg["state"], pcg["inc"] = _pcg64_state(*w)
+        for row, w in zip(out, words):
+            pcg["state"], pcg["inc"] = _pcg64_state(*w.tolist())
             bitgen.state = state
             generator.standard_normal(out=row)
         if all(

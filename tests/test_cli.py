@@ -325,6 +325,7 @@ class TestDemoCommand:
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["demo", "--outdir", str(tmp_path / "d"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "d").exists()
 
 
 class TestHelpAndUnits:

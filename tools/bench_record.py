@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Record perfbench runs as BENCH_<pr>.json files, and compare two such files.
 
-    python3 tools/bench_record.py --seeds 1,2,3 ../parent:BENCH_5.json .:BENCH_6.json
-    python3 tools/bench_record.py --workloads dataset --seeds 1,2,3 .:BENCH_6.json
+    python3 tools/bench_record.py --seeds 601,602,603,604,605,606,607,608,609,610 \
+        ../parent:BENCH_5.json .:BENCH_6.json
+    python3 tools/bench_record.py --workloads dataset --seeds 1,5,9 .:BENCH_6.json
     python3 tools/bench_record.py --diff BENCH_5.json BENCH_6.json
 
 Each CHECKOUT:OUT argument names a source checkout, whose own
-``perfbench/run.py --trace 0`` runs, and the file its runs are written
-to. For each workload and seed every checkout runs once, and the order of
-the checkouts rotates from seed to seed, so that a slow phase of the
-machine falls on every side alike. A file holds, per workload and
+``perfbench/run.py --trace 0`` runs for BENCHMARK.json's run_seconds,
+and the file its runs are written to. Recording needs ``--seeds``; a gain
+claim needs ten or more. For each workload and seed every checkout runs
+once, and the order of the checkouts rotates from seed to seed, so that a
+slow phase of the machine falls on every side alike. A file holds, per workload and
 end-to-end metric, the median, quartiles, IQR and n of the runs and every
 run's value by seed; the bounds from BENCHMARK.json; and the Python,
 numpy, CPU count and pinned CPUs the runs reported.
@@ -36,8 +38,7 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="*", metavar="CHECKOUT:OUT")
     parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated")
-    parser.add_argument("--seconds", type=float, help="measured time per run (default: BENCHMARK.json)")
+    parser.add_argument("--seeds", help="comma-separated; required to record")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
     args = parser.parse_args(argv)
     if not args.diff and not args.targets:
@@ -45,10 +46,13 @@ def parse_args(argv=None):
     args.workloads = args.workloads.split(",")
     if not set(args.workloads) <= set(WORKLOADS):
         parser.error(f"--workloads: choose from {', '.join(WORKLOADS)}")
-    try:
-        args.seeds = [int(seed) for seed in args.seeds.split(",")]
-    except ValueError:
-        parser.error(f"--seeds: not a comma-separated list of integers: {args.seeds!r}")
+    if args.targets:
+        if args.seeds is None:
+            parser.error("recording needs --seeds")
+        try:
+            args.seeds = [int(seed) for seed in args.seeds.split(",")]
+        except ValueError:
+            parser.error(f"--seeds: not a comma-separated list of integers: {args.seeds!r}")
     return args
 
 
@@ -79,7 +83,7 @@ def summary(values: list[float]) -> dict:
 
 def record(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     targets = []
     for target in args.targets:
         checkout, sep, out = target.rpartition(":")
