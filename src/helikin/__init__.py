@@ -24,7 +24,6 @@ from .errors import (
 )
 from .estimation import (
     EstimateResult,
-    MarkerTrack,
     Method,
     PositionEstimate,
     TrajectoryComparison,
@@ -49,7 +48,6 @@ from .geometry import (
     tendon_neutral_axis_distance,
 )
 from .kinematics import (
-    ActuationState,
     BackboneCurve,
     JointState,
     TipTrajectory,
@@ -57,15 +55,10 @@ from .kinematics import (
     cylinder_from_tendon_length,
     deflection_angle,
     forward_kinematics,
-    ftl_actuation,
-    ftl_tip,
-    helix_point,
     joint_from_actuation,
     rest_joint,
     tendon_length_from_cylinder,
     tendon_length_from_stroke,
-    to_frame0,
-    to_frame1,
 )
 from .simulation import (
     NoiseSpec,

@@ -22,6 +22,7 @@ import numpy as np
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import (
+    _overlap_grid,
     compare_point_sequences,
     position_based_estimate,
     repeatability_compare,
@@ -59,13 +60,6 @@ def _load_specs(path: str | None) -> tuple[TubeSpec, TendonSpec]:
         return presets.default_tube(), presets.default_tendon()
     tube, tendon = fileio.load_device_spec(path)
     return tube, tendon if tendon is not None else presets.default_tendon()
-
-
-def _write_or_print(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        fileio.atomic_write_text(path, text)
 
 
 def _stroke_profile(args: argparse.Namespace) -> list[tuple[float, float]]:
@@ -109,12 +103,8 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 def cmd_shape(args: argparse.Namespace) -> int:
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
-    joint = joint_from_actuation(
-        args.stroke, args.tension, tendon, geom, math.radians(args.theta_deg), tube.turn_count
-    )
-    curve = forward_kinematics(
-        joint, geom, backbone_samples(geom.na_length, args.samples), tube.turn_count
-    )
+    joint = joint_from_actuation(args.stroke, args.tension, tendon, geom, math.radians(args.theta_deg))
+    curve = forward_kinematics(joint, geom, backbone_samples(geom.na_length, args.samples))
     fileio.write_backbone_csv(args.output, curve)
     print(
         f"R = {joint.cylinder_radius:.6f} mm, H = {joint.cylinder_height:.6f} mm, "
@@ -154,18 +144,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_ftl(args: argparse.Namespace) -> int:
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
-    joint = joint_from_actuation(
-        args.stroke, args.tension, tendon, geom, math.radians(args.theta_deg), tube.turn_count
-    )
+    joint = joint_from_actuation(args.stroke, args.tension, tendon, geom, math.radians(args.theta_deg))
     grid = default_eta_grid(args.eta_steps)
-    tip, bodies = ftl_run(joint, geom, grid, tube.turn_count)
+    tip, bodies = ftl_run(joint, geom, grid)
     fileio.write_tip_csv(args.output, tip)
     if args.bodies_dir:
         directory = Path(args.bodies_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for eta, body in zip(grid, bodies):
             fileio.write_backbone_csv(directory / f"body_eta_{eta:.4f}.csv", body)
-    final = forward_kinematics(joint, geom, grid * geom.na_length, tube.turn_count)
+    final = forward_kinematics(joint, geom, grid * geom.na_length)
     fidelity = ftl_fidelity(tip, final)
     print(
         f"FTL run over {len(grid)} eta steps; tip-vs-body max distance "
@@ -187,9 +175,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             profile = list(zip(data["strokes"], data["tensions"]))
         else:
             profile = fileio.read_strokes_csv(args.input)
-        result = stroke_based_estimate(
-            profile, geom, tendon, math.radians(args.theta_deg), tube.turn_count
-        )
+        result = stroke_based_estimate(profile, geom, tendon, math.radians(args.theta_deg))
         strokes = np.array([p[0] for p in profile])
         tensions = np.array([p[1] for p in profile])
         fileio.write_joints_csv(args.output, strokes, tensions, list(result.joint_series))
@@ -207,7 +193,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     failures = []
     for i, point in enumerate(data["points"]):
         try:
-            est = position_based_estimate(point, geom, tube.turn_count)
+            est = position_based_estimate(point, geom)
         except DomainError as exc:
             failures.append((i, str(exc)))
         else:
@@ -238,10 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         trial_a = TipTrajectory(eta=a["index"], points=a["points"])
         trial_b = TipTrajectory(eta=b["index"], points=b["points"])
         comparison = repeatability_compare(trial_a, trial_b)
-        lo = max(trial_a.eta[0], trial_b.eta[0])
-        hi = min(trial_a.eta[-1], trial_b.eta[-1])
-        index = np.union1d(trial_a.eta, trial_b.eta)
-        index = index[(index >= lo) & (index <= hi)]
+        index = _overlap_grid(trial_a.eta, trial_b.eta)
     sys.stdout.write(fileio.comparison_to_json(comparison))
     if args.per_sample:
         fileio.write_comparison_csv(args.per_sample, index, comparison)
@@ -303,15 +286,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
 
     # stage 3: deployed shape and FTL run at the final stroke
-    joint = joint_from_actuation(args.stroke, 0.0, tendon, geom, theta, tube.turn_count)
-    backbone = forward_kinematics(
-        joint, geom, backbone_samples(geom.na_length, DEFAULT_BACKBONE_SAMPLES), tube.turn_count
-    )
+    joint = joint_from_actuation(args.stroke, 0.0, tendon, geom, theta)
+    backbone = forward_kinematics(joint, geom, backbone_samples(geom.na_length, DEFAULT_BACKBONE_SAMPLES))
     fileio.write_backbone_csv(outdir / "backbone.csv", backbone)
     grid = default_eta_grid(args.eta_steps)
-    tip, bodies = ftl_run(joint, geom, grid, tube.turn_count)
+    tip, bodies = ftl_run(joint, geom, grid)
     fileio.write_tip_csv(outdir / "tip.csv", tip)
-    final = forward_kinematics(joint, geom, grid * geom.na_length, tube.turn_count)
+    final = forward_kinematics(joint, geom, grid * geom.na_length)
     fidelity = ftl_fidelity(tip, final)
     svgplot.write_curves_svg(
         outdir / "shape.svg", [backbone.points, tip.points], ["backbone", "tip trace"]

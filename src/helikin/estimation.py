@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
-from .geometry import DerivedGeometry, TendonSpec
+from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
 from .kinematics import JointState, TipTrajectory, actuation_failures, joints_from_actuation
 
 __all__ = [
     "Method",
-    "MarkerTrack",
     "EstimateResult",
     "TrajectoryComparison",
     "PositionEstimate",
@@ -43,51 +42,6 @@ __all__ = [
 class Method(enum.Enum):
     STROKE_BASED = "stroke_based"
     POSITION_BASED = "position_based"
-
-
-@dataclass(frozen=True)
-class MarkerTrack:
-    """Measured positions of one marker over a run.
-
-    Attributes:
-        arclength: marker location along the tube, mm of neutral-fiber arc.
-        index: per-sample time index or progression value, shape (N,).
-        points: marker positions in O_0, mm, shape (N, 3).
-        strokes: optional tendon strokes aligned with the samples, mm.
-        tensions: optional tendon tensions aligned with the samples, N.
-    """
-
-    arclength: float
-    index: np.ndarray
-    points: np.ndarray
-    strokes: np.ndarray | None = None
-    tensions: np.ndarray | None = None
-
-    def __post_init__(self):
-        index = np.asarray(self.index, dtype=float)
-        points = np.asarray(self.points, dtype=float)
-        if index.ndim != 1 or points.shape != (index.size, 3):
-            raise ValidationError(
-                f"need index (N,) and points (N, 3), got {index.shape} and {points.shape}"
-            )
-        if not (np.all(np.isfinite(index)) and np.all(np.isfinite(points))):
-            raise ValidationError("marker track contains non-finite values")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "points", points)
-        for name in ("strokes", "tensions"):
-            channel = getattr(self, name)
-            if channel is None:
-                continue
-            channel = np.asarray(channel, dtype=float)
-            if channel.shape != index.shape:
-                raise ValidationError(
-                    f"{name} must align one-to-one with points: "
-                    f"{channel.shape} vs {index.shape}"
-                )
-            object.__setattr__(self, name, channel)
-
-    def __len__(self) -> int:
-        return self.index.size
 
 
 @dataclass(frozen=True)
@@ -141,7 +95,7 @@ def stroke_based_estimate(
     geom: DerivedGeometry,
     tendon: TendonSpec,
     roll: float,
-    turn_count: int = 1,
+    turn_count: int | None = None,
 ) -> EstimateResult:
     """Estimate joint states from (stroke, tension) samples.
 
@@ -152,30 +106,34 @@ def stroke_based_estimate(
     since recorded stroke logs routinely contain samples outside the
     model's domain: a failed sample has joint None and phi nan, and
     ``failures`` pairs its index with the scalar map's error message.
+    n comes from ``geom``; a turn count that is given only has to match it.
     """
+    _check_turn_count(geom, turn_count)
     pairs = list(actuation)
     strokes = [p[0] for p in pairs]
     tensions = [p[1] for p in pairs]
-    batch = joints_from_actuation(strokes, tensions, tendon, geom, turn_count)
+    batch = joints_from_actuation(strokes, tensions, tendon, geom)
     joints = batch.joint_states(roll)
     return EstimateResult(
         method=Method.STROKE_BASED,
         joint_series=joints,
         per_sample_phi=tuple(math.nan if j is None else j.deflection for j in joints),
-        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom, turn_count),
+        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom),
     )
 
 
 def position_based_estimate(
-    tip: np.ndarray, geom: DerivedGeometry, turn_count: int = 1
+    tip: np.ndarray, geom: DerivedGeometry, turn_count: int | None = None
 ) -> PositionEstimate:
     """Estimate the joint state from a measured tip position in O_0.
 
     The tip norm is the cylinder height and the angle between the tip and
     +X_0 is the ground-truth deflection. The fixed neutral-fiber length
     then yields the radius, and with it a model-predicted deflection whose
-    agreement with the ground truth scores the model.
+    agreement with the ground truth scores the model. n comes from
+    ``geom``; a turn count that is given only has to match it.
     """
+    _check_turn_count(geom, turn_count)
     tip = np.asarray(tip, dtype=float)
     if tip.shape != (3,):
         raise ValidationError(f"tip must have shape (3,), got {tip.shape}")
@@ -191,10 +149,9 @@ def position_based_estimate(
         )
     phi_truth = math.acos(min(max(tip[0] / height, -1.0), 1.0))
     radius_sq = geom.na_length**2 - height**2
-    radius = math.sqrt(max(radius_sq, 0.0)) / (2.0 * math.pi * turn_count)
-    phi_model = math.atan2(
-        2.0 * math.pi * turn_count * (radius - geom.composite_na_offset), height
-    )
+    two_pi_n = 2.0 * math.pi * geom.turn_count
+    radius = math.sqrt(max(radius_sq, 0.0)) / two_pi_n
+    phi_model = math.atan2(two_pi_n * (radius - geom.composite_na_offset), height)
     return PositionEstimate(
         cylinder_height=height,
         phi_truth=phi_truth,
@@ -244,16 +201,7 @@ def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> Tra
     """
     if trial_a.eta.shape == trial_b.eta.shape and np.array_equal(trial_a.eta, trial_b.eta):
         return compare_point_sequences(trial_a.points, trial_b.points)
-
-    lo = max(trial_a.eta[0], trial_b.eta[0])
-    hi = min(trial_a.eta[-1], trial_b.eta[-1])
-    if lo > hi:
-        raise GridMismatchError(
-            f"eta ranges do not overlap: [{trial_a.eta[0]}, {trial_a.eta[-1]}] vs "
-            f"[{trial_b.eta[0]}, {trial_b.eta[-1]}]"
-        )
-    grid = np.union1d(trial_a.eta, trial_b.eta)
-    grid = grid[(grid >= lo) & (grid <= hi)]
+    grid = _overlap_grid(trial_a.eta, trial_b.eta)
 
     def resample(trial: TipTrajectory) -> np.ndarray:
         return np.column_stack(
@@ -261,3 +209,20 @@ def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> Tra
         )
 
     return compare_point_sequences(resample(trial_a), resample(trial_b))
+
+
+def _overlap_grid(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
+    """Union of two ascending eta grids, clipped to the range where both are defined.
+
+    This is the grid :func:`repeatability_compare` resamples two trials
+    onto. Raises :class:`GridMismatchError` when the ranges do not
+    intersect.
+    """
+    lo = max(eta_a[0], eta_b[0])
+    hi = min(eta_a[-1], eta_b[-1])
+    if lo > hi:
+        raise GridMismatchError(
+            f"eta ranges do not overlap: [{eta_a[0]}, {eta_a[-1]}] vs [{eta_b[0]}, {eta_b[-1]}]"
+        )
+    grid = np.union1d(eta_a, eta_b)
+    return grid[(grid >= lo) & (grid <= hi)]

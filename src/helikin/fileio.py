@@ -113,7 +113,8 @@ def load_device_spec(path: str | Path) -> tuple[TubeSpec, TendonSpec | None]:
     values = {name: tube_payload[name] for name in _TUBE_FIELDS}
     try:
         values["remaining_half_angle"] = math.radians(float(values["remaining_half_angle"]))
-        values["turn_count"] = int(values["turn_count"])
+        # The turn count goes to TubeSpec as read, which rejects 1.5 and
+        # true instead of truncating them.
         tube = TubeSpec(**{k: float(v) if k != "turn_count" else v for k, v in values.items()})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -146,8 +147,13 @@ def dump_tube_spec(tube: TubeSpec, tendon: TendonSpec | None = None) -> str:
 
 
 def dump_derived_geometry(geom: DerivedGeometry) -> str:
-    """DerivedGeometry as JSON, five fields, all in mm."""
-    return json.dumps({k: float(v) for k, v in asdict(geom).items()}, indent=2, sort_keys=True) + "\n"
+    """DerivedGeometry's five mm fields as JSON.
+
+    The dump stays at these five, named one by one, so the turn count (an
+    input from the spec) stays out and the file keeps its bytes.
+    """
+    names = ("notch_na_offset", "composite_na_offset", "na_length", "tendon_na_distance", "slack_tendon_length")
+    return json.dumps({k: float(getattr(geom, k)) for k in names}, indent=2, sort_keys=True) + "\n"
 
 
 def load_phantom_spec(path: str | Path) -> PhantomSpec:

@@ -14,6 +14,7 @@ exceptions are the tendon cross-section area (m^2) and elastic modulus
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -49,7 +50,8 @@ class TubeSpec:
         patterned_length: axial length of the machined region, mm.
         remaining_half_angle: half-angle of the uncut wall arc in a notched
             cross section, rad.
-        turn_count: number of helical turns the pattern completes.
+        turn_count: number of helical turns the pattern completes; an
+            integral float such as 2.0 is stored as the int 2.
         tendon_radius: radius of the actuation tendon, mm.
     """
 
@@ -91,8 +93,13 @@ class TubeSpec:
             raise ValidationError(
                 f"remaining_half_angle must lie in (0, pi], got {self.remaining_half_angle}"
             )
-        if not (self.turn_count >= 1 and float(self.turn_count).is_integer()):
-            raise ValidationError(f"turn_count must be an integer >= 1, got {self.turn_count}")
+        # bool is an int but no count; 1.5 or inf must not truncate to a count.
+        n = self.turn_count
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (
+            n >= 1 and float(n).is_integer()
+        ):
+            raise ValidationError(f"turn_count must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "turn_count", int(n))
         if self.tendon_radius >= self.inner_radius:
             raise ValidationError(
                 f"tendon_radius ({self.tendon_radius}) must be smaller than "
@@ -124,13 +131,17 @@ class TendonSpec:
 class DerivedGeometry:
     """Constants computed once from a :class:`TubeSpec`.
 
-    All lengths in mm:
+    Lengths in mm:
         notch_na_offset: neutral-axis offset of a notched cross section.
         composite_na_offset: width-averaged offset over notch plus bridge.
         na_length: arc length of the helical neutral fiber.
         tendon_na_distance: fixed distance between tendon and neutral axis.
         slack_tendon_length: tendon length routed through the patterned
             region when the tube is straight and the tendon untensioned.
+
+    turn_count: the spec's helical turn count n, copied so that the
+        geometry alone fixes every kinematic map; no function that takes
+        a DerivedGeometry takes n separately.
     """
 
     notch_na_offset: float
@@ -138,6 +149,13 @@ class DerivedGeometry:
     na_length: float
     tendon_na_distance: float
     slack_tendon_length: float
+    turn_count: int
+
+
+def _check_turn_count(geom: DerivedGeometry, given: int | None) -> None:
+    """Reject a turn count that is given and differs from the geometry's, which fixes n."""
+    if given is not None and given != geom.turn_count:
+        raise ValidationError(f"turn count {given!r} differs from the geometry's {geom.turn_count}")
 
 
 def notch_neutral_axis_offset(
@@ -244,11 +262,12 @@ def derive_geometry(spec: TubeSpec) -> DerivedGeometry:
             y_na, spec.inner_radius, spec.tendon_radius
         ),
         slack_tendon_length=slack_tendon_length(spec),
+        turn_count=spec.turn_count,
     )
 
 
 # Diagnostic thresholds for pattern_consistency.
-CLOSURE_RATIO_TOLERANCE = 0.02      # relative deviation of closure ratio from turn_count
+CLOSURE_RATIO_TOLERANCE = 0.02      # relative deviation of closure ratio from the turn count
 HALF_ANGLE_TOLERANCE_RAD = math.radians(1.0)
 NOTCH_COUNT_INTEGER_TOLERANCE = 1e-9
 
@@ -292,10 +311,11 @@ def pattern_consistency(spec: TubeSpec) -> PatternReport:
             f"notch count {notch_count:.6g} is not an integer; "
             f"pitch {pitch:.6g} mm does not divide the patterned length"
         )
-    if abs(closure_ratio - spec.turn_count) > CLOSURE_RATIO_TOLERANCE * spec.turn_count:
+    turns = spec.turn_count
+    if abs(closure_ratio - turns) > CLOSURE_RATIO_TOLERANCE * turns:
         flags.append(
             f"closure ratio {closure_ratio:.4f} deviates from turn count "
-            f"{spec.turn_count} by more than {CLOSURE_RATIO_TOLERANCE:.0%}"
+            f"{turns} by more than {CLOSURE_RATIO_TOLERANCE:.0%}"
         )
     if residual > HALF_ANGLE_TOLERANCE_RAD:
         flags.append(

@@ -3,9 +3,10 @@
 Pulling the tendon wraps the tube's neutral fiber around an imaginary
 cylinder of radius R and height H; those two numbers, a deflection angle
 phi and a roll angle theta fully describe the deployed shape. This module
-maps tendon stroke and tension to (R, H, phi), samples the deployed tube
-centerline in the fixed frame, and provides the progressive (follow the
-leader) bookkeeping.
+maps tendon stroke and tension to (R, H, phi) and samples the deployed
+tube centerline in the fixed frame. The turn count n comes from the
+:class:`~helikin.geometry.DerivedGeometry`; the two functions here that
+still accept a ``turn_count`` argument only check it against the geometry.
 
 Frames:
     O_0 fixed frame at the outer-tube tip, X_0 along the outer tube.
@@ -15,9 +16,8 @@ Frames:
 The curve sampled by :func:`forward_kinematics` is the tube centerline: a
 helix of radius R - y_na about the cylinder axis, anchored at the origin.
 At rest (R = y_na) it degenerates to a straight segment on the X_0 axis,
-which is what the physical tube does. The neutral fiber itself sits at
-radius R and keeps the fixed arc length l_na; it is available by calling
-:func:`helix_point` with R directly.
+which is what the physical tube does. The neutral fiber is the same FK
+helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
-from .geometry import DerivedGeometry, TendonSpec
+from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
 
 __all__ = [
     "JointState",
     "JointBatch",
-    "ActuationState",
     "BackboneCurve",
     "TipTrajectory",
     "DEFAULT_BACKBONE_SAMPLES",
@@ -46,22 +45,15 @@ __all__ = [
     "joints_from_actuation",
     "actuation_failures",
     "rest_joint",
-    "helix_point",
-    "to_frame1",
-    "to_frame0",
-    "rot_x",
-    "rot_y",
     "forward_kinematics",
     "backbone_samples",
     "cylinder_axis",
-    "ftl_actuation",
-    "ftl_tip",
 ]
 
 # 2^7 + 1 uniform samples: midpoints of a refined grid land on the next one.
 DEFAULT_BACKBONE_SAMPLES = 129
 
-_REL_SLOP = 1e-9  # tolerated relative overshoot of s or eta at range ends
+_REL_SLOP = 1e-9  # tolerated relative overshoot of s at range ends
 
 
 @dataclass(frozen=True)
@@ -89,31 +81,12 @@ class JointState:
         if not self.cylinder_height > 0.0:
             raise ValidationError(f"cylinder_height must be > 0, got {self.cylinder_height}")
 
-    def closure_residual(self, geom: DerivedGeometry, turn_count: int = 1) -> float:
+    def closure_residual(self, geom: DerivedGeometry) -> float:
         """Relative error of sqrt(H^2 + (2 pi n R)^2) against the fixed l_na."""
         length = math.hypot(
-            self.cylinder_height, 2.0 * math.pi * turn_count * self.cylinder_radius
+            self.cylinder_height, 2.0 * math.pi * geom.turn_count * self.cylinder_radius
         )
         return abs(length - geom.na_length) / geom.na_length
-
-
-@dataclass(frozen=True)
-class ActuationState:
-    """Actuation-space sample, including progressive-motion bookkeeping.
-
-    tendon_stroke (mm) and tendon_tension (N) drive the bending;
-    progression in [0, 1] is the fraction of the patterned length deployed
-    beyond the outer tube. roller_input_angle = 2 pi n progression keeps
-    the roll angle constant while deploying; exposed_length and
-    progressive_tendon_length scale linearly with progression.
-    """
-
-    tendon_stroke: float
-    tendon_tension: float
-    progression: float
-    roller_input_angle: float
-    exposed_length: float
-    progressive_tendon_length: float
 
 
 @dataclass(frozen=True)
@@ -192,7 +165,6 @@ def tendon_length_from_stroke(
     tendon: TendonSpec,
     slack_length: float,
     geom: DerivedGeometry | None = None,
-    turn_count: int = 1,
 ) -> float:
     """Deployed tendon length l_t = l_t0 - stroke + elongation, mm.
 
@@ -210,7 +182,7 @@ def tendon_length_from_stroke(
     if length <= 0.0:
         raise DomainError(f"tendon length collapsed to {length} mm at stroke {stroke} mm")
     if geom is not None:
-        bound = geom.na_length + 2.0 * math.pi * turn_count * geom.tendon_na_distance
+        bound = geom.na_length + 2.0 * math.pi * geom.turn_count * geom.tendon_na_distance
         if length >= bound:
             raise DomainError(
                 f"tendon length {length:.6g} mm exceeds the growth bound {bound:.6g} mm"
@@ -218,9 +190,7 @@ def tendon_length_from_stroke(
     return length
 
 
-def cylinder_from_tendon_length(
-    tendon_length: float, geom: DerivedGeometry, turn_count: int = 1
-) -> tuple[float, float]:
+def cylinder_from_tendon_length(tendon_length: float, geom: DerivedGeometry) -> tuple[float, float]:
     """Imaginary-cylinder radius and height (mm) from the tendon length.
 
     The neutral fiber keeps its fixed length l_na at radius R while the
@@ -232,7 +202,7 @@ def cylinder_from_tendon_length(
     :class:`OverActuationError` when the stroke is too large for a real
     height and :class:`NonPhysicalError` when R would be non-positive.
     """
-    radius, height_sq = _radius_and_height_sq(tendon_length, geom, turn_count)
+    radius, height_sq = _radius_and_height_sq(tendon_length, geom)
     if radius <= 0.0:
         raise NonPhysicalError(
             f"non-physical cylinder radius {radius:.6g} mm for tendon length "
@@ -246,7 +216,7 @@ def cylinder_from_tendon_length(
     return radius, math.sqrt(height_sq)
 
 
-def _radius_and_height_sq(tendon_length, geom: DerivedGeometry, turn_count: int):
+def _radius_and_height_sq(tendon_length, geom: DerivedGeometry):
     """R and H^2 from the tendon length, for a float or an array alike.
 
     Squares are written x * x: numpy evaluates ``array**2`` as x * x while
@@ -255,15 +225,13 @@ def _radius_and_height_sq(tendon_length, geom: DerivedGeometry, turn_count: int)
     batch actuation maps bit-equal.
     """
     d = geom.tendon_na_distance
-    two_pi_n = 2.0 * math.pi * turn_count
+    two_pi_n = 2.0 * math.pi * geom.turn_count
     radius = (geom.na_length**2 - tendon_length * tendon_length) / (2.0 * two_pi_n**2 * d) + d / 2.0
     bent = two_pi_n * (radius - d)
     return radius, tendon_length * tendon_length - bent * bent
 
 
-def deflection_angle(
-    radius: float, height: float, na_offset: float, turn_count: int = 1
-) -> float:
+def deflection_angle(radius: float, height: float, geom: DerivedGeometry) -> float:
     """Angle of the deployed tube against the outer-tube axis, rad.
 
     atan2(2 pi n (R - y_na), H): the pitch angle of the tube-centerline
@@ -271,15 +239,15 @@ def deflection_angle(
     """
     if height <= 0.0:
         raise DomainError(f"cylinder height must be > 0, got {height}")
-    return math.atan2(2.0 * math.pi * turn_count * (radius - na_offset), height)
+    return math.atan2(
+        2.0 * math.pi * geom.turn_count * (radius - geom.composite_na_offset), height
+    )
 
 
-def tendon_length_from_cylinder(
-    radius: float, height: float, geom: DerivedGeometry, turn_count: int = 1
-) -> float:
+def tendon_length_from_cylinder(radius: float, height: float, geom: DerivedGeometry) -> float:
     """Tendon length implied by a cylinder state (inverse of the stroke map), mm."""
     return math.hypot(
-        height, 2.0 * math.pi * turn_count * (radius - geom.tendon_na_distance)
+        height, 2.0 * math.pi * geom.turn_count * (radius - geom.tendon_na_distance)
     )
 
 
@@ -289,15 +257,16 @@ def joint_from_actuation(
     tendon: TendonSpec,
     geom: DerivedGeometry,
     roll: float = 0.0,
-    turn_count: int = 1,
+    turn_count: int | None = None,
 ) -> JointState:
-    """Full actuation-to-joint map: stroke and tension to (R, H, phi, theta)."""
-    length = tendon_length_from_stroke(
-        stroke, tension, tendon, geom.slack_tendon_length, geom, turn_count
-    )
-    radius, height = cylinder_from_tendon_length(length, geom, turn_count)
-    phi = deflection_angle(radius, height, geom.composite_na_offset, turn_count)
-    return JointState(radius, height, phi, roll)
+    """Full actuation-to-joint map: stroke and tension to (R, H, phi, theta).
+
+    n comes from ``geom``; a turn count that is given only has to match it.
+    """
+    _check_turn_count(geom, turn_count)
+    length = tendon_length_from_stroke(stroke, tension, tendon, geom.slack_tendon_length, geom)
+    radius, height = cylinder_from_tendon_length(length, geom)
+    return JointState(radius, height, deflection_angle(radius, height, geom), roll)
 
 
 class JointBatch(NamedTuple):
@@ -329,7 +298,6 @@ def joints_from_actuation(
     tensions: np.ndarray,
     tendon: TendonSpec,
     geom: DerivedGeometry,
-    turn_count: int = 1,
 ) -> JointBatch:
     """Vectorised :func:`joint_from_actuation` over strokes and tensions of shape (B,).
 
@@ -346,13 +314,13 @@ def joints_from_actuation(
         raise ValidationError(
             f"need strokes and tensions of one shape (B,), got {strokes.shape} and {tensions.shape}"
         )
-    two_pi_n = 2.0 * math.pi * turn_count
+    two_pi_n = 2.0 * math.pi * geom.turn_count
     bound = geom.na_length + two_pi_n * geom.tendon_na_distance
     # Non-finite inputs propagate as inf/nan until the mask drops them.
     with np.errstate(invalid="ignore", over="ignore"):
         # The expression of tendon_length_from_stroke, elementwise.
         length = geom.slack_tendon_length - strokes + tensions * tendon.total_length / tendon.stiffness_n
-        radius, height_sq = _radius_and_height_sq(length, geom, turn_count)
+        radius, height_sq = _radius_and_height_sq(length, geom)
         ok = (
             (0.0 <= strokes) & (strokes < math.inf)
             & (0.0 <= tensions) & (tensions < math.inf)
@@ -371,7 +339,6 @@ def actuation_failures(
     ok: np.ndarray,
     tendon: TendonSpec,
     geom: DerivedGeometry,
-    turn_count: int = 1,
 ) -> tuple[tuple[int, str], ...]:
     """(index, message) for every row a :class:`JointBatch` rejected.
 
@@ -382,58 +349,28 @@ def actuation_failures(
     failures = []
     for i in np.flatnonzero(~ok).tolist():
         try:
-            joint_from_actuation(strokes[i], tensions[i], tendon, geom, 0.0, turn_count)
+            joint_from_actuation(strokes[i], tensions[i], tendon, geom)
         except DomainError as exc:
             failures.append((i, str(exc)))
     return tuple(failures)
 
 
-def rest_joint(geom: DerivedGeometry, roll: float = 0.0, turn_count: int = 1) -> JointState:
+def rest_joint(geom: DerivedGeometry, roll: float = 0.0) -> JointState:
     """Joint state of the straight, unactuated tube (R = y_na, phi = 0)."""
-    radius, height = cylinder_from_tendon_length(geom.slack_tendon_length, geom, turn_count)
-    phi = deflection_angle(radius, height, geom.composite_na_offset, turn_count)
-    return JointState(radius, height, phi, roll)
+    radius, height = cylinder_from_tendon_length(geom.slack_tendon_length, geom)
+    return JointState(radius, height, deflection_angle(radius, height, geom), roll)
 
 
-def helix_point(
-    s: float, radius: float, height: float, na_length: float, turn_count: int = 1
-) -> np.ndarray:
-    """Point of the radius-``radius`` helix at arc parameter ``s``, helix frame.
-
-    Returns (s H / l_na, -R cos(2 pi n s / l_na), R sin(2 pi n s / l_na)).
-    ``s`` must lie in [0, l_na].
-    """
-    s = _check_range(s, na_length, "arc length")
-    angle = 2.0 * math.pi * turn_count * s / na_length
-    return np.array(
-        [s * height / na_length, -radius * math.cos(angle), radius * math.sin(angle)]
-    )
-
-
-def rot_y(angle: float) -> np.ndarray:
+def _rot_y(angle: float) -> np.ndarray:
     """Rotation matrix about Y by ``angle`` (right-handed)."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def rot_x(angle: float) -> np.ndarray:
+def _rot_x(angle: float) -> np.ndarray:
     """Rotation matrix about X by ``angle`` (right-handed)."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def to_frame1(point: np.ndarray, radius: float, deflection: float) -> np.ndarray:
-    """Helix-frame point into O_1: translate by +radius along Y, rotate -deflection about Y.
-
-    Anchors the curve base at the origin and tilts the cylinder axis by the
-    deflection angle.
-    """
-    return rot_y(-deflection) @ (np.asarray(point, dtype=float) + np.array([0.0, radius, 0.0]))
-
-
-def to_frame0(point: np.ndarray, roll: float) -> np.ndarray:
-    """O_1 point into the fixed frame O_0: rotation by ``roll`` about X."""
-    return rot_x(roll) @ np.asarray(point, dtype=float)
 
 
 def backbone_samples(na_length: float, count: int = DEFAULT_BACKBONE_SAMPLES) -> np.ndarray:
@@ -447,7 +384,7 @@ def forward_kinematics(
     joint: JointState,
     geom: DerivedGeometry,
     samples: np.ndarray | None = None,
-    turn_count: int = 1,
+    turn_count: int | None = None,
 ) -> BackboneCurve:
     """Tube centerline in O_0 at the given joint state.
 
@@ -455,8 +392,12 @@ def forward_kinematics(
     axis (the neutral fiber sits y_na further out); it is anchored at the
     origin of O_0 and parameterized by the neutral-fiber arc length
     ``samples`` in [0, l_na]. At rest the radius vanishes and every sample
-    lies exactly on the X_0 axis.
+    lies exactly on the X_0 axis. In the helix frame a sample is
+    (s H / l_na, r - r cos a, r sin a), a = 2 pi n s / l_na, r = R - y_na,
+    then tilted by -phi about Y and rolled by theta about X. n comes from
+    ``geom``; a turn count that is given only has to match it.
     """
+    _check_turn_count(geom, turn_count)
     if samples is None:
         samples = backbone_samples(geom.na_length)
     s = np.array(samples, dtype=float)  # a copy: clamping must not touch the caller's array
@@ -464,10 +405,10 @@ def forward_kinematics(
         raise ValidationError(f"samples must be a non-empty 1-D array, got shape {s.shape}")
     if (s[1:] < s[:-1]).any():
         raise ValidationError("samples must be sorted ascending")
-    _clamp_sorted(s, geom.na_length, "arc length")
+    _clamp_sorted(s, geom.na_length)
 
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    angle = 2.0 * math.pi * turn_count * s / geom.na_length
+    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
     helix = np.column_stack(
         [
             s * joint.cylinder_height / geom.na_length,
@@ -476,7 +417,7 @@ def forward_kinematics(
         ]
     )
     helix[:, 1] += bend_radius
-    transform = rot_x(joint.roll) @ rot_y(-joint.deflection)
+    transform = _rot_x(joint.roll) @ _rot_y(-joint.deflection)
     return BackboneCurve(s=s, points=helix @ transform.T)
 
 
@@ -486,83 +427,27 @@ def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray,
     Every centerline point is at distance R - y_na from this line.
     """
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    point = rot_x(joint.roll) @ np.array([0.0, bend_radius, 0.0])
-    direction = rot_x(joint.roll) @ rot_y(-joint.deflection) @ np.array([1.0, 0.0, 0.0])
+    point = _rot_x(joint.roll) @ np.array([0.0, bend_radius, 0.0])
+    direction = _rot_x(joint.roll) @ _rot_y(-joint.deflection) @ np.array([1.0, 0.0, 0.0])
     return point, direction
 
 
-def ftl_actuation(
-    eta: float,
-    joint: JointState,
-    geom: DerivedGeometry,
-    tension: float = 0.0,
-    tendon: TendonSpec | None = None,
-    turn_count: int = 1,
-) -> ActuationState:
-    """Actuation inputs that deploy fraction ``eta`` of the tube FTL-style.
+def _clamp_sorted(values: np.ndarray, upper: float) -> None:
+    """Check an ascending arc-length array against [0, upper] and clamp it in place.
 
-    The joint state is held fixed; the roller input angle and both
-    progressive lengths vary linearly with eta. The reported stroke follows
-    the slack-length convention; pass ``tendon`` to account for elastic
-    elongation when the tension is nonzero.
-    """
-    eta = _check_range(eta, 1.0, "progression")
-    tendon_length = tendon_length_from_cylinder(
-        joint.cylinder_radius, joint.cylinder_height, geom, turn_count
-    )
-    elongation = 0.0
-    if tendon is not None and tension > 0.0:
-        elongation = tension * tendon.total_length / tendon.stiffness_n
-    stroke = geom.slack_tendon_length - tendon_length + elongation
-    return ActuationState(
-        tendon_stroke=stroke,
-        tendon_tension=tension,
-        progression=eta,
-        roller_input_angle=2.0 * math.pi * turn_count * eta,
-        exposed_length=eta * geom.na_length,
-        progressive_tendon_length=eta * tendon_length,
-    )
-
-
-def ftl_tip(
-    eta: float, joint: JointState, geom: DerivedGeometry, turn_count: int = 1
-) -> np.ndarray:
-    """Tip of the exposed tube at progression ``eta``, in O_0.
-
-    Identical to the forward-kinematics point at s = eta * l_na: under a
-    fixed joint state the tip retraces the final backbone, which is the
-    follow-the-leader property.
-    """
-    eta = _check_range(eta, 1.0, "progression")
-    curve = forward_kinematics(
-        joint, geom, np.array([eta * geom.na_length]), turn_count
-    )
-    return curve.points[0]
-
-
-def _clamp_sorted(values: np.ndarray, upper: float, label: str) -> None:
-    """Vectorised :func:`_check_range` for an ascending array, in place.
-
-    Sorted order means only the endpoints can leave [0, upper], so the
-    range test is O(1); NaN, which defeats both the order and the range
-    comparisons, takes one vectorised test. Values in the slop band are
-    clamped, and an offending array raises the same error as the scalar
-    check would for its first bad value.
+    Overshoot within _REL_SLOP is forgiven at both ends. Sorted order
+    means only the endpoints can leave [0, upper], so the range test is
+    O(1); NaN, which defeats both the order and the range comparisons,
+    takes one vectorised test. Values in the slop band are clamped, and an
+    offending array raises DomainError naming its first bad value.
     """
     slop = _REL_SLOP * max(upper, 1.0)
     low, high = values[0], values[-1]
     if not (-slop <= low and high <= upper + slop) or np.isnan(values).any():
         for value in values:
-            _check_range(value, upper, label)
+            if not -slop <= value <= upper + slop:
+                raise DomainError(f"arc length {value} outside [0, {upper}]")
     if low < 0.0:
         values[values < 0.0] = 0.0
     if high > upper:
         values[values > upper] = upper
-
-
-def _check_range(value: float, upper: float, label: str) -> float:
-    """Validate value in [0, upper], forgiving float slop at both ends."""
-    slop = _REL_SLOP * max(upper, 1.0)
-    if not -slop <= value <= upper + slop:
-        raise DomainError(f"{label} {value} outside [0, {upper}]")
-    return min(max(value, 0.0), upper)

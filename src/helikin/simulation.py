@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import TrajectoryComparison, compare_point_sequences
-from .geometry import DerivedGeometry, TendonSpec, TubeSpec
+from .geometry import DerivedGeometry, TendonSpec, TubeSpec, _check_turn_count
 from .kinematics import (
     DEFAULT_BACKBONE_SAMPLES,
     BackboneCurve,
@@ -178,7 +178,10 @@ def synthetic_sweep(
     joint is None, their track and tip rows are NaN, and ``failures``
     pairs each index with the scalar map's error message. A profile that
     wanders out of the model's domain still produces an aligned dataset.
+
+    ``tube`` is stored with the dataset; its turn count must match ``geom``.
     """
+    _check_turn_count(geom, tube.turn_count)
     for s in markers:
         if not 0.0 <= s <= geom.na_length:
             raise ValidationError(
@@ -199,7 +202,7 @@ def synthetic_sweep(
     strokes_noisy += strokes
     noisy = draws[:, 1:].reshape(n, marker_s.size, 3)
 
-    batch = joints_from_actuation(strokes, tensions, tendon, geom, tube.turn_count)
+    batch = joints_from_actuation(strokes, tensions, tendon, geom)
     rows = np.flatnonzero(batch.ok)
     tracks_true = {s: np.full((n, 3), np.nan) for s in marker_s}
     tips_true = np.full((n, 3), np.nan)
@@ -211,7 +214,6 @@ def synthetic_sweep(
         [*marker_s, geom.na_length],
         [*(tracks_true[s] for s in marker_s), tips_true],
         geom,
-        tube.turn_count,
     )
 
     noisy *= noise.position_sigma
@@ -233,9 +235,7 @@ def synthetic_sweep(
         tracks_true=tracks_true,
         tracks_noisy=tracks_noisy,
         tips_true=tips_true,
-        failures=actuation_failures(
-            strokes, tensions, batch.ok, tendon, geom, tube.turn_count
-        ),
+        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom),
     )
 
 
@@ -322,7 +322,6 @@ def _centerline_points_into(
     arclengths: list[float],
     outs: list[np.ndarray],
     geom: DerivedGeometry,
-    turn_count: int,
 ) -> None:
     """Write the centerline point at each arc length into ``outs[k][rows]``.
 
@@ -335,7 +334,7 @@ def _centerline_points_into(
     height = batch.cylinder_height[rows]
     cos_phi, sin_phi = np.cos(batch.deflection[rows]), np.sin(batch.deflection[rows])
     cos_roll, sin_roll = math.cos(roll), math.sin(roll)
-    two_pi_n = 2.0 * math.pi * turn_count
+    two_pi_n = 2.0 * math.pi * geom.turn_count
     for s, out in zip(arclengths, outs):
         angle = two_pi_n * s / geom.na_length
         hx = s * height / geom.na_length
@@ -358,7 +357,7 @@ def ftl_run(
     joint: JointState,
     geom: DerivedGeometry,
     eta_grid: np.ndarray | None = None,
-    turn_count: int = 1,
+    turn_count: int | None = None,
     body_samples: int | None = None,
 ) -> tuple[TipTrajectory, list[BackboneCurve]]:
     """Deploy the tube over an eta grid under a fixed joint state.
@@ -381,7 +380,10 @@ def ftl_run(
     Each body also refers to what the deployment shares (the rows of both
     FK curves and every body's layout), so :func:`phantom_clearance` of a
     body costs O(1) after the first body cleared against a phantom.
+
+    n comes from ``geom``; a turn count that is given only has to match it.
     """
+    _check_turn_count(geom, turn_count)
     if eta_grid is None:
         eta_grid = default_eta_grid()
     grid = np.asarray(eta_grid, dtype=float)
@@ -395,9 +397,9 @@ def ftl_run(
 
     count = DEFAULT_BACKBONE_SAMPLES if body_samples is None else body_samples
     master = backbone_samples(geom.na_length, count)
-    full = forward_kinematics(joint, geom, master, turn_count)
+    full = forward_kinematics(joint, geom, master)
     s_tips = grid * geom.na_length
-    tip_curve = forward_kinematics(joint, geom, s_tips, turn_count)
+    tip_curve = forward_kinematics(joint, geom, s_tips)
 
     # A body keeps the master samples with s <= s_tip (forgiving one part in
     # 1e15) and appends the tip unless its last kept sample already is it.

@@ -5,6 +5,7 @@ import pytest
 
 from helikin import fileio
 from helikin.cli import SPEC_PATH_ENV, build_parser, main
+from helikin.kinematics import TipTrajectory
 from helikin.presets import default_tendon, default_tube
 
 
@@ -47,6 +48,29 @@ class TestGeometryCommand:
         path = tmp_path / "bad.json"
         path.write_text("{oops")
         assert main(["geometry", "--spec", str(path)]) == 2
+
+    @staticmethod
+    def _spec_with_turn_count(tmp_path, text):
+        payload = json.loads(fileio.dump_tube_spec(default_tube(), default_tendon()))
+        payload["tube"]["turn_count"] = "TURNS"
+        path = tmp_path / "turns.json"
+        path.write_text(json.dumps(payload).replace('"TURNS"', text))
+        return str(path)
+
+    @pytest.mark.parametrize("text", ["1.5", "2.9", "true", "1e400"])
+    def test_non_integral_turn_count_exits_2(self, tmp_path, capsys, text):
+        path = self._spec_with_turn_count(tmp_path, text)
+        assert main(["geometry", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: turn_count must be an integer >= 1")
+        assert err.count("\n") == 1
+
+    def test_integral_float_turn_count_loads_as_int(self, tmp_path, capsys):
+        path = self._spec_with_turn_count(tmp_path, "2.0")
+        tube, _ = fileio.load_device_spec(path)
+        assert tube.turn_count == 2 and type(tube.turn_count) is int
+        assert main(["geometry", "--spec", path]) == 0
+        assert "(turns: 2)" in capsys.readouterr().out
 
     def test_env_var_supplies_spec(self, tmp_path, spec_file, monkeypatch):
         monkeypatch.setenv(SPEC_PATH_ENV, spec_file)
@@ -238,6 +262,24 @@ class TestCompareCommand:
         per_sample = tmp_path / "d.csv"
         assert main(["compare", str(tip_csv), str(tip_csv), "--per-sample", str(per_sample)]) == 0
         assert per_sample.read_text().splitlines()[0] == "eta,d_e_mm"
+
+    def test_per_sample_on_different_grids_uses_the_overlap(self, tmp_path, capsys):
+        # a covers [0.2, 1], b covers [0, 0.7]; b sits 1 mm off a along y.
+        eta_a = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+        eta_b = np.array([0.0, 0.25, 0.5, 0.7])
+        paths = []
+        for name, eta, y in [("a", eta_a, 0.0), ("b", eta_b, 1.0)]:
+            points = np.column_stack([10.0 * eta, np.full(eta.size, y), np.zeros(eta.size)])
+            paths.append(str(tmp_path / f"{name}.csv"))
+            fileio.write_tip_csv(paths[-1], TipTrajectory(eta=eta, points=points))
+        per_sample = tmp_path / "d.csv"
+        assert main(["compare", *paths, "--per-sample", str(per_sample)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 6
+        lines = per_sample.read_text().splitlines()
+        assert lines[0] == "eta,d_e_mm"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert table[:, 0].tolist() == [0.2, 0.25, 0.4, 0.5, 0.6, 0.7]
+        assert np.allclose(table[:, 1], 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestClearanceCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helikin.errors import DomainError, GridMismatchError
+from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.estimation import (
-    MarkerTrack,
     Method,
     compare_point_sequences,
     max_euclidean_distance,
@@ -16,6 +16,7 @@ from helikin.estimation import (
     rmse,
     stroke_based_estimate,
 )
+from helikin.geometry import derive_geometry
 from helikin.kinematics import (
     TipTrajectory,
     forward_kinematics,
@@ -312,35 +313,6 @@ class TestRepeatabilityCompare:
         assert abs(result.rmse - mc_mean) < 5.0 * mc_std
 
 
-class TestMarkerTrack:
-    def test_aligned_channels_accepted(self):
-        track = MarkerTrack(
-            arclength=33.2,
-            index=np.array([0.0, 0.5, 1.0]),
-            points=np.zeros((3, 3)),
-            strokes=np.array([0.0, 1.0, 2.0]),
-            tensions=np.zeros(3),
-        )
-        assert len(track) == 3
-
-    def test_misaligned_channels_rejected(self):
-        with pytest.raises(Exception):
-            MarkerTrack(
-                arclength=33.2,
-                index=np.array([0.0, 0.5, 1.0]),
-                points=np.zeros((3, 3)),
-                strokes=np.array([0.0, 1.0]),
-            )
-
-    def test_non_finite_points_rejected(self):
-        with pytest.raises(Exception):
-            MarkerTrack(
-                arclength=10.0,
-                index=np.array([0.0, 1.0]),
-                points=np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
-            )
-
-
 def test_compare_point_sequences_profile():
     a = np.zeros((3, 3))
     b = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
@@ -348,3 +320,19 @@ def test_compare_point_sequences_profile():
     assert result.per_sample_distances == pytest.approx([1.0, 2.0, 2.0])
     assert result.max_distance == 2.0
     assert result.rmse == pytest.approx(math.sqrt(3.0))
+
+
+def test_estimators_read_the_turn_count_from_the_geometry(tube, tendon):
+    geom2 = derive_geometry(dataclasses.replace(tube, turn_count=2))
+    joint = joint_from_actuation(1.5, 0.0, tendon, geom2)
+    result = stroke_based_estimate([(1.5, 0.0)], geom2, tendon, 0.0)
+    assert result.joint_series[0] == joint
+    assert stroke_based_estimate([(1.5, 0.0)], geom2, tendon, 0.0, 2) == result
+    tip = forward_kinematics(joint, geom2, [geom2.na_length]).points[-1]
+    estimate = position_based_estimate(tip, geom2)
+    assert estimate.cylinder_radius == pytest.approx(joint.cylinder_radius, rel=1e-9)
+    assert position_based_estimate(tip, geom2, 2) == estimate
+    with pytest.raises(ValidationError):
+        stroke_based_estimate([(1.5, 0.0)], geom2, tendon, 0.0, 1)
+    with pytest.raises(ValidationError):
+        position_based_estimate(tip, geom2, 1)

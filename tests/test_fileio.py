@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -72,6 +73,11 @@ class TestGeometryJson:
             "slack_tendon_length",
         }
         assert payload["na_length"] == pytest.approx(geom.na_length, rel=1e-12)
+
+    def test_turn_count_stays_out_of_the_dump(self, tube):
+        geom2 = derive_geometry(dataclasses.replace(tube, turn_count=2))
+        payload = json.loads(fileio.dump_derived_geometry(geom2))
+        assert "turn_count" not in payload and len(payload) == 5
 
 
 class TestPhantomJson:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -175,7 +176,7 @@ class TestSlackTendonLength:
         )
         geom2 = derive_geometry(spec)
         assert geom2.slack_tendon_length == pytest.approx(L_T0_TWO_TURNS, rel=1e-12)
-        radius, height = cylinder_from_tendon_length(geom2.slack_tendon_length, geom2, 2)
+        radius, height = cylinder_from_tendon_length(geom2.slack_tendon_length, geom2)
         assert radius == pytest.approx(geom2.composite_na_offset, rel=1e-9)
         assert height == pytest.approx(spec.patterned_length, rel=1e-9)
 
@@ -278,6 +279,10 @@ class TestTubeSpecValidation:
             ("remaining_half_angle", math.nan),
             ("turn_count", math.nan),
             ("turn_count", math.inf),
+            # A count must not truncate: 1.5 is no count, and neither is True.
+            ("turn_count", 1.5),
+            ("turn_count", True),
+            ("turn_count", "2"),
             ("tendon_radius", math.nan),
         ],
     )
@@ -307,3 +312,10 @@ class TestTendonSpecValidation:
         values[field] = value
         with pytest.raises(ValidationError, match=field):
             TendonSpec(**values)
+
+    @pytest.mark.parametrize("value", [2, 2.0])
+    def test_integral_turn_count_stored_as_int(self, tube, value):
+        spec = dataclasses.replace(tube, turn_count=value)
+        assert spec.turn_count == 2 and type(spec.turn_count) is int
+        geom = derive_geometry(spec)
+        assert geom.turn_count == 2 and type(geom.turn_count) is int

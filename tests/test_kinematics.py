@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helikin.errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
-from helikin.geometry import TendonSpec
+from helikin.geometry import TendonSpec, derive_geometry
 from helikin.kinematics import (
     _REL_SLOP,
     BackboneCurve,
@@ -18,17 +19,14 @@ from helikin.kinematics import (
     cylinder_from_tendon_length,
     deflection_angle,
     forward_kinematics,
-    ftl_actuation,
-    ftl_tip,
-    helix_point,
     joint_from_actuation,
     joints_from_actuation,
     rest_joint,
     tendon_length_from_cylinder,
     tendon_length_from_stroke,
-    to_frame0,
-    to_frame1,
 )
+from helikin.presets import default_tendon, default_tube
+from helikin.simulation import ftl_run
 
 from .oracles import point_line_distance, solve_cylinder_rootfind
 
@@ -143,77 +141,80 @@ class TestCylinderFromTendonLength:
 
 class TestDeflectionAngle:
     def test_straight_configuration(self, geom):
-        assert deflection_angle(geom.composite_na_offset, 64.0, geom.composite_na_offset) == 0.0
+        assert deflection_angle(geom.composite_na_offset, 64.0, geom) == 0.0
 
     def test_two_mm_stroke_value(self, geom):
-        phi = deflection_angle(R_AT_2MM, H_AT_2MM, geom.composite_na_offset)
+        phi = deflection_angle(R_AT_2MM, H_AT_2MM, geom)
         assert phi == pytest.approx(PHI_AT_2MM, rel=1e-12)
         assert math.degrees(phi) == pytest.approx(15.45, abs=0.01)
 
     def test_limit_approaches_quarter_turn(self, geom):
-        assert deflection_angle(1e9, 10.0, geom.composite_na_offset) == pytest.approx(
+        assert deflection_angle(1e9, 10.0, geom) == pytest.approx(
             math.pi / 2.0, abs=1e-6
         )
 
     def test_rejects_nonpositive_height(self, geom):
         with pytest.raises(DomainError):
-            deflection_angle(1.0, 0.0, geom.composite_na_offset)
+            deflection_angle(1.0, 0.0, geom)
 
 
-class TestFramePrimitives:
-    def test_helix_point_base(self):
-        point = helix_point(0.0, 3.0, 60.0, 64.0)
-        assert point == pytest.approx([0.0, -3.0, 0.0])
+class TestHelixFrame:
+    """FK's closed form at phi = 0 and roll = 0, where O_0 is the helix frame shifted by R - y_na."""
 
-    def test_helix_point_half_turn(self):
-        point = helix_point(32.0, 3.0, 60.0, 64.0)
-        assert point == pytest.approx([30.0, 3.0, 0.0], abs=1e-12)
+    RADIUS, HEIGHT = 3.0, 60.0
 
-    def test_helix_point_full_turn(self):
-        point = helix_point(64.0, 3.0, 60.0, 64.0)
-        assert point == pytest.approx([60.0, -3.0, 0.0], abs=1e-12)
+    def _points(self, geom, s, deflection=0.0, roll=0.0):
+        joint = JointState(self.RADIUS, self.HEIGHT, deflection, roll)
+        return forward_kinematics(joint, geom, np.asarray(s, dtype=float)).points
 
-    def test_helix_point_range_error(self):
-        with pytest.raises(DomainError):
-            helix_point(65.0, 3.0, 60.0, 64.0)
-        with pytest.raises(DomainError):
-            helix_point(-1.0, 3.0, 60.0, 64.0)
+    def test_base_at_origin(self, geom):
+        for phi, roll in [(0.0, 0.0), (0.3, 0.0), (0.3, 1.9)]:
+            assert self._points(geom, [0.0], phi, roll)[0] == pytest.approx([0.0] * 3, abs=1e-15)
 
-    def test_to_frame1_base_lands_at_origin(self):
-        assert to_frame1(np.array([0.0, -3.0, 0.0]), 3.0, 0.3) == pytest.approx(
-            [0.0, 0.0, 0.0], abs=1e-15
+    def test_half_turn(self, geom):
+        bend = self.RADIUS - geom.composite_na_offset
+        point = self._points(geom, [geom.na_length / 2.0])[0]
+        assert point == pytest.approx([self.HEIGHT / 2.0, 2.0 * bend, 0.0], abs=1e-12)
+
+    def test_full_turn(self, geom):
+        point = self._points(geom, [geom.na_length])[0]
+        assert point == pytest.approx([self.HEIGHT, 0.0, 0.0], abs=1e-12)
+
+    def test_zero_deflection_is_pure_translation(self, geom):
+        s = backbone_samples(geom.na_length, 33)
+        bend = self.RADIUS - geom.composite_na_offset
+        angle = 2.0 * math.pi * s / geom.na_length
+        helix = np.column_stack(
+            [s * self.HEIGHT / geom.na_length, -bend * np.cos(angle), bend * np.sin(angle)]
         )
+        assert np.allclose(self._points(geom, s), helix + [0.0, bend, 0.0], rtol=0.0, atol=1e-12)
 
-    def test_to_frame1_zero_deflection_is_pure_translation(self):
-        point = to_frame1(np.array([1.0, 2.0, 3.0]), 5.0, 0.0)
-        assert point == pytest.approx([1.0, 7.0, 3.0])
-
-    def test_to_frame1_tip_lies_in_deflection_plane(self):
-        # (H, -R, 0) -> (H cos phi, 0, H sin phi): the tip stays in the
-        # X-Z plane of the roll-free frame, at distance H from the origin
-        height, radius, phi = 60.0, 3.0, 0.27
-        point = to_frame1(np.array([height, -radius, 0.0]), radius, phi)
+    def test_tip_lies_in_deflection_plane(self, geom):
+        # (H, -r, 0) -> (H cos phi, 0, H sin phi): at roll 0 the tip stays in
+        # the X-Z plane, at distance H from the origin.
+        phi = 0.27
+        point = self._points(geom, [geom.na_length], phi)[0]
         assert point == pytest.approx(
-            [height * math.cos(phi), 0.0, height * math.sin(phi)], abs=1e-12
+            [self.HEIGHT * math.cos(phi), 0.0, self.HEIGHT * math.sin(phi)], abs=1e-12
         )
 
-    def test_to_frame0_identity_and_half_turn(self):
-        point = np.array([1.0, 2.0, 3.0])
-        assert to_frame0(point, 0.0) == pytest.approx([1.0, 2.0, 3.0])
-        assert to_frame0(point, math.pi) == pytest.approx([1.0, -2.0, -3.0], abs=1e-12)
+    def test_roll_half_turn_negates_y_and_z(self, geom):
+        s = backbone_samples(geom.na_length, 17)
+        base = self._points(geom, s, 0.3)
+        assert np.allclose(self._points(geom, s, 0.3, math.pi), base * [1.0, -1.0, -1.0], atol=1e-12)
 
-    @given(
-        x=st.floats(-10, 10),
-        y=st.floats(-10, 10),
-        z=st.floats(-10, 10),
-        roll=st.floats(-7, 7),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_to_frame0_preserves_norm(self, x, y, z, roll):
-        point = np.array([x, y, z])
-        assert np.linalg.norm(to_frame0(point, roll)) == pytest.approx(
-            np.linalg.norm(point), abs=1e-9
-        )
+    @given(roll=st.floats(-7, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_roll_preserves_norms(self, geom, roll):
+        s = backbone_samples(geom.na_length, 9)
+        norms = np.linalg.norm(self._points(geom, s, 0.3, roll), axis=1)
+        assert np.allclose(norms, np.linalg.norm(self._points(geom, s, 0.3), axis=1), atol=1e-9)
+
+    def test_range_error(self, geom):
+        with pytest.raises(DomainError):
+            self._points(geom, [geom.na_length + 1.0])
+        with pytest.raises(DomainError):
+            self._points(geom, [-1.0])
 
 
 class TestForwardKinematics:
@@ -330,49 +331,29 @@ class TestForwardKinematicsBoundaries:
             BackboneCurve(s=np.array([0.0, 1.0, 2.0]), points=np.array([[0.0, 0.0, math.nan]] * 3))
 
 
-class TestProgression:
-    def test_zero_progression(self, geom):
-        state = ftl_actuation(0.0, rest_joint(geom), geom)
-        assert state.roller_input_angle == 0.0
-        assert state.exposed_length == 0.0
-        assert state.progressive_tendon_length == 0.0
-
-    def test_full_progression(self, tendon, geom):
-        joint = joint_from_actuation(2.0, 0.0, tendon, geom)
-        state = ftl_actuation(1.0, joint, geom)
-        assert state.roller_input_angle == pytest.approx(2.0 * math.pi)
-        assert state.exposed_length == pytest.approx(geom.na_length)
-        expected_lt = tendon_length_from_cylinder(
-            joint.cylinder_radius, joint.cylinder_height, geom
-        )
-        assert state.progressive_tendon_length == pytest.approx(expected_lt, rel=1e-12)
-        assert state.tendon_stroke == pytest.approx(2.0, abs=1e-9)
-
-    def test_half_progression_exposes_half_length(self, tendon, geom):
-        joint = joint_from_actuation(2.0, 0.0, tendon, geom)
-        state = ftl_actuation(0.5, joint, geom)
-        assert state.exposed_length == pytest.approx(32.0322348, abs=1e-6)
-
-    def test_progression_range_error(self, geom):
-        with pytest.raises(DomainError):
-            ftl_actuation(1.5, rest_joint(geom), geom)
-        with pytest.raises(DomainError):
-            ftl_tip(-0.2, rest_joint(geom), geom)
-
+class TestFtlTipTrace:
     def test_tip_trace_coincides_with_backbone(self, tendon, geom):
         joint = joint_from_actuation(2.0, 0.0, tendon, geom, roll=0.9)
         grid = np.linspace(0.0, 1.0, 101)
-        trace = np.array([ftl_tip(e, joint, geom) for e in grid])
+        tip, _ = ftl_run(joint, geom, grid)
         curve = forward_kinematics(joint, geom, grid * geom.na_length)
-        assert np.max(np.linalg.norm(trace - curve.points, axis=1)) < 1e-9
+        assert np.max(np.linalg.norm(tip.points - curve.points, axis=1)) < 1e-9
 
-    def test_tip_at_zero_is_origin(self, geom):
-        assert ftl_tip(0.0, rest_joint(geom), geom) == pytest.approx([0.0, 0.0, 0.0])
+    def test_tip_at_zero_is_origin(self, tendon, geom):
+        for joint in (rest_joint(geom), joint_from_actuation(2.0, 0.0, tendon, geom, roll=0.9)):
+            tip, _ = ftl_run(joint, geom, np.array([0.0, 1.0]))
+            assert tip.points[0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
     def test_tip_at_one_is_full_tip(self, tendon, geom):
         joint = joint_from_actuation(2.0, 0.0, tendon, geom)
         full = forward_kinematics(joint, geom, np.array([geom.na_length])).points[-1]
-        assert ftl_tip(1.0, joint, geom) == pytest.approx(list(full), abs=1e-12)
+        tip, _ = ftl_run(joint, geom, np.array([0.0, 1.0]))
+        assert tip.points[-1] == pytest.approx(list(full), abs=1e-12)
+
+    @pytest.mark.parametrize("grid", [[-0.2, 0.5], [0.5, 1.5]])
+    def test_progression_range_error(self, geom, grid):
+        with pytest.raises(DomainError):
+            ftl_run(rest_joint(geom), geom, np.array(grid))
 
 
 class TestJointState:
@@ -498,3 +479,65 @@ class TestJointBatch:
             joints_from_actuation([1.0, 2.0], [0.0], tendon, geom)
         with pytest.raises(ValidationError):
             joints_from_actuation([[1.0]], [[0.0]], tendon, geom)
+
+
+def _turns_device(turn_count):
+    """Reference tendon and the reference tube patterned with ``turn_count`` turns."""
+    return default_tendon(), derive_geometry(dataclasses.replace(default_tube(), turn_count=turn_count))
+
+
+def _zero_tension_max_stroke(geom):
+    """Stroke at H^2 = 0 and zero tension: tendon length l_na - 2 pi n d_t-na."""
+    return geom.slack_tendon_length - (
+        geom.na_length - 2.0 * math.pi * geom.turn_count * geom.tendon_na_distance
+    )
+
+
+class TestBeyondOneTurn:
+    """Kinematics of tubes patterned with more than one helical turn."""
+
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    @given(fraction=st.floats(0.0, 0.999), tension=st.floats(0.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_actuation_cylinder_tendon_round_trip(self, turn_count, fraction, tension):
+        tendon, geom = _turns_device(turn_count)
+        stroke = fraction * _zero_tension_max_stroke(geom)
+        length = tendon_length_from_stroke(stroke, tension, tendon, geom.slack_tendon_length, geom)
+        joint = joint_from_actuation(stroke, tension, tendon, geom)
+        back = tendon_length_from_cylinder(joint.cylinder_radius, joint.cylinder_height, geom)
+        assert abs(back - length) < 1e-9
+        assert joint.closure_residual(geom) < 1e-12
+
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    @given(fractions=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
+    @settings(max_examples=100, deadline=None)
+    def test_phi_monotone_in_stroke(self, turn_count, fractions):
+        tendon, geom = _turns_device(turn_count)
+        low, high = sorted(f * _zero_tension_max_stroke(geom) for f in fractions)
+        phi_low = joint_from_actuation(low, 0.0, tendon, geom).deflection
+        phi_high = joint_from_actuation(high, 0.0, tendon, geom).deflection
+        assert phi_low <= phi_high < math.pi / 2.0
+
+    def test_two_turn_geometry_needs_no_turn_count(self):
+        tendon, geom2 = _turns_device(2)
+        assert geom2.turn_count == 2
+        joint = joint_from_actuation(1.5, 0.0, tendon, geom2)
+        assert joint.closure_residual(geom2) < 1e-12
+        assert joint_from_actuation(1.5, 0.0, tendon, geom2, 0.0, 2) == joint
+        with pytest.raises(ValidationError, match="turn count 1 differs from the geometry's 2"):
+            joint_from_actuation(1.5, 0.0, tendon, geom2, 0.0, 1)
+
+    def test_forward_kinematics_checks_turn_count(self):
+        tendon, geom2 = _turns_device(2)
+        joint = joint_from_actuation(1.5, 0.0, tendon, geom2)
+        s = backbone_samples(geom2.na_length, 9)
+        curve = forward_kinematics(joint, geom2, s)
+        assert np.array_equal(forward_kinematics(joint, geom2, s, 2).points, curve.points)
+        with pytest.raises(ValidationError):
+            forward_kinematics(joint, geom2, s, 1)
+        # Two turns: the centerline passes its start angle again at s = l_na / 2.
+        half = forward_kinematics(joint, geom2, np.array([geom2.na_length / 2.0]))
+        point, direction = cylinder_axis(joint, geom2)
+        assert point_line_distance(half.points, point, direction) == pytest.approx(
+            [joint.cylinder_radius - geom2.composite_na_offset], abs=1e-9
+        )

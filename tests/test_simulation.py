@@ -17,9 +17,9 @@ from helikin.kinematics import (
     backbone_samples,
     cylinder_axis,
     forward_kinematics,
+    _rot_x,
+    _rot_y,
     joint_from_actuation,
-    rot_x,
-    rot_y,
 )
 from helikin.simulation import (
     NoiseSpec,
@@ -126,10 +126,10 @@ class TestSyntheticSweep:
         assert deviations[0] < deviations[1] < deviations[2]
 
 
-def _max_stroke(geom, turn_count):
+def _max_stroke(geom):
     """Largest valid stroke at zero tension: tendon length l_na - 2 pi n d_t-na."""
     return geom.slack_tendon_length - (
-        geom.na_length - 2.0 * math.pi * turn_count * geom.tendon_na_distance
+        geom.na_length - 2.0 * math.pi * geom.turn_count * geom.tendon_na_distance
     )
 
 
@@ -139,7 +139,7 @@ class TestSweepBatchPath:
         tube_n = dataclasses.replace(tube, turn_count=turn_count)
         geom_n = derive_geometry(tube_n)
         rng = np.random.default_rng(turn_count)
-        strokes = rng.uniform(0.0, 1.05 * _max_stroke(geom_n, turn_count), 120)
+        strokes = rng.uniform(0.0, 1.05 * _max_stroke(geom_n), 120)
         tensions = rng.uniform(0.0, 10.0, 120)
         markers = [geom_n.na_length, 10.0, 33.2, 0.0]
         dataset = synthetic_sweep(
@@ -150,9 +150,7 @@ class TestSweepBatchPath:
         failures = dict(dataset.failures)
         for i, joint in enumerate(dataset.joints):
             try:
-                scalar = joint_from_actuation(
-                    strokes[i], tensions[i], tendon, geom_n, 0.7, turn_count
-                )
+                scalar = joint_from_actuation(strokes[i], tensions[i], tendon, geom_n, 0.7)
             except DomainError as exc:
                 assert joint is None and failures[i] == str(exc)
                 assert np.isnan(dataset.tips_true[i]).all()
@@ -160,10 +158,10 @@ class TestSweepBatchPath:
             assert (joint.cylinder_radius, joint.cylinder_height) == (
                 scalar.cylinder_radius, scalar.cylinder_height,
             )
-            assert joint.closure_residual(geom_n, turn_count) < 1e-12
+            assert joint.closure_residual(geom_n) < 1e-12
             s = np.array(dataset.marker_arclengths)
-            points = forward_kinematics(scalar, geom_n, s, turn_count).points
-            tip = forward_kinematics(scalar, geom_n, s[-1:], turn_count).points[0]
+            points = forward_kinematics(scalar, geom_n, s).points
+            tip = forward_kinematics(scalar, geom_n, s[-1:]).points[0]
             rows = np.array([dataset.tracks_true[s_k][i] for s_k in s])
             assert np.abs(rows - points).max() <= 1e-12
             assert np.abs(dataset.tips_true[i] - tip).max() <= 1e-12
@@ -353,15 +351,15 @@ class TestFtlRun:
     def test_two_turn_tube_prefix_and_fidelity(self, tube, tendon):
         tube2 = dataclasses.replace(tube, turn_count=2)
         geom2 = derive_geometry(tube2)
-        joint = joint_from_actuation(1.5, 0.0, tendon, geom2, roll=0.7, turn_count=2)
-        assert joint.closure_residual(geom2, turn_count=2) < 1e-12
+        joint = joint_from_actuation(1.5, 0.0, tendon, geom2, roll=0.7)
+        assert joint.closure_residual(geom2) < 1e-12
         grid = default_eta_grid(201)
-        tip, bodies = ftl_run(joint, geom2, grid, turn_count=2)
+        tip, bodies = ftl_run(joint, geom2, grid)
         final = bodies[-1]
         for body in bodies:
             m = len(body) - 1
             assert np.array_equal(body.points[:m], final.points[:m])
-        backbone = forward_kinematics(joint, geom2, grid * geom2.na_length, turn_count=2)
+        backbone = forward_kinematics(joint, geom2, grid * geom2.na_length)
         assert ftl_fidelity(tip, backbone).max_distance == 0.0
         # The tip trace stays on the imaginary cylinder at the centerline radius.
         point, direction = cylinder_axis(joint, geom2)
@@ -480,7 +478,7 @@ class TestPhantomClearance:
         phantom = phantom_on_cylinder_axis(joint, geom, 2.0)
         base, _ = phantom_clearance(curve, phantom, 0.953)
         for _ in range(5):
-            rotation = rot_x(rng.uniform(-math.pi, math.pi)) @ rot_y(
+            rotation = _rot_x(rng.uniform(-math.pi, math.pi)) @ _rot_y(
                 rng.uniform(-math.pi, math.pi)
             )
             shift = rng.normal(scale=20.0, size=3)
@@ -617,10 +615,10 @@ class TestFtlBodyClearance:
     @pytest.mark.parametrize("turn_count", [1, 2, 3])
     def test_bodies_match_plain_curves(self, tube, tendon, turn_count, grid_name):
         geom_n = derive_geometry(dataclasses.replace(tube, turn_count=turn_count))
-        stroke = 0.6 * _max_stroke(geom_n, turn_count)
-        joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.8, turn_count)
+        stroke = 0.6 * _max_stroke(geom_n)
+        joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.8)
         grid = self.GRIDS[grid_name]
-        _, bodies = ftl_run(joint, geom_n, grid, turn_count, BODY_SAMPLES)
+        _, bodies = ftl_run(joint, geom_n, grid, body_samples=BODY_SAMPLES)
         assert len(bodies) == grid.size
 
         master_s = backbone_samples(geom_n.na_length, BODY_SAMPLES)
@@ -662,9 +660,9 @@ class TestFtlBodyClearance:
         samples = []
         fk = simulation.forward_kinematics
 
-        def counting(joint, geom, s, turn_count):
+        def counting(joint, geom, s):
             samples.append(len(s))
-            return fk(joint, geom, s, turn_count)
+            return fk(joint, geom, s)
 
         monkeypatch.setattr(simulation, "forward_kinematics", counting)
         joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
@@ -704,14 +702,30 @@ class TestFtlBodyClearance:
     def test_on_axis_clearance_closed_form(self, tube, tendon, turn_count):
         geom_n = derive_geometry(dataclasses.replace(tube, turn_count=turn_count))
         for fraction in (0.2, 0.6, 0.95):
-            stroke = fraction * _max_stroke(geom_n, turn_count)
-            joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.4, turn_count)
+            stroke = fraction * _max_stroke(geom_n)
+            joint = joint_from_actuation(stroke, 0.0, tendon, geom_n, 0.4)
             phantom = phantom_on_cylinder_axis(joint, geom_n, 2.0)
             # R - y_na - r_phantom - r_outer
             expected = joint.cylinder_radius - geom_n.composite_na_offset - 2.0 - tube.outer_radius
-            curve = forward_kinematics(joint, geom_n, turn_count=turn_count)
-            _, bodies = ftl_run(joint, geom_n, default_eta_grid(51), turn_count)
+            curve = forward_kinematics(joint, geom_n)
+            _, bodies = ftl_run(joint, geom_n, default_eta_grid(51))
             for body in [curve, *bodies]:
                 clearance, collides = phantom_clearance(body, phantom, tube.outer_radius)
                 assert clearance == pytest.approx(expected, abs=1e-9)
                 assert collides == (clearance < 0.0)
+
+
+class TestTurnCountCheck:
+    def test_ftl_run_checks_turn_count(self, tube, tendon):
+        geom2 = derive_geometry(dataclasses.replace(tube, turn_count=2))
+        joint = joint_from_actuation(1.5, 0.0, tendon, geom2)
+        grid = default_eta_grid(11)
+        tip, _ = ftl_run(joint, geom2, grid)
+        assert np.array_equal(ftl_run(joint, geom2, grid, 2, BODY_SAMPLES)[0].points, tip.points)
+        with pytest.raises(ValidationError):
+            ftl_run(joint, geom2, grid, 1)
+
+    def test_sweep_rejects_a_tube_of_another_turn_count(self, tube, tendon, geom):
+        tube2 = dataclasses.replace(tube, turn_count=2)
+        with pytest.raises(ValidationError, match="turn count 2 differs from the geometry's 1"):
+            synthetic_sweep(geom, tendon, _profile(), [33.2], NoiseSpec(), 0.0, tube2)

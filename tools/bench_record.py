@@ -13,11 +13,14 @@ claim needs ten or more. For each workload and seed every checkout runs
 once, and the order of the checkouts rotates from seed to seed, so that a
 slow phase of the machine falls on every side alike. A file holds, per workload and
 end-to-end metric, the median, quartiles, IQR and n of the runs and every
-run's value by seed; the bounds from BENCHMARK.json; and the Python,
-numpy, CPU count and pinned CPUs the runs reported.
+run's value by seed; the bounds from BENCHMARK.json; the Python, numpy,
+CPU count and pinned CPUs the runs reported; and the BLAS numpy was built
+against, as the checkout's interpreter reports it. The demo digests and
+the body-clearance bit-equality tests assume OpenBLAS gemv rounding, so a
+different BLAS is worth knowing about before reading a diff.
 
-``--diff A B`` prints B / A of each metric's median and flags a ratio past
-its bound. Over the seeds both files ran it also prints how many pairs B
+``--diff A B`` notes any difference in Python, numpy, BLAS or CPU, prints
+B / A of each metric's median and flags a ratio past its bound. Over the seeds both files ran it also prints how many pairs B
 won, and whether the medians differ by more than A's IQR. It exits 1 if a
 ratio is past its bound. Only the standard library is used.
 """
@@ -32,6 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dataset", "ftl_deploy", "control_loop", "cli")
+BLAS_QUERY = (
+    "import numpy; blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+    "print(blas['name'], blas['version'])"
+)
 
 
 def parse_args(argv=None):
@@ -76,6 +83,12 @@ def commit_of(checkout: Path) -> str | None:
     return head + ("-dirty" if dirty else "")
 
 
+def blas_of(checkout: Path) -> str:
+    """Name and version of the BLAS numpy uses in the interpreter that runs the checkout."""
+    done = subprocess.run([sys.executable, "-c", BLAS_QUERY], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
@@ -113,6 +126,7 @@ def record(args) -> int:
                 **{key: sorted({str(e[key]) for e in env}) for key in ("python", "numpy", "nproc", "cpu")},
                 "pinned_cpus": sorted({cpu for e in env for cpu in e["cpus_used"] or []}),
                 "threads": env[0]["threads"],
+                "blas": blas_of(checkout),
             },
             "bounds": {m["name"]: {k: m[k] for k in ("unit", "better", "bound")} for m in spec["end_to_end"]},
             "workloads": {},
@@ -135,9 +149,10 @@ def record(args) -> int:
 
 def diff(path_a: str, path_b: str) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    for key in ("python", "numpy", "cpu"):
-        if a["environment"][key] != b["environment"][key]:
-            print(f"note: {key} differs: {a['environment'][key]} vs {b['environment'][key]}")
+    for key in ("python", "numpy", "blas", "cpu"):
+        env_a, env_b = (f["environment"].get(key, "not recorded") for f in (a, b))
+        if env_a != env_b:
+            print(f"note: {key} differs: {env_a} vs {env_b}")
     flagged = 0
     print(f"{'workload':<13} {'metric':<16} {'A median':>12} {'B median':>12} {'B/A':>8}  pairs B won")
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
