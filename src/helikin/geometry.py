@@ -140,8 +140,8 @@ class DerivedGeometry:
             region when the tube is straight and the tendon untensioned.
 
     turn_count: the spec's helical turn count n, copied so that the
-        geometry alone fixes every kinematic map; no function that takes
-        a DerivedGeometry takes n separately.
+        geometry alone fixes every kinematic map; functions that take a
+        DerivedGeometry read n from it.
     """
 
     notch_na_offset: float

@@ -159,7 +159,7 @@ class TestDeflectionAngle:
 
 
 class TestHelixFrame:
-    """FK's closed form at phi = 0 and roll = 0, where O_0 is the helix frame shifted by R - y_na."""
+    """FK against the closed-form helix: base, turns, phi = 0 translation, deflection plane, roll."""
 
     RADIUS, HEIGHT = 3.0, 60.0
 
@@ -379,8 +379,10 @@ SOFT_TENDON = TendonSpec(total_length=475.0, cross_section_area=1.135e-8, elasti
 
 
 def _max_stroke(tendon, geom):
-    """Stroke at H^2 = 0 and zero tension: tendon length l_na - 2 pi d_t-na."""
-    return geom.slack_tendon_length - (geom.na_length - 2.0 * math.pi * geom.tendon_na_distance)
+    """Stroke at H^2 = 0 and zero tension: tendon length l_na - 2 pi n d_t-na."""
+    return geom.slack_tendon_length - (
+        geom.na_length - 2.0 * math.pi * geom.turn_count * geom.tendon_na_distance
+    )
 
 
 def _scalar_outcome(stroke, tension, tendon, geom):
@@ -486,13 +488,6 @@ def _turns_device(turn_count):
     return default_tendon(), derive_geometry(dataclasses.replace(default_tube(), turn_count=turn_count))
 
 
-def _zero_tension_max_stroke(geom):
-    """Stroke at H^2 = 0 and zero tension: tendon length l_na - 2 pi n d_t-na."""
-    return geom.slack_tendon_length - (
-        geom.na_length - 2.0 * math.pi * geom.turn_count * geom.tendon_na_distance
-    )
-
-
 class TestBeyondOneTurn:
     """Kinematics of tubes patterned with more than one helical turn."""
 
@@ -501,7 +496,7 @@ class TestBeyondOneTurn:
     @settings(max_examples=100, deadline=None)
     def test_actuation_cylinder_tendon_round_trip(self, turn_count, fraction, tension):
         tendon, geom = _turns_device(turn_count)
-        stroke = fraction * _zero_tension_max_stroke(geom)
+        stroke = fraction * _max_stroke(tendon, geom)
         length = tendon_length_from_stroke(stroke, tension, tendon, geom.slack_tendon_length, geom)
         joint = joint_from_actuation(stroke, tension, tendon, geom)
         back = tendon_length_from_cylinder(joint.cylinder_radius, joint.cylinder_height, geom)
@@ -513,7 +508,7 @@ class TestBeyondOneTurn:
     @settings(max_examples=100, deadline=None)
     def test_phi_monotone_in_stroke(self, turn_count, fractions):
         tendon, geom = _turns_device(turn_count)
-        low, high = sorted(f * _zero_tension_max_stroke(geom) for f in fractions)
+        low, high = sorted(f * _max_stroke(tendon, geom) for f in fractions)
         phi_low = joint_from_actuation(low, 0.0, tendon, geom).deflection
         phi_high = joint_from_actuation(high, 0.0, tendon, geom).deflection
         assert phi_low <= phi_high < math.pi / 2.0
@@ -535,9 +530,8 @@ class TestBeyondOneTurn:
         assert np.array_equal(forward_kinematics(joint, geom2, s, 2).points, curve.points)
         with pytest.raises(ValidationError):
             forward_kinematics(joint, geom2, s, 1)
-        # Two turns: the centerline passes its start angle again at s = l_na / 2.
+        # Two turns: at s = l_na / 2 the centerline completes its first turn,
+        # back on the line through the origin along the cylinder axis.
         half = forward_kinematics(joint, geom2, np.array([geom2.na_length / 2.0]))
-        point, direction = cylinder_axis(joint, geom2)
-        assert point_line_distance(half.points, point, direction) == pytest.approx(
-            [joint.cylinder_radius - geom2.composite_na_offset], abs=1e-9
-        )
+        _, direction = cylinder_axis(joint, geom2)
+        assert half.points[0] == pytest.approx(joint.cylinder_height / 2.0 * direction, abs=1e-12)
