@@ -24,7 +24,6 @@ from .errors import (
 )
 from .estimation import (
     EstimateResult,
-    Method,
     PositionEstimate,
     TrajectoryComparison,
     compare_point_sequences,

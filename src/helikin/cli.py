@@ -21,17 +21,10 @@ import numpy as np
 
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
-from .estimation import (
-    _overlap_grid,
-    compare_point_sequences,
-    position_based_estimate,
-    repeatability_compare,
-    stroke_based_estimate,
-)
+from .estimation import _overlap_grid, position_based_estimate, repeatability_compare, stroke_based_estimate
 from .geometry import TendonSpec, TubeSpec, derive_geometry, pattern_consistency
 from .kinematics import (
     DEFAULT_BACKBONE_SAMPLES,
-    TipTrajectory,
     backbone_samples,
     forward_kinematics,
     joint_from_actuation,
@@ -131,7 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.dataset_dir:
         written = fileio.write_dataset_bundle(args.dataset_dir, dataset)
         print(f"wrote {len(written)} dataset files to {args.dataset_dir}")
-    fileio.write_joints_csv(args.output, dataset.strokes, dataset.tensions, list(dataset.joints))
+    fileio.write_joints_csv(args.output, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
     for index, message in dataset.failures:
         print(f"sample {index}: {message}", file=sys.stderr)
     print(
@@ -178,13 +171,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         result = stroke_based_estimate(profile, geom, tendon, math.radians(args.theta_deg))
         strokes = np.array([p[0] for p in profile])
         tensions = np.array([p[1] for p in profile])
-        fileio.write_joints_csv(args.output, strokes, tensions, list(result.joint_series))
+        fileio.write_joints_csv(args.output, strokes, tensions, result.batch, result.roll)
         for index, message in result.failures:
             print(f"sample {index}: {message}", file=sys.stderr)
-        print(
-            f"stroke-based estimates: {result.ok_count}/{len(result.joint_series)} ok "
-            f"-> {args.output}"
-        )
+        print(f"stroke-based estimates: {result.ok_count}/{len(profile)} ok -> {args.output}")
         return 0
 
     data = fileio.read_marker_csv(args.input)
@@ -215,19 +205,13 @@ def _has_marker_header(path: str) -> bool:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a = fileio.read_marker_csv(args.trajectory_a)
-    b = fileio.read_marker_csv(args.trajectory_b)
-    if a["index"].shape == b["index"].shape and np.array_equal(a["index"], b["index"]):
-        comparison = compare_point_sequences(a["points"], b["points"])
-        index = a["index"]
-    else:
-        trial_a = TipTrajectory(eta=a["index"], points=a["points"])
-        trial_b = TipTrajectory(eta=b["index"], points=b["points"])
-        comparison = repeatability_compare(trial_a, trial_b)
-        index = _overlap_grid(trial_a.eta, trial_b.eta)
+    trial_a = fileio.read_tip_csv(args.trajectory_a)
+    trial_b = fileio.read_tip_csv(args.trajectory_b)
+    comparison = repeatability_compare(trial_a, trial_b)
     sys.stdout.write(fileio.comparison_to_json(comparison))
     if args.per_sample:
-        fileio.write_comparison_csv(args.per_sample, index, comparison)
+        grid = _overlap_grid(trial_a.eta, trial_b.eta)
+        fileio.write_comparison_csv(args.per_sample, grid, comparison)
     return 0
 
 
@@ -257,7 +241,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if header.startswith("s_mm"):
             curves.append(fileio.read_backbone_csv(path).points)
         else:
-            curves.append(fileio.read_marker_csv(path)["points"])
+            curves.append(fileio.read_tip_csv(path).points)
         names.append(Path(path).stem)
     svgplot.write_curves_svg(args.output, curves, names)
     print(f"wrote {args.output}")
@@ -281,9 +265,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     dataset = synthetic_sweep(
         geom, tendon, profile, list(presets.MARKER_ARCLENGTHS_MM), noise, theta, tube
     )
-    fileio.write_joints_csv(
-        outdir / "joints.csv", dataset.strokes, dataset.tensions, list(dataset.joints)
-    )
+    fileio.write_joints_csv(outdir / "joints.csv", dataset.strokes, dataset.tensions, dataset.batch, theta)
 
     # stage 3: deployed shape and FTL run at the final stroke
     joint = joint_from_actuation(args.stroke, 0.0, tendon, geom, theta)

@@ -15,18 +15,17 @@ distance and RMSE between index-aligned point sequences.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
-from .kinematics import JointState, TipTrajectory, actuation_failures, joints_from_actuation
+from .kinematics import JointBatch, JointState, TipTrajectory, actuation_failures, joints_from_actuation
 
 __all__ = [
-    "Method",
     "EstimateResult",
     "TrajectoryComparison",
     "PositionEstimate",
@@ -39,27 +38,33 @@ __all__ = [
 ]
 
 
-class Method(enum.Enum):
-    STROKE_BASED = "stroke_based"
-    POSITION_BASED = "position_based"
-
-
 @dataclass(frozen=True)
 class EstimateResult:
-    """Per-sample joint estimates from one method.
+    """Stroke-based joint estimates: the actuation map over a log, at one roll.
 
-    joint_series holds None where a sample failed (e.g. over-actuated
-    stroke); failures pairs each bad index with the error message.
+    ``batch`` holds R, H and phi for every sample as arrays; a sample that
+    failed (e.g. an over-actuated stroke) is False in ``batch.ok`` and nan
+    in the other fields, and ``failures`` pairs its index with the error
+    message. ``joint_series`` builds one JointState per sample (None where
+    it failed) on its first read and keeps it.
     """
 
-    method: Method
-    joint_series: tuple[JointState | None, ...]
-    per_sample_phi: tuple[float, ...]
-    failures: tuple[tuple[int, str], ...] = field(default=())
+    batch: JointBatch
+    roll: float
+    failures: tuple[tuple[int, str], ...]
+
+    @cached_property
+    def joint_series(self) -> tuple[JointState | None, ...]:
+        return self.batch.joint_states(self.roll)
+
+    @property
+    def per_sample_phi(self) -> np.ndarray:
+        """Deflection phi per sample, rad; nan where the sample failed."""
+        return self.batch.deflection
 
     @property
     def ok_count(self) -> int:
-        return sum(j is not None for j in self.joint_series)
+        return int(np.count_nonzero(self.batch.ok))
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,7 @@ def stroke_based_estimate(
     strokes = [p[0] for p in pairs]
     tensions = [p[1] for p in pairs]
     batch = joints_from_actuation(strokes, tensions, tendon, geom)
-    joints = batch.joint_states(roll)
-    return EstimateResult(
-        method=Method.STROKE_BASED,
-        joint_series=joints,
-        per_sample_phi=tuple(math.nan if j is None else j.deflection for j in joints),
-        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom),
-    )
+    return EstimateResult(batch, roll, actuation_failures(strokes, tensions, batch.ok, tendon, geom))
 
 
 def position_based_estimate(

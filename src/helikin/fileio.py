@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimation import TrajectoryComparison
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec
-from .kinematics import BackboneCurve, JointState, TipTrajectory
+from .kinematics import BackboneCurve, JointBatch, TipTrajectory
 from .simulation import PhantomSpec, SyntheticDataset
 
 __all__ = [
@@ -271,22 +271,16 @@ def read_tip_csv(path: str | Path) -> TipTrajectory:
 
 
 def write_joints_csv(
-    path: str | Path,
-    strokes: np.ndarray,
-    tensions: np.ndarray,
-    joints: list[JointState | None],
+    path: str | Path, strokes: np.ndarray, tensions: np.ndarray, batch: JointBatch, roll: float
 ) -> None:
-    """Joint sweep CSV; failed samples serialize as nan joint columns."""
-    failed = (math.nan,) * 4
-    values = [
-        failed if j is None else (j.cylinder_radius, j.cylinder_height, j.deflection, j.roll)
-        for j in joints
-    ]
-    write_table_csv(
-        path,
-        ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"],
-        [strokes, tensions, *np.array(values, dtype=float).reshape(-1, 4).T],
-    )
+    """Joint sweep CSV of a batch at one roll: one row per sample.
+
+    A row the batch rejected keeps its stroke and tension; its R, H and phi
+    are the batch's nan and its theta is written as nan too.
+    """
+    theta = np.where(batch.ok, roll, math.nan)
+    columns = [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
+    write_table_csv(path, ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"], columns)
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -370,11 +364,11 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     written.append(path)
 
     path = directory / "joints.csv"
-    write_joints_csv(path, dataset.strokes, dataset.tensions, list(dataset.joints))
+    write_joints_csv(path, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
     written.append(path)
 
     index = dataset.sample_index()
-    ok = np.array([j is not None for j in dataset.joints])
+    ok = dataset.batch.ok
     path = directory / "tip.csv"
     write_marker_csv(path, index[ok], dataset.tips_true[ok], dataset.strokes[ok], dataset.tensions[ok])
     written.append(path)

@@ -50,8 +50,8 @@ class TubeSpec:
         patterned_length: axial length of the machined region, mm.
         remaining_half_angle: half-angle of the uncut wall arc in a notched
             cross section, rad.
-        turn_count: number of helical turns the pattern completes; an
-            integral float such as 2.0 is stored as the int 2.
+        turn_count: number of helical turns the pattern completes, at
+            most 2**53; an integral float such as 2.0 is stored as the int 2.
         tendon_radius: radius of the actuation tendon, mm.
     """
 
@@ -94,11 +94,13 @@ class TubeSpec:
                 f"remaining_half_angle must lie in (0, pi], got {self.remaining_half_angle}"
             )
         # bool is an int but no count; 1.5 or inf must not truncate to a count.
+        # Past 2**53 a float skips integers; 1e200 turns overflow the helix
+        # arithmetic, and a 400-digit int overflows float() itself.
         n = self.turn_count
         if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (
-            n >= 1 and float(n).is_integer()
+            1 <= n <= 2**53 and float(n).is_integer()
         ):
-            raise ValidationError(f"turn_count must be an integer >= 1, got {n!r}")
+            raise ValidationError(f"turn_count must be an integer >= 1 and <= 2**53, got {n!r}")
         object.__setattr__(self, "turn_count", int(n))
         if self.tendon_radius >= self.inner_radius:
             raise ValidationError(

@@ -273,7 +273,8 @@ class JointBatch(NamedTuple):
     """The actuation map over a batch of B samples; every field has shape (B,).
 
     ``ok`` is False on the rows :func:`joint_from_actuation` would reject;
-    R, H and phi are nan there.
+    R, H and phi are nan there. The arrays are read-only: results that keep
+    a batch hand them out as they are.
     """
 
     ok: np.ndarray
@@ -330,6 +331,7 @@ def joints_from_actuation(
     radius = np.where(ok, radius, np.nan)
     height = np.sqrt(np.where(ok, height_sq, np.nan))
     phi = np.arctan2(two_pi_n * (radius - geom.composite_na_offset), height)
+    ok.flags.writeable = radius.flags.writeable = height.flags.writeable = phi.flags.writeable = False
     return JointBatch(ok, radius, height, phi)
 
 

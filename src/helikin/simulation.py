@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,8 +114,11 @@ class PhantomSpec:
 class SyntheticDataset:
     """Forward-model dataset with ground truth retained alongside noisy channels.
 
-    Samples where the actuation map failed carry None in joints; their
-    indices and reasons are listed in failures.
+    ``batch`` holds the actuation map's R, H and phi for every sample as
+    arrays. A sample where the map failed is False in ``batch.ok`` and nan
+    in the other fields, and ``failures`` lists its index and reason.
+    ``joints`` builds one JointState per sample at ``roll`` (None where the
+    map failed) on its first read and keeps it.
     """
 
     tube: TubeSpec
@@ -123,12 +127,16 @@ class SyntheticDataset:
     strokes: np.ndarray
     tensions: np.ndarray
     strokes_noisy: np.ndarray
-    joints: tuple[JointState | None, ...]
+    batch: JointBatch
     marker_arclengths: tuple[float, ...]
     tracks_true: dict[float, np.ndarray]
     tracks_noisy: dict[float, np.ndarray]
     tips_true: np.ndarray
     failures: tuple[tuple[int, str], ...] = field(default=())
+
+    @cached_property
+    def joints(self) -> tuple[JointState | None, ...]:
+        return self.batch.joint_states(self.roll)
 
     @property
     def n_samples(self) -> int:
@@ -230,7 +238,7 @@ def synthetic_sweep(
         strokes=strokes,
         tensions=tensions,
         strokes_noisy=strokes_noisy,
-        joints=batch.joint_states(roll),
+        batch=batch,
         marker_arclengths=tuple(marker_s),
         tracks_true=tracks_true,
         tracks_noisy=tracks_noisy,

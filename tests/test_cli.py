@@ -5,6 +5,7 @@ import pytest
 
 from helikin import fileio
 from helikin.cli import SPEC_PATH_ENV, build_parser, main
+from helikin.estimation import compare_point_sequences
 from helikin.kinematics import TipTrajectory
 from helikin.presets import default_tendon, default_tube
 
@@ -64,6 +65,17 @@ class TestGeometryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: turn_count must be an integer >= 1")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["geometry", "shape"])
+    @pytest.mark.parametrize("text", ["1e200", "1" + "0" * 400], ids=["1e200", "401-digit"])
+    def test_huge_turn_count_exits_2(self, tmp_path, capsys, command, text):
+        path = self._spec_with_turn_count(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [command, "--spec", path, "-o", str(out)]
+        assert main(argv + (["--stroke", "2.0"] if command == "shape" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: turn_count must be an integer >= 1")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_integral_float_turn_count_loads_as_int(self, tmp_path, capsys):
         path = self._spec_with_turn_count(tmp_path, "2.0")
@@ -282,6 +294,45 @@ class TestCompareCommand:
         assert np.allclose(table[:, 1], 1.0, rtol=0.0, atol=1e-12)
 
 
+    def test_nan_row_on_equal_grids_exits_2(self, tmp_path, capsys):
+        eta = np.array([0.0, 0.5, 1.0])
+        points = np.arange(9.0).reshape(3, 3)
+        fileio.write_tip_csv(tmp_path / "a.csv", TipTrajectory(eta=eta, points=points))
+        (tmp_path / "b.csv").write_text("eta,x_mm,y_mm,z_mm\n0,0,1,2\n0.5,3,4,nan\n1,6,7,8\n")
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trajectory contains non-finite values\n"
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_header_only_file_exits_2(self, tmp_path, spec_file, capsys, empty_first):
+        tip_csv = tmp_path / "tip.csv"
+        main(["ftl", "--spec", spec_file, "--stroke", "2.0", "-o", str(tip_csv)])
+        capsys.readouterr()
+        empty = tmp_path / "empty.csv"
+        empty.write_text("eta,x_mm,y_mm,z_mm\n")
+        pair = [str(empty), str(tip_csv)] if empty_first else [str(tip_csv), str(empty)]
+        assert main(["compare", *pair]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: no trajectory samples\n"
+
+    def test_per_sample_on_equal_grids_is_the_pointwise_comparison(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        eta = np.sort(rng.uniform(0.0, 1.0, 23))
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        trials = [TipTrajectory(eta=eta, points=rng.normal(size=(23, 3))) for _ in paths]
+        for path, trial in zip(paths, trials):
+            fileio.write_tip_csv(path, trial)
+        loaded = [fileio.read_tip_csv(path) for path in paths]
+        expected = tmp_path / "expected.csv"
+        pointwise = compare_point_sequences(loaded[0].points, loaded[1].points)
+        fileio.write_comparison_csv(expected, loaded[0].eta, pointwise)
+        per_sample = tmp_path / "d.csv"
+        assert main(["compare", *paths, "--per-sample", str(per_sample)]) == 0
+        assert capsys.readouterr().out == fileio.comparison_to_json(pointwise)
+        assert per_sample.read_bytes() == expected.read_bytes()
+
+
 class TestClearanceCommand:
     def test_reports_clearance(self, tmp_path, spec_file, capsys):
         curve_csv = tmp_path / "curve.csv"
@@ -340,6 +391,14 @@ class TestPlotCommand:
         assert text.startswith("<svg")
         assert "polyline" in text
         assert "(mm)" in text
+
+    def test_header_only_trajectory_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("eta,x_mm,y_mm,z_mm\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(empty), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no trajectory samples\n"
+        assert not out.exists()
 
     def test_svg_is_deterministic(self, tmp_path, spec_file):
         curve_csv = tmp_path / "curve.csv"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.estimation import (
-    Method,
     compare_point_sequences,
     max_euclidean_distance,
     position_based_estimate,
@@ -18,6 +17,7 @@ from helikin.estimation import (
 )
 from helikin.geometry import derive_geometry
 from helikin.kinematics import (
+    JointState,
     TipTrajectory,
     forward_kinematics,
     joint_from_actuation,
@@ -49,7 +49,7 @@ class TestStrokeBasedEstimate:
             tendon_length = tendon_length_from_cylinder(radius, height, geom)
             profile.append((geom.slack_tendon_length - tendon_length, 0.0))
         result = stroke_based_estimate(profile, geom, tendon, roll=0.25)
-        assert result.method is Method.STROKE_BASED
+        assert result.roll == 0.25 and result.ok_count == len(truth)
         assert not result.failures
         for joint, (radius, height, phi) in zip(result.joint_series, truth):
             assert joint.cylinder_radius == pytest.approx(radius, abs=1e-9)
@@ -98,6 +98,20 @@ class TestStrokeBasedEstimate:
     def test_empty_log(self, tendon, geom):
         result = stroke_based_estimate([], geom, tendon, roll=0.0)
         assert result.joint_series == () and result.failures == ()
+
+    def test_joint_series_is_built_on_first_read_and_kept(self, tendon, geom, monkeypatch):
+        built = []
+        check = JointState.__post_init__
+        monkeypatch.setattr(JointState, "__post_init__", lambda j: built.append(j) or check(j))
+        result = stroke_based_estimate([(0.0, 0.0), (9.5, 0.0), (2.0, 0.0)], geom, tendon, roll=0.3)
+        assert built == [] and result.ok_count == 2
+        assert math.isnan(result.per_sample_phi[1])
+        assert not result.per_sample_phi.flags.writeable
+        assert built == []
+        series = result.joint_series
+        assert len(built) == 2 and series[1] is None
+        assert [j.roll for j in series if j is not None] == [0.3, 0.3]
+        assert result.joint_series is series and len(built) == 2
 
 
 class TestPositionBasedEstimate:

@@ -14,7 +14,13 @@ from helikin import fileio
 from helikin.errors import ValidationError
 from helikin.estimation import compare_point_sequences
 from helikin.geometry import derive_geometry
-from helikin.kinematics import BackboneCurve, TipTrajectory, forward_kinematics, joint_from_actuation
+from helikin.kinematics import (
+    BackboneCurve,
+    TipTrajectory,
+    forward_kinematics,
+    joint_from_actuation,
+    joints_from_actuation,
+)
 from helikin.presets import default_tendon, default_tube
 from helikin.simulation import NoiseSpec, PhantomSpec, synthetic_sweep
 
@@ -169,17 +175,33 @@ class TestTipCsv:
 
 class TestJointCsvAndStrokes:
     def test_joints_csv_headers_and_nan_rows(self, tendon, geom, tmp_path):
-        joints = [
-            joint_from_actuation(0.0, 0.0, tendon, geom),
-            None,
-            joint_from_actuation(2.0, 0.0, tendon, geom),
-        ]
+        strokes = np.array([0.0, 9.0, 2.0])
+        batch = joints_from_actuation(strokes, np.zeros(3), tendon, geom)
         path = tmp_path / "joints.csv"
-        fileio.write_joints_csv(path, np.array([0.0, 9.0, 2.0]), np.zeros(3), joints)
+        fileio.write_joints_csv(path, strokes, np.zeros(3), batch, 0.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad"
-        assert "nan" in lines[2]
+        assert lines[2] == "9,0,nan,nan,nan,nan"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("rows", [0, 1, 37])
+    @pytest.mark.parametrize("roll", [0.0, -2.0943951023931957])
+    def test_joints_csv_matches_a_per_joint_state_reference(self, tendon, geom, tmp_path, rows, roll):
+        # About a fifth of the strokes lie past the largest valid one.
+        rng = np.random.default_rng(rows)
+        strokes = rng.uniform(0.0, 9.0, rows)
+        tensions = rng.uniform(0.0, 10.0, rows)
+        batch = joints_from_actuation(strokes, tensions, tendon, geom)
+        assert rows < 37 or 0 < batch.ok.sum() < rows
+        lines = ["dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad"]
+        for stroke, tension, joint in zip(strokes, tensions, batch.joint_states(roll)):
+            values = [math.nan] * 4 if joint is None else [
+                joint.cylinder_radius, joint.cylinder_height, joint.deflection, joint.roll
+            ]
+            lines.append(",".join("%.12g" % v for v in [stroke, tension, *values]))
+        path = tmp_path / "joints.csv"
+        fileio.write_joints_csv(path, strokes, tensions, batch, roll)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_strokes_round_trip(self, tmp_path):
         path = tmp_path / "strokes.csv"

@@ -283,6 +283,10 @@ class TestTubeSpecValidation:
             ("turn_count", 1.5),
             ("turn_count", True),
             ("turn_count", "2"),
+            # Past 2**53 the helix arithmetic overflows or float(n) fails.
+            ("turn_count", 2**53 + 1),
+            ("turn_count", 1e200),
+            pytest.param("turn_count", 10**400, id="turn_count-401-digit"),
             ("tendon_radius", math.nan),
         ],
     )
@@ -312,6 +316,10 @@ class TestTendonSpecValidation:
         values[field] = value
         with pytest.raises(ValidationError, match=field):
             TendonSpec(**values)
+
+    def test_largest_turn_count_derives_finite_geometry(self, tube):
+        geom = derive_geometry(dataclasses.replace(tube, turn_count=2.0**53))
+        assert geom.turn_count == 2**53 and math.isfinite(geom.na_length)
 
     @pytest.mark.parametrize("value", [2, 2.0])
     def test_integral_turn_count_stored_as_int(self, tube, value):

@@ -101,6 +101,18 @@ class TestSyntheticSweep:
         assert np.all(np.isnan(dataset.tips_true[1]))
         assert np.all(np.isfinite(dataset.tips_true[2]))
 
+    def test_joints_are_built_on_first_read_and_kept(self, tube, tendon, geom, monkeypatch):
+        built = []
+        check = JointState.__post_init__
+        monkeypatch.setattr(JointState, "__post_init__", lambda j: built.append(j) or check(j))
+        profile = [(0.0, 0.0), (9.0, 0.0), (2.0, 0.0)]
+        dataset = synthetic_sweep(geom, tendon, profile, [33.2], NoiseSpec(seed=3), 0.7, tube)
+        assert built == [] and dataset.batch.ok.tolist() == [True, False, True]
+        joints = dataset.joints
+        assert len(built) == 2 and joints[1] is None
+        assert [j.roll for j in joints if j is not None] == [0.7, 0.7]
+        assert dataset.joints is joints and len(built) == 2
+
     def test_marker_out_of_range_rejected(self, tube, tendon, geom):
         with pytest.raises(ValidationError):
             synthetic_sweep(
