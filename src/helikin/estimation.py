@@ -46,7 +46,8 @@ class EstimateResult:
     failed (e.g. an over-actuated stroke) is False in ``batch.ok`` and nan
     in the other fields, and ``failures`` pairs its index with the error
     message. ``joint_series`` builds one JointState per sample (None where
-    it failed) on its first read and keeps it.
+    it failed) on its first read and keeps it. Results compare and hash by
+    their joint series and failures, as arrays have no single truth value.
     """
 
     batch: JointBatch
@@ -56,6 +57,14 @@ class EstimateResult:
     @cached_property
     def joint_series(self) -> tuple[JointState | None, ...]:
         return self.batch.joint_states(self.roll)
+
+    def __eq__(self, other):
+        if not isinstance(other, EstimateResult):
+            return NotImplemented
+        return (self.joint_series, self.failures) == (other.joint_series, other.failures)
+
+    def __hash__(self):
+        return hash((self.joint_series, self.failures))
 
     @property
     def per_sample_phi(self) -> np.ndarray:

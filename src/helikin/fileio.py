@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.12g"
+_MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
 
 _TUBE_FIELDS = (
     "inner_radius",
@@ -266,7 +267,8 @@ def write_tip_csv(path: str | Path, trajectory: TipTrajectory) -> None:
 
 
 def read_tip_csv(path: str | Path) -> TipTrajectory:
-    data = _read_table(path, ["eta", "x_mm", "y_mm", "z_mm"], samples="trajectory samples")
+    """Tip or marker CSV as a trajectory; the optional dl_t_mm,T_N columns are not read."""
+    data = _read_table(path, _MARKER_HEADER, optional=2, samples="trajectory samples")
     return TipTrajectory(eta=data[:, 0], points=data[:, 1:4])
 
 
@@ -307,7 +309,7 @@ def write_marker_csv(
 
 def read_marker_csv(path: str | Path) -> dict[str, np.ndarray | None]:
     """Marker/trajectory CSV -> dict with index, points and optional actuation."""
-    data = _read_table(path, ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"], optional=2)
+    data = _read_table(path, _MARKER_HEADER, optional=2)
     has_actuation = data.shape[1] == 6
     return {
         "index": data[:, 0],

@@ -99,6 +99,12 @@ class TestStrokeBasedEstimate:
         result = stroke_based_estimate([], geom, tendon, roll=0.0)
         assert result.joint_series == () and result.failures == ()
 
+    def test_results_compare_and_hash_by_value(self, tendon, geom):
+        log = [(0.0, 0.0), (9.5, 0.0), (2.0, 0.0)]
+        one, two = (stroke_based_estimate(log, geom, tendon, 0.2) for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+        assert one != stroke_based_estimate(log, geom, tendon, 0.3)
+
     def test_joint_series_is_built_on_first_read_and_kept(self, tendon, geom, monkeypatch):
         built = []
         check = JointState.__post_init__

@@ -275,6 +275,14 @@ class TestCsvReaderSyntax:
             fileio.read_strokes_csv(path)
         assert str(info.value) == f"{path}:{line}: {cause}"
 
+    def test_tip_reader_takes_marker_columns_and_nothing_else(self, tmp_path):
+        path = tmp_path / "tip.csv"
+        path.write_text("eta,x_mm,y_mm,z_mm,dl_t_mm,T_N\n0,1,2,3,4,5\n")
+        assert fileio.read_tip_csv(path).points.tolist() == [[1.0, 2.0, 3.0]]
+        path.write_text("eta,x_mm,y_mm,z_mm,foo\n0,1,2,3,4\n")
+        with pytest.raises(ValidationError, match="optional columns must be exactly dl_t_mm,T_N"):
+            fileio.read_tip_csv(path)
+
     def test_bad_marker_row_after_blank_lines(self, tmp_path):
         path = tmp_path / "marker.csv"
         path.write_text("eta,x_mm,y_mm,z_mm,dl_t_mm,T_N\n0,0,0,0,0,0\n\n1,1,1,1,1\n")
