@@ -145,7 +145,9 @@ def position_based_estimate(
     tip = np.asarray(tip, dtype=float)
     if tip.shape != (3,):
         raise ValidationError(f"tip must have shape (3,), got {tip.shape}")
-    height = float(np.linalg.norm(tip))
+    # The ddot that np.linalg.norm calls on a (3,) array, so the bits match;
+    # math.hypot and x*x+y*y+z*z round differently on some tips.
+    height = math.sqrt(tip.dot(tip))
     if not math.isfinite(height):
         raise DomainError(f"tip {tip.tolist()} has non-finite coordinates")
     if height == 0.0:
@@ -155,7 +157,7 @@ def position_based_estimate(
             f"tip norm {height:.6g} mm exceeds the neutral-fiber length "
             f"{geom.na_length:.6g} mm; no real cylinder radius exists"
         )
-    phi_truth = math.acos(min(max(tip[0] / height, -1.0), 1.0))
+    phi_truth = math.acos(min(max(float(tip[0]) / height, -1.0), 1.0))
     radius_sq = geom.na_length**2 - height**2
     two_pi_n = 2.0 * math.pi * geom.turn_count
     radius = math.sqrt(max(radius_sq, 0.0)) / two_pi_n

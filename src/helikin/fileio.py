@@ -9,10 +9,14 @@ tolerances used anywhere in the package. Writes are atomic
 
 CSV tables are formatted with one ``%`` call per file and parsed with one
 ``np.loadtxt`` call, which reads a cell to the same float64 as ``float()``.
+A dataset bundle formats each column that several of its files share (the
+index, strokes, noisy strokes and tensions) once and splices the text into
+every file; the bytes are those of writing each file on its own.
 Readers accept blank lines, CRLF or CR line endings and quoted cells such
 as ``"1.5"``; ``float()``'s underscore separators (``1_0``) are rejected.
-Every row must have as many cells as the header; a bad row raises
-ValidationError naming the path and its 1-based line in the file.
+A header column past the format's own is rejected. Every row must have as
+many cells as the header; a bad row raises ValidationError naming the
+path and its 1-based line in the file.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
 
 _FLOAT_FMT = "%.12g"
 _MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
+_JOINTS_HEADER = ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"]
 
 _TUBE_FIELDS = (
     "inner_radius",
@@ -191,8 +196,10 @@ def _read_table(
 ) -> np.ndarray:
     """Read a CSV of floats as an (n, columns) array after checking its header.
 
-    The header may omit the `optional` trailing columns. With `samples`, a
-    file with no data rows is rejected as having "no <samples>".
+    The header is `expected_header`, or `expected_header` without its
+    `optional` trailing columns; any other column after the required ones
+    is rejected. With `samples`, a file with no data rows is rejected as
+    having "no <samples>".
     """
     with open(path) as handle:
         first = handle.readline()
@@ -205,10 +212,11 @@ def _read_table(
                 f"{path}: expected header starting with {','.join(required)}, "
                 f"got {','.join(header)}"
             )
-        if optional and header[len(required):] not in ([], expected_header[len(required):]):
+        extra, allowed = header[len(required):], expected_header[len(required):]
+        if extra not in ([], allowed):
             raise ValidationError(
-                f"{path}: optional columns must be exactly "
-                f"{','.join(expected_header[len(required):])}"
+                f"{path}: unexpected columns {','.join(extra)} after {','.join(required)}"
+                + (f"; optional columns must be exactly {','.join(allowed)}" if allowed else "")
             )
         width = len(header)
         start = handle.tell()
@@ -245,12 +253,29 @@ def _bad_row(path: str | Path, lines: Iterable[str], width: int) -> str | None:
     return None
 
 
+def _format_column(values: np.ndarray) -> list[str]:
+    """A column's cells as %.12g text, to be shared by several tables."""
+    return [_FLOAT_FMT % v for v in values.tolist()]
+
+
+def _write_table(path: str | Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns under a header with one ``%`` call.
+
+    A column is either a float ndarray, formatted %.12g by that call, or a
+    list of cells that :func:`_format_column` already formatted, spliced in
+    as they are.
+    """
+    k, n = len(columns), len(columns[0])
+    cells = [None] * (n * k)
+    for j, column in enumerate(columns):
+        cells[j::k] = column.tolist() if isinstance(column, np.ndarray) else column
+    row = ",".join(_FLOAT_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    atomic_write_text(path, ",".join(header) + "\n" + (row * n) % tuple(cells))
+
+
 def write_table_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns under a header, every cell as %.12g."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join([_FLOAT_FMT] * len(header)) + "\n"
-    text = (row * len(table)) % tuple(table.ravel().tolist())
-    atomic_write_text(path, ",".join(header) + "\n" + text)
+    _write_table(path, header, [np.asarray(c, dtype=float) for c in columns])
 
 
 def write_backbone_csv(path: str | Path, curve: BackboneCurve) -> None:
@@ -280,9 +305,13 @@ def write_joints_csv(
     A row the batch rejected keeps its stroke and tension; its R, H and phi
     are the batch's nan and its theta is written as nan too.
     """
+    write_table_csv(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, batch, roll))
+
+
+def _joints_columns(strokes, tensions, batch: JointBatch, roll: float) -> list:
+    """The joints.csv columns, with strokes and tensions passed on as given."""
     theta = np.where(batch.ok, roll, math.nan)
-    columns = [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
-    write_table_csv(path, ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"], columns)
+    return [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -365,24 +394,30 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     atomic_write_text(path, json.dumps(spec_payload, indent=2, sort_keys=True) + "\n")
     written.append(path)
 
-    path = directory / "joints.csv"
-    write_joints_csv(path, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
-    written.append(path)
-
-    index = dataset.sample_index()
+    # Each column that several files share is formatted once: the strokes
+    # and tensions (joints.csv has all rows, the others the accepted ones),
+    # the index and the noisy strokes. Point columns are formatted per file.
     ok = dataset.batch.ok
-    path = directory / "tip.csv"
-    write_marker_csv(path, index[ok], dataset.tips_true[ok], dataset.strokes[ok], dataset.tensions[ok])
+    rows = np.flatnonzero(ok).tolist()
+    strokes = _format_column(dataset.strokes)
+    tensions = _format_column(dataset.tensions)
+    path = directory / "joints.csv"
+    _write_table(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, dataset.batch, dataset.roll))
     written.append(path)
 
+    index = _format_column(dataset.sample_index()[ok])
+    tensions_ok = [tensions[i] for i in rows]
+    truth_actuation = [[strokes[i] for i in rows], tensions_ok]
+    noisy_actuation = [_format_column(dataset.strokes_noisy[ok]), tensions_ok]
+
+    def write_markers(name: str, points: np.ndarray, actuation: list) -> None:
+        path = directory / name
+        _write_table(path, _MARKER_HEADER, [index, *points[ok].T, *actuation])
+        written.append(path)
+
+    write_markers("tip.csv", dataset.tips_true, truth_actuation)
     for s in dataset.marker_arclengths:
         tag = _marker_file_tag(s)
-        path = directory / f"marker_{tag}.csv"
-        write_marker_csv(
-            path, index[ok], dataset.tracks_noisy[s][ok], dataset.strokes_noisy[ok], dataset.tensions[ok]
-        )
-        written.append(path)
-        path = directory / f"marker_{tag}_truth.csv"
-        write_marker_csv(path, index[ok], dataset.tracks_true[s][ok], dataset.strokes[ok], dataset.tensions[ok])
-        written.append(path)
+        write_markers(f"marker_{tag}.csv", dataset.tracks_noisy[s], noisy_actuation)
+        write_markers(f"marker_{tag}_truth.csv", dataset.tracks_true[s], truth_actuation)
     return written

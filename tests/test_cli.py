@@ -380,6 +380,19 @@ class TestClearanceCommand:
         )
         assert code == 2
 
+    def test_curve_with_an_extra_column_exits_2(self, tmp_path, spec_file, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        curve_csv.write_text("s_mm,x_mm,y_mm,z_mm,foo\n0,0,0,0,1\n1,1,0,0,1\n")
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(
+            json.dumps({"axis_point_mm": [0.0, 10.0, 0.0], "axis_direction": [1.0, 0.0, 0.0], "radius_mm": 4.0})
+        )
+        code = main(
+            ["clearance", "--spec", spec_file, "--curve", str(curve_csv), "--phantom", str(phantom)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {curve_csv}: unexpected columns foo after s_mm,x_mm,y_mm,z_mm\n"
+
 
 class TestPlotCommand:
     def test_renders_svg(self, tmp_path, spec_file):

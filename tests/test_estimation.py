@@ -192,6 +192,45 @@ class TestPositionBasedEstimate:
         with pytest.raises(DomainError):
             position_based_estimate(np.zeros(3), geom)
 
+    @staticmethod
+    def _reference(tip, geom):
+        """The estimate with the height taken from np.linalg.norm."""
+        tip = np.asarray(tip, dtype=float)
+        height = float(np.linalg.norm(tip))
+        phi_truth = math.acos(min(max(tip[0] / height, -1.0), 1.0))
+        two_pi_n = 2.0 * math.pi * geom.turn_count
+        radius = math.sqrt(max(geom.na_length**2 - height**2, 0.0)) / two_pi_n
+        phi_model = math.atan2(two_pi_n * (radius - geom.composite_na_offset), height)
+        return (height, phi_truth, radius, phi_model)
+
+    def _assert_bit_equal(self, tip, geom):
+        got = dataclasses.astuple(position_based_estimate(tip, geom))
+        assert all(type(v) is float for v in got)
+        assert got == self._reference(tip, geom)
+
+    # Each coordinate within L / sqrt(3) keeps the tip norm within L; the
+    # filter keeps it away from the origin, where the square underflows.
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-0.577, 0.577)] * 3).filter(lambda f: max(map(abs, f)) > 1e-6),
+        st.sampled_from([1.0, 1e-3, 1e-9]),
+    )
+    def test_bit_equal_to_the_norm_reference(self, geom, fractions, scale):
+        self._assert_bit_equal(np.array(fractions) * scale * geom.na_length, geom)
+
+    @pytest.mark.parametrize(
+        "tip",
+        [
+            np.array([[40.5, -1.0, 20.25, -1.0, -10.125, -1.0]])[0, ::2],
+            np.array([[40.5, 7.0], [20.25, 7.0], [-10.125, 7.0]])[:, 0],
+            [40.5, 20.25, -10.125],
+            np.array([40, 20, -10]),
+        ],
+        ids=["strided-row", "column", "list", "int-array"],
+    )
+    def test_bit_equal_for_views_lists_and_ints(self, geom, tip):
+        self._assert_bit_equal(tip, geom)
+
 
 class TestMetrics:
     def test_identical_sequences(self):

@@ -283,6 +283,24 @@ class TestCsvReaderSyntax:
         with pytest.raises(ValidationError, match="optional columns must be exactly dl_t_mm,T_N"):
             fileio.read_tip_csv(path)
 
+    @pytest.mark.parametrize(
+        "reader, header",
+        [
+            (fileio.read_backbone_csv, "s_mm,x_mm,y_mm,z_mm"),
+            (fileio.read_marker_csv, "eta,x_mm,y_mm,z_mm"),
+            (fileio.read_marker_csv, "eta,x_mm,y_mm,z_mm,dl_t_mm,T_N"),
+            (fileio.read_tip_csv, "eta,x_mm,y_mm,z_mm,dl_t_mm,T_N"),
+            (fileio.read_strokes_csv, "dl_t_mm"),
+            (fileio.read_strokes_csv, "dl_t_mm,T_N"),
+        ],
+    )
+    def test_column_past_the_header_rejected(self, tmp_path, reader, header):
+        path = tmp_path / "table.csv"
+        width = header.count(",") + 2
+        path.write_text(f"{header},foo\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(ValidationError, match="unexpected columns .*foo after"):
+            reader(path)
+
     def test_bad_marker_row_after_blank_lines(self, tmp_path):
         path = tmp_path / "marker.csv"
         path.write_text("eta,x_mm,y_mm,z_mm,dl_t_mm,T_N\n0,0,0,0,0,0\n\n1,1,1,1,1\n")
@@ -463,6 +481,54 @@ class TestDatasetBundle:
         )
         for a, b in zip(sorted(files_a), sorted(files_b)):
             assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _reference_bundle(directory, dataset):
+        """The CSV files of a bundle, each written by its public writer."""
+        directory.mkdir()
+        index, ok = dataset.sample_index(), dataset.batch.ok
+        strokes, tensions = dataset.strokes, dataset.tensions
+        fileio.write_joints_csv(directory / "joints.csv", strokes, tensions, dataset.batch, dataset.roll)
+        fileio.write_marker_csv(directory / "tip.csv", index[ok], dataset.tips_true[ok], strokes[ok], tensions[ok])
+        for s in dataset.marker_arclengths:
+            tag = ("%.12g" % s).replace(".", "p")
+            fileio.write_marker_csv(
+                directory / f"marker_{tag}.csv",
+                index[ok], dataset.tracks_noisy[s][ok], dataset.strokes_noisy[ok], tensions[ok],
+            )
+            fileio.write_marker_csv(
+                directory / f"marker_{tag}_truth.csv",
+                index[ok], dataset.tracks_true[s][ok], strokes[ok], tensions[ok],
+            )
+
+    @pytest.mark.parametrize(
+        "profile, markers, noisy",
+        [
+            # 9 mm is past the largest valid stroke: rejected rows in the middle.
+            ([(0.0, 0.0), (1.5, 2.0), (9.0, 1.0), (2.5, 0.5), (math.nan, 0.0), (3.0, 9.5)], [18.24, 63.61], True),
+            ([(0.0, 0.0), (1.5, 2.0), (9.0, 1.0), (2.5, 0.5), (math.nan, 0.0), (3.0, 9.5)], [18.24, 63.61], False),
+            ([(9.0, 0.0), (math.nan, 0.0), (12.0, 3.0)], [33.2], True),
+            ([(1.5, 2.0)], [33.2], True),
+            ([(1.5, 2.0)], [18.24, 63.61], False),
+            (None, [18.24, 63.61], True),
+        ],
+        ids=["noise-rejected-middle", "no-noise-rejected-middle", "all-rejected", "one-sample", "one-sample-no-noise", "random-200"],
+    )
+    def test_bundle_bytes_match_the_per_file_writers(self, tmp_path, tube, tendon, geom, profile, markers, noisy):
+        if profile is None:
+            rng = np.random.default_rng(5)
+            profile = list(zip(rng.uniform(0.0, 8.0, 200).tolist(), rng.uniform(0.0, 10.0, 200).tolist()))
+        noise = NoiseSpec(position_sigma=0.3, stroke_sigma=0.05, seed=17) if noisy else NoiseSpec(seed=17)
+        dataset = synthetic_sweep(geom, tendon, profile, markers, noise, -1.3, tube)
+        files = fileio.write_dataset_bundle(tmp_path / "bundle", dataset)
+        self._reference_bundle(tmp_path / "reference", dataset)
+        csvs = [f for f in files if f.suffix == ".csv"]
+        assert sorted(f.name for f in csvs) == sorted(f.name for f in (tmp_path / "reference").iterdir())
+        for f in csvs:
+            assert f.read_bytes() == (tmp_path / "reference" / f.name).read_bytes(), f.name
+        ok = dataset.batch.ok
+        if noisy and ok.any():
+            assert not np.array_equal(dataset.strokes_noisy[ok], dataset.strokes[ok])
 
     def test_bundle_files_feed_downstream_readers(self, tmp_path, tube, tendon, geom):
         profile = [(float(v), 0.0) for v in np.linspace(0.0, 3.0, 5)]
