@@ -9,9 +9,9 @@ tolerances used anywhere in the package. Writes are atomic
 
 CSV tables are formatted with one ``%`` call per file and parsed with one
 ``np.loadtxt`` call, which reads a cell to the same float64 as ``float()``.
-A dataset bundle formats each column that several of its files share (the
-index, strokes, noisy strokes and tensions) once and splices the text into
-every file; the bytes are those of writing each file on its own.
+In a dataset bundle, the columns that the tip and marker files share (the
+index, strokes, noisy strokes and tensions) are formatted once for all of
+them; the bytes are those of writing each file on its own.
 Readers accept blank lines, CRLF or CR line endings and quoted cells such
 as ``"1.5"``; ``float()``'s underscore separators (``1_0``) are rejected.
 A header column past the format's own is rejected. Every row must have as
@@ -61,7 +61,6 @@ __all__ = [
 
 _FLOAT_FMT = "%.12g"
 _MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
-_JOINTS_HEADER = ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"]
 
 _TUBE_FIELDS = (
     "inner_radius",
@@ -254,28 +253,28 @@ def _bad_row(path: str | Path, lines: Iterable[str], width: int) -> str | None:
 
 
 def _format_column(values: np.ndarray) -> list[str]:
-    """A column's cells as %.12g text, to be shared by several tables."""
+    """A column's cells as %.12g text, for a column that several files share."""
     return [_FLOAT_FMT % v for v in values.tolist()]
 
 
-def _write_table(path: str | Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns under a header with one ``%`` call.
+def _table(header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns under a header, from one ``%`` call.
 
     A column is either a float ndarray, formatted %.12g by that call, or a
-    list of cells that :func:`_format_column` already formatted, spliced in
-    as they are.
+    list of strings spliced in as they are.
     """
     k, n = len(columns), len(columns[0])
     cells = [None] * (n * k)
     for j, column in enumerate(columns):
         cells[j::k] = column.tolist() if isinstance(column, np.ndarray) else column
+    cells = tuple(cells)  # frees the list before the text is built
     row = ",".join(_FLOAT_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-    atomic_write_text(path, ",".join(header) + "\n" + (row * n) % tuple(cells))
+    return (",".join(header).replace("%", "%%") + "\n" + row * n) % cells
 
 
 def write_table_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length columns under a header, every cell as %.12g."""
-    _write_table(path, header, [np.asarray(c, dtype=float) for c in columns])
+    atomic_write_text(path, _table(header, [np.asarray(c, dtype=float) for c in columns]))
 
 
 def write_backbone_csv(path: str | Path, curve: BackboneCurve) -> None:
@@ -305,13 +304,9 @@ def write_joints_csv(
     A row the batch rejected keeps its stroke and tension; its R, H and phi
     are the batch's nan and its theta is written as nan too.
     """
-    write_table_csv(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, batch, roll))
-
-
-def _joints_columns(strokes, tensions, batch: JointBatch, roll: float) -> list:
-    """The joints.csv columns, with strokes and tensions passed on as given."""
     theta = np.where(batch.ok, roll, math.nan)
-    return [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
+    columns = [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
+    write_table_csv(path, ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"], columns)
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -394,30 +389,38 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     atomic_write_text(path, json.dumps(spec_payload, indent=2, sort_keys=True) + "\n")
     written.append(path)
 
-    # Each column that several files share is formatted once: the strokes
-    # and tensions (joints.csv has all rows, the others the accepted ones),
-    # the index and the noisy strokes. Point columns are formatted per file.
-    ok = dataset.batch.ok
-    rows = np.flatnonzero(ok).tolist()
-    strokes = _format_column(dataset.strokes)
-    tensions = _format_column(dataset.tensions)
     path = directory / "joints.csv"
-    _write_table(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, dataset.batch, dataset.roll))
+    write_joints_csv(path, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
     written.append(path)
 
-    index = _format_column(dataset.sample_index()[ok])
-    tensions_ok = [tensions[i] for i in rows]
-    truth_actuation = [[strokes[i] for i in rows], tensions_ok]
-    noisy_actuation = [_format_column(dataset.strokes_noisy[ok]), tensions_ok]
+    ok = dataset.batch.ok
+    truth, noisy = _marker_templates(dataset, ok)
 
-    def write_markers(name: str, points: np.ndarray, actuation: list) -> None:
+    def write_markers(name: str, template: str, points: np.ndarray) -> None:
         path = directory / name
-        _write_table(path, _MARKER_HEADER, [index, *points[ok].T, *actuation])
+        atomic_write_text(path, template % tuple(points[ok].ravel().tolist()))
         written.append(path)
 
-    write_markers("tip.csv", dataset.tips_true, truth_actuation)
+    write_markers("tip.csv", truth, dataset.tips_true)
     for s in dataset.marker_arclengths:
         tag = _marker_file_tag(s)
-        write_markers(f"marker_{tag}.csv", dataset.tracks_noisy[s], noisy_actuation)
-        write_markers(f"marker_{tag}_truth.csv", dataset.tracks_true[s], truth_actuation)
+        write_markers(f"marker_{tag}.csv", noisy, dataset.tracks_noisy[s])
+        write_markers(f"marker_{tag}_truth.csv", truth, dataset.tracks_true[s])
     return written
+
+
+def _marker_templates(dataset: SyntheticDataset, ok: np.ndarray) -> tuple[str, str]:
+    """The bundle's truth and noisy marker CSVs, each point coordinate a %.12g slot.
+
+    The index, stroke and tension columns that the tip and marker files
+    share are formatted here once. The joints.csv strokes and tensions are
+    not reused: holding them as text while joints.csv is formatted raised
+    the write's memory peak above that of writing each file on its own.
+    """
+    index = _format_column(dataset.sample_index()[ok])
+    tensions = _format_column(dataset.tensions[ok])
+    slot = [_FLOAT_FMT] * len(index)
+    return tuple(
+        _table(_MARKER_HEADER, [index, slot, slot, slot, _format_column(strokes[ok]), tensions])
+        for strokes in (dataset.strokes, dataset.strokes_noisy)
+    )

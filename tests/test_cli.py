@@ -385,13 +385,14 @@ class TestClearanceCommand:
         curve_csv.write_text("s_mm,x_mm,y_mm,z_mm,foo\n0,0,0,0,1\n1,1,0,0,1\n")
         phantom = tmp_path / "phantom.json"
         phantom.write_text(
-            json.dumps({"axis_point_mm": [0.0, 10.0, 0.0], "axis_direction": [1.0, 0.0, 0.0], "radius_mm": 4.0})
+            json.dumps({"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": 4})
         )
         code = main(
             ["clearance", "--spec", spec_file, "--curve", str(curve_csv), "--phantom", str(phantom)]
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {curve_csv}: unexpected columns foo after s_mm,x_mm,y_mm,z_mm\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {curve_csv}: unexpected columns foo after s_mm,x_mm,y_mm,z_mm\n"
 
 
 class TestPlotCommand:

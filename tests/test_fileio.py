@@ -419,6 +419,11 @@ class TestTableWriterParity:
         expected = "".join(line + "\n" for line in [",".join(header)] + rows)
         assert path.read_text() == expected
 
+    def test_percent_sign_in_header_written_as_is(self, tmp_path):
+        path = tmp_path / "table.csv"
+        fileio.write_table_csv(path, ["share_%", "%s"], [np.array([0.5]), np.array([2.0])])
+        assert path.read_text() == "share_%,%s\n0.5,2\n"
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -489,7 +494,9 @@ class TestDatasetBundle:
         index, ok = dataset.sample_index(), dataset.batch.ok
         strokes, tensions = dataset.strokes, dataset.tensions
         fileio.write_joints_csv(directory / "joints.csv", strokes, tensions, dataset.batch, dataset.roll)
-        fileio.write_marker_csv(directory / "tip.csv", index[ok], dataset.tips_true[ok], strokes[ok], tensions[ok])
+        fileio.write_marker_csv(
+            directory / "tip.csv", index[ok], dataset.tips_true[ok], strokes[ok], tensions[ok]
+        )
         for s in dataset.marker_arclengths:
             tag = ("%.12g" % s).replace(".", "p")
             fileio.write_marker_csv(
@@ -501,20 +508,23 @@ class TestDatasetBundle:
                 index[ok], dataset.tracks_true[s][ok], strokes[ok], tensions[ok],
             )
 
+    # 9 mm is past the largest valid stroke, so rows 2 and 4 are rejected.
+    _REJECTS_IN_THE_MIDDLE = [(0.0, 0.0), (1.5, 2.0), (9.0, 1.0), (2.5, 0.5), (math.nan, 0.0), (3.0, 9.5)]
+
     @pytest.mark.parametrize(
         "profile, markers, noisy",
         [
-            # 9 mm is past the largest valid stroke: rejected rows in the middle.
-            ([(0.0, 0.0), (1.5, 2.0), (9.0, 1.0), (2.5, 0.5), (math.nan, 0.0), (3.0, 9.5)], [18.24, 63.61], True),
-            ([(0.0, 0.0), (1.5, 2.0), (9.0, 1.0), (2.5, 0.5), (math.nan, 0.0), (3.0, 9.5)], [18.24, 63.61], False),
-            ([(9.0, 0.0), (math.nan, 0.0), (12.0, 3.0)], [33.2], True),
-            ([(1.5, 2.0)], [33.2], True),
-            ([(1.5, 2.0)], [18.24, 63.61], False),
-            (None, [18.24, 63.61], True),
+            pytest.param(_REJECTS_IN_THE_MIDDLE, [18.24, 63.61], True, id="noise-rejected-middle"),
+            pytest.param(_REJECTS_IN_THE_MIDDLE, [18.24, 63.61], False, id="no-noise-rejected-middle"),
+            pytest.param([(9.0, 0.0), (math.nan, 0.0), (12.0, 3.0)], [33.2], True, id="all-rejected"),
+            pytest.param([(1.5, 2.0)], [33.2], True, id="one-sample"),
+            pytest.param([(1.5, 2.0)], [18.24, 63.61], False, id="one-sample-no-noise"),
+            pytest.param(None, [18.24, 63.61], True, id="random-200"),
         ],
-        ids=["noise-rejected-middle", "no-noise-rejected-middle", "all-rejected", "one-sample", "one-sample-no-noise", "random-200"],
     )
-    def test_bundle_bytes_match_the_per_file_writers(self, tmp_path, tube, tendon, geom, profile, markers, noisy):
+    def test_bundle_bytes_match_the_per_file_writers(
+        self, tmp_path, tube, tendon, geom, profile, markers, noisy
+    ):
         if profile is None:
             rng = np.random.default_rng(5)
             profile = list(zip(rng.uniform(0.0, 8.0, 200).tolist(), rng.uniform(0.0, 10.0, 200).tolist()))
