@@ -7,11 +7,14 @@ deflection and a roll angle, fully determine the deployed shape, and
 translating the tube out of its stiff sheath while rotating it
 synchronously yields follow-the-leader deployment along a fixed helix.
 
-Subpackages by pipeline stage: :mod:`~helikin.geometry` (machined-pattern
+Modules by pipeline stage: :mod:`~helikin.geometry` (machined-pattern
 constants), :mod:`~helikin.kinematics` (actuation to 3-D shape),
 :mod:`~helikin.estimation` (joint-state estimators and error metrics),
 :mod:`~helikin.simulation` (synthetic experiments, FTL fidelity,
-clearance), :mod:`~helikin.cli` (file-based command-line front end).
+clearance). Around them: :mod:`~helikin.presets` (the reference device),
+:mod:`~helikin.errors` (exception classes), :mod:`~helikin.fileio` (JSON
+and CSV formats), :mod:`~helikin.svgplot` (SVG plots) and
+:mod:`~helikin.cli` (file-based command-line front end).
 """
 
 from .errors import (

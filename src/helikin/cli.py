@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 validation failure (bad spec/file/arguments),
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import math
 import os
 import sys
@@ -22,13 +22,8 @@ import numpy as np
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import _overlap_grid, position_based_estimate, repeatability_compare, stroke_based_estimate
-from .geometry import TendonSpec, TubeSpec, derive_geometry, pattern_consistency
-from .kinematics import (
-    DEFAULT_BACKBONE_SAMPLES,
-    backbone_samples,
-    forward_kinematics,
-    joint_from_actuation,
-)
+from .geometry import DerivedGeometry, TendonSpec, TubeSpec, derive_geometry, pattern_consistency
+from .kinematics import DEFAULT_BACKBONE_SAMPLES, JointState, backbone_samples, forward_kinematics, joint_from_actuation
 from .simulation import (
     DEFAULT_ETA_STEPS,
     NoiseSpec,
@@ -110,11 +105,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
     profile = _stroke_profile(args)
-    markers = (
-        [float(v) for v in args.markers.split(",")]
-        if args.markers
-        else list(presets.MARKER_ARCLENGTHS_MM)
-    )
+    markers = list(presets.MARKER_ARCLENGTHS_MM)
+    if args.markers is not None:
+        markers = []
+        for cell in args.markers.split(","):
+            try:
+                markers.append(float(cell))
+            except ValueError:
+                raise ValidationError(f"--markers: not an arc length: {cell!r}") from None
     noise = NoiseSpec(
         position_sigma=args.noise_sigma, stroke_sigma=args.stroke_sigma, seed=args.seed
     )
@@ -134,20 +132,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ftl_stage(joint: JointState, geom: DerivedGeometry, grid: np.ndarray, tip_path: str | Path) -> tuple:
+    """Deploy over an eta grid, write the tip CSV and return (tip, bodies, fidelity)."""
+    tip, bodies = ftl_run(joint, geom, grid)
+    fileio.write_tip_csv(tip_path, tip)
+    return tip, bodies, ftl_fidelity(tip, forward_kinematics(joint, geom, grid * geom.na_length))
+
+
 def cmd_ftl(args: argparse.Namespace) -> int:
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
     joint = joint_from_actuation(args.stroke, args.tension, tendon, geom, math.radians(args.theta_deg))
     grid = default_eta_grid(args.eta_steps)
-    tip, bodies = ftl_run(joint, geom, grid)
-    fileio.write_tip_csv(args.output, tip)
+    _, bodies, fidelity = _ftl_stage(joint, geom, grid, args.output)
     if args.bodies_dir:
         directory = Path(args.bodies_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for eta, body in zip(grid, bodies):
             fileio.write_backbone_csv(directory / f"body_eta_{eta:.4f}.csv", body)
-    final = forward_kinematics(joint, geom, grid * geom.na_length)
-    fidelity = ftl_fidelity(tip, final)
     print(
         f"FTL run over {len(grid)} eta steps; tip-vs-body max distance "
         f"{fidelity.max_distance:.3e} mm -> {args.output}"
@@ -159,7 +161,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
     if args.method == "stroke":
-        if _has_marker_header(args.input):
+        if _first_cell(args.input) == "eta":
             data = fileio.read_marker_csv(args.input)
             if data["strokes"] is None:
                 raise ValidationError(
@@ -198,10 +200,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 3 if n and len(failures) == n else 0
 
 
-def _has_marker_header(path: str) -> bool:
+def _first_cell(path: str) -> str:
+    """The first header cell of a CSV, which tells its kind, parsed as the readers parse it."""
     with open(path, newline="") as handle:
-        first = handle.readline().strip()
-    return first.startswith("eta,")
+        return (next(csv.reader(handle), None) or [""])[0]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -224,8 +226,7 @@ def cmd_clearance(args: argparse.Namespace) -> int:
         tube, _ = _load_specs(args.spec)
         tube_radius = tube.outer_radius
     clearance, collides = phantom_clearance(curve, phantom, tube_radius)
-    payload = {"min_clearance_mm": clearance, "collides": collides}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = fileio.render_json({"min_clearance_mm": clearance, "collides": collides})
     sys.stdout.write(text)
     if args.output:
         fileio.atomic_write_text(args.output, text)
@@ -236,9 +237,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     curves = []
     names = []
     for path in args.curves:
-        with open(path, newline="") as handle:
-            header = handle.readline().strip()
-        if header.startswith("s_mm"):
+        if _first_cell(path) == "s_mm":
             curves.append(fileio.read_backbone_csv(path).points)
         else:
             curves.append(fileio.read_tip_csv(path).points)
@@ -249,12 +248,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    # Every argument is checked before the first file is written.
     noise = NoiseSpec(seed=args.seed)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     tube, tendon = _load_specs(args.spec)
     geom = derive_geometry(tube)
     theta = math.radians(args.theta_deg)
+    joint = joint_from_actuation(args.stroke, 0.0, tendon, geom, theta)
+    grid = default_eta_grid(args.eta_steps)
+    phantom = phantom_on_cylinder_axis(joint, geom, args.phantom_radius)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # stage 1: geometry
     fileio.atomic_write_text(outdir / "derived_geometry.json", fileio.dump_derived_geometry(geom))
@@ -267,21 +270,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     fileio.write_joints_csv(outdir / "joints.csv", dataset.strokes, dataset.tensions, dataset.batch, theta)
 
-    # stage 3: deployed shape and FTL run at the final stroke
-    joint = joint_from_actuation(args.stroke, 0.0, tendon, geom, theta)
-    backbone = forward_kinematics(joint, geom, backbone_samples(geom.na_length, DEFAULT_BACKBONE_SAMPLES))
+    # stage 3: FTL run at the final stroke; the body at eta = 1 is the
+    # deployed shape on ftl_run's 129-sample master grid.
+    tip, bodies, fidelity = _ftl_stage(joint, geom, grid, outdir / "tip.csv")
+    backbone = bodies[-1]
     fileio.write_backbone_csv(outdir / "backbone.csv", backbone)
-    grid = default_eta_grid(args.eta_steps)
-    tip, bodies = ftl_run(joint, geom, grid)
-    fileio.write_tip_csv(outdir / "tip.csv", tip)
-    final = forward_kinematics(joint, geom, grid * geom.na_length)
-    fidelity = ftl_fidelity(tip, final)
     svgplot.write_curves_svg(
         outdir / "shape.svg", [backbone.points, tip.points], ["backbone", "tip trace"]
     )
 
     # stage 4: clearance against a phantom on the imaginary-cylinder axis
-    phantom = phantom_on_cylinder_axis(joint, geom, args.phantom_radius)
     fileio.atomic_write_text(outdir / "phantom.json", fileio.dump_phantom_spec(phantom))
     clearances = np.array(
         [phantom_clearance(body, phantom, tube.outer_radius)[0] for body in bodies]
@@ -300,17 +298,22 @@ def cmd_demo(args: argparse.Namespace) -> int:
         "min_clearance_mm": float(np.min(clearances)),
         "clearance_positive_everywhere": bool(np.all(clearances > 0.0)),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    text = fileio.render_json(summary)
     fileio.atomic_write_text(outdir / "demo.json", text)
     sys.stdout.write(text)
     return 0
 
 
-def _add_spec_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--spec",
-        help=f"tube/tendon spec JSON; defaults to ${SPEC_PATH_ENV} or the bundled device",
-    )
+def _command(sub, name: str, func, help: str, description: str = _UNITS_NOTE, spec: bool = True):
+    """Add subcommand ``name`` running ``func``, with the --spec option unless ``spec`` is False."""
+    parser = sub.add_parser(name, help=help, description=description)
+    if spec:
+        parser.add_argument(
+            "--spec",
+            help=f"tube/tendon spec JSON; defaults to ${SPEC_PATH_ENV} or the bundled device",
+        )
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,17 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "geometry", help="derive neutral-axis constants", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "geometry", cmd_geometry, "derive neutral-axis constants")
     p.add_argument("-o", "--output", help="write derived-geometry JSON here (mm)")
-    p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser(
-        "shape", help="backbone curve for one actuation", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "shape", cmd_shape, "backbone curve for one actuation")
     p.add_argument("--stroke", type=float, required=True, help="tendon stroke, mm")
     p.add_argument("--tension", type=float, default=0.0, help="tendon tension, N")
     p.add_argument("--theta-deg", type=float, default=0.0, help="roll angle theta, deg")
@@ -338,12 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=DEFAULT_BACKBONE_SAMPLES, help="arc-length samples"
     )
     p.add_argument("-o", "--output", required=True, help="backbone CSV (s_mm,x_mm,y_mm,z_mm)")
-    p.set_defaults(func=cmd_shape)
 
-    p = sub.add_parser(
-        "sweep", help="joint states over a stroke profile", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "sweep", cmd_sweep, "joint states over a stroke profile")
     p.add_argument("--strokes", help="actuation CSV (dl_t_mm[,T_N])")
     p.add_argument("--stroke-max", type=float, help="linear ramp 0..stroke-max, mm")
     p.add_argument("--steps", type=int, default=17, help="samples in the ramp")
@@ -355,71 +347,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--dataset-dir", help="also write the full dataset bundle here")
     p.add_argument("-o", "--output", required=True, help="joint CSV (dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "ftl", help="follow-the-leader deployment run", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "ftl", cmd_ftl, "follow-the-leader deployment run")
     p.add_argument("--stroke", type=float, required=True, help="tendon stroke, mm")
     p.add_argument("--tension", type=float, default=0.0, help="tendon tension, N")
     p.add_argument("--theta-deg", type=float, default=0.0, help="roll angle theta, deg")
     p.add_argument("--eta-steps", type=int, default=DEFAULT_ETA_STEPS, help="progression steps")
     p.add_argument("--bodies-dir", help="write each exposed backbone CSV here")
     p.add_argument("-o", "--output", required=True, help="tip CSV (eta,x_mm,y_mm,z_mm)")
-    p.set_defaults(func=cmd_ftl)
 
-    p = sub.add_parser(
-        "estimate", help="joint-state estimation from logs", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "estimate", cmd_estimate, "joint-state estimation from logs")
     p.add_argument(
         "--method", choices=["stroke", "position"], required=True, help="estimation method"
     )
     p.add_argument("--theta-deg", type=float, default=0.0, help="roll angle theta, deg (stroke method)")
     p.add_argument("-i", "--input", required=True, help="input CSV (see README for formats)")
     p.add_argument("-o", "--output", required=True, help="output CSV")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser(
-        "compare", help="trajectory error metrics", description=_UNITS_NOTE
-    )
+    p = _command(sub, "compare", cmd_compare, "trajectory error metrics", spec=False)
     p.add_argument("trajectory_a", help="first trajectory CSV (eta,x_mm,y_mm,z_mm)")
     p.add_argument("trajectory_b", help="second trajectory CSV (eta,x_mm,y_mm,z_mm)")
     p.add_argument("--per-sample", help="write per-sample distance CSV here (mm)")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "clearance", help="curve-to-phantom clearance", description=_UNITS_NOTE
-    )
-    _add_spec_option(p)
+    p = _command(sub, "clearance", cmd_clearance, "curve-to-phantom clearance")
     p.add_argument("--curve", required=True, help="backbone CSV (s_mm,x_mm,y_mm,z_mm)")
     p.add_argument("--phantom", required=True, help="phantom JSON (axis_point_mm, axis_direction, radius_mm)")
     p.add_argument("--tube-radius", type=float, help="tube outer radius, mm (default: from spec)")
     p.add_argument("-o", "--output", help="also write the clearance JSON here")
-    p.set_defaults(func=cmd_clearance)
 
-    p = sub.add_parser(
-        "plot", help="render curves to SVG", description=_UNITS_NOTE
-    )
+    p = _command(sub, "plot", cmd_plot, "render curves to SVG", spec=False)
     p.add_argument("curves", nargs="+", help="curve CSVs (backbone or trajectory)")
     p.add_argument("-o", "--output", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser(
-        "demo",
-        help="full pipeline on the bundled device spec",
-        description="geometry -> sweep -> FTL -> clearance against a phantom on the "
-        "imaginary-cylinder axis. " + _UNITS_NOTE,
-    )
-    _add_spec_option(p)
+    stages = "geometry -> sweep -> FTL -> clearance against a phantom on the imaginary-cylinder axis. "
+    p = _command(sub, "demo", cmd_demo, "full pipeline on the bundled device spec", stages + _UNITS_NOTE)
     p.add_argument("--outdir", default="helikin_demo", help="output directory")
     p.add_argument("--stroke", type=float, default=4.25, help="deployment stroke, mm")
     p.add_argument("--theta-deg", type=float, default=0.0, help="roll angle theta, deg")
     p.add_argument("--eta-steps", type=int, default=DEFAULT_ETA_STEPS, help="progression steps")
     p.add_argument("--phantom-radius", type=float, default=4.0, help="phantom radius, mm")
     p.add_argument("--seed", type=int, default=0, help="noise seed (demo data is noiseless)")
-    p.set_defaults(func=cmd_demo)
 
     return parser
 

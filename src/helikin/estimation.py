@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
-from .kinematics import JointBatch, JointState, TipTrajectory, actuation_failures, joints_from_actuation
+from .kinematics import JointBatch, JointState, TipTrajectory, _check_roll, actuation_failures, joints_from_actuation
 
 __all__ = [
     "EstimateResult",
@@ -121,8 +121,10 @@ def stroke_based_estimate(
     model's domain: a failed sample has joint None and phi nan, and
     ``failures`` pairs its index with the scalar map's error message.
     n comes from ``geom``; a turn count that is given only has to match it.
+    A non-finite ``roll`` raises ValidationError.
     """
     _check_turn_count(geom, turn_count)
+    _check_roll(roll)
     pairs = list(actuation)
     strokes = [p[0] for p in pairs]
     tensions = [p[1] for p in pairs]

@@ -1,5 +1,11 @@
 """File formats: JSON specs and CSV curves/trajectories/joint sweeps.
 
+Every JSON text is rendered by :func:`render_json` (two-space indent,
+sorted keys, final newline). The tube, tendon and phantom readers share
+one field reader: a spec that is no JSON object, lacks a field, or holds
+a string, true/false or null where a number or a list of numbers belongs
+raises ValidationError.
+
 All files use millimeters, newtons and radians, except the tube JSON where
 the remaining half-angle is written in degrees (converted on load) and the
 tendon JSON which keeps its customary m^2 / GPa units. Floats are written
@@ -27,7 +33,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +45,7 @@ from .kinematics import BackboneCurve, JointBatch, TipTrajectory
 from .simulation import PhantomSpec, SyntheticDataset
 
 __all__ = [
+    "render_json",
     "atomic_write_text",
     "load_device_spec",
     "dump_tube_spec",
@@ -62,19 +69,34 @@ __all__ = [
 _FLOAT_FMT = "%.12g"
 _MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
 
-_TUBE_FIELDS = (
-    "inner_radius",
-    "outer_radius",
-    "notch_axial_width",
-    "notch_circumferential_extent",
-    "bridge_length",
-    "circumferential_offset",
-    "patterned_length",
-    "remaining_half_angle",
-    "turn_count",
-    "tendon_radius",
-)
-_TENDON_FIELDS = ("total_length", "cross_section_area", "elastic_modulus")
+
+def _number(value) -> float:
+    """A JSON number as a float; a string, true/false, null, list or object raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _vector(value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {json.dumps(value)}")
+    return np.array([_number(v) for v in value])
+
+
+# Conversions on load other than _number, by JSON field. The tube JSON keeps
+# the half-angle in degrees. The turn count goes to TubeSpec as read, which
+# rejects 1.5 and true instead of truncating them.
+_CONVERSIONS = {
+    "remaining_half_angle": lambda degrees: math.radians(_number(degrees)),
+    "turn_count": lambda count: count,
+    "axis_point_mm": _vector,
+    "axis_direction": _vector,
+}
+
+
+def render_json(document: dict) -> str:
+    """The JSON text of every file and summary: two-space indent, sorted keys, final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -91,10 +113,33 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _require_fields(payload: dict, fields: tuple[str, ...], what: str) -> None:
-    for name in fields:
+def _read_json_object(path: str | Path) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object at the top level")
+    return payload
+
+
+def _read_fields(path: str | Path, payload, what: str, names: list[str]) -> dict:
+    """Convert the fields ``names`` of a ``what`` spec's JSON object.
+
+    Each goes through its _CONVERSIONS entry or _number; a payload that is
+    no object, or a missing or mistyped field, raises ValidationError.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: '{what}' must be a JSON object")
+    values = {}
+    for name in names:
         if name not in payload:
-            raise ValidationError(f"{what} is missing required field '{name}'")
+            raise ValidationError(f"{what} spec is missing required field '{name}'")
+        try:
+            values[name] = _CONVERSIONS.get(name, _number)(payload[name])
+        except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
+            raise ValidationError(f"{path}: bad {what} field '{name}': {exc}") from None
+    return values
 
 
 def load_device_spec(path: str | Path) -> tuple[TubeSpec, TendonSpec | None]:
@@ -102,53 +147,28 @@ def load_device_spec(path: str | Path) -> tuple[TubeSpec, TendonSpec | None]:
 
     The document either holds the tube fields at the top level or nests
     them under "tube" with an optional "tendon" sibling. The remaining
-    half-angle is stored in degrees.
+    half-angle is stored in degrees. The fields are those of the spec
+    classes, as :func:`dump_tube_spec` writes them.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object at the top level")
-
-    tube_payload = payload.get("tube", payload)
-    if not isinstance(tube_payload, dict):
-        raise ValidationError(f"{path}: 'tube' must be a JSON object")
-    _require_fields(tube_payload, _TUBE_FIELDS, "tube spec")
-    values = {name: tube_payload[name] for name in _TUBE_FIELDS}
-    try:
-        values["remaining_half_angle"] = math.radians(float(values["remaining_half_angle"]))
-        # The turn count goes to TubeSpec as read, which rejects 1.5 and
-        # true instead of truncating them.
-        tube = TubeSpec(**{k: float(v) if k != "turn_count" else v for k, v in values.items()})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{path}: bad tube field value: {exc}") from exc
-
-    tendon = None
-    if "tendon" in payload:
-        tendon_payload = payload["tendon"]
-        if not isinstance(tendon_payload, dict):
-            raise ValidationError(f"{path}: 'tendon' must be a JSON object")
-        _require_fields(tendon_payload, _TENDON_FIELDS, "tendon spec")
-        try:
-            tendon = TendonSpec(**{k: float(tendon_payload[k]) for k in _TENDON_FIELDS})
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"{path}: bad tendon field value: {exc}") from exc
-    return tube, tendon
+    payload = _read_json_object(path)
+    tube = TubeSpec(**_read_fields(path, payload.get("tube", payload), "tube", [f.name for f in fields(TubeSpec)]))
+    if "tendon" not in payload:
+        return tube, None
+    return tube, TendonSpec(**_read_fields(path, payload["tendon"], "tendon", [f.name for f in fields(TendonSpec)]))
 
 
-def dump_tube_spec(tube: TubeSpec, tendon: TendonSpec | None = None) -> str:
-    """Serialize specs to the JSON layout accepted by :func:`load_device_spec`."""
+def _tube_document(tube: TubeSpec, tendon: TendonSpec | None = None) -> dict:
     tube_payload = asdict(tube)
     tube_payload["remaining_half_angle"] = math.degrees(tube.remaining_half_angle)
     document: dict = {"tube": tube_payload}
     if tendon is not None:
         document["tendon"] = asdict(tendon)
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return document
+
+
+def dump_tube_spec(tube: TubeSpec, tendon: TendonSpec | None = None) -> str:
+    """Serialize specs to the JSON layout accepted by :func:`load_device_spec`."""
+    return render_json(_tube_document(tube, tendon))
 
 
 def dump_derived_geometry(geom: DerivedGeometry) -> str:
@@ -158,36 +178,19 @@ def dump_derived_geometry(geom: DerivedGeometry) -> str:
     input from the spec) stays out and the file keeps its bytes.
     """
     names = ("notch_na_offset", "composite_na_offset", "na_length", "tendon_na_distance", "slack_tendon_length")
-    return json.dumps({k: float(getattr(geom, k)) for k in names}, indent=2, sort_keys=True) + "\n"
+    return render_json({k: float(getattr(geom, k)) for k in names})
 
 
 def load_phantom_spec(path: str | Path) -> PhantomSpec:
     """Phantom JSON: {"axis_point_mm": [x,y,z], "axis_direction": [x,y,z], "radius_mm": r}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    _require_fields(payload, ("axis_point_mm", "axis_direction", "radius_mm"), "phantom spec")
-    return PhantomSpec(
-        axis_point=np.asarray(payload["axis_point_mm"], dtype=float),
-        axis_direction=np.asarray(payload["axis_direction"], dtype=float),
-        radius=float(payload["radius_mm"]),
-    )
+    names = ["axis_point_mm", "axis_direction", "radius_mm"]
+    return PhantomSpec(*_read_fields(path, _read_json_object(path), "phantom", names).values())
 
 
 def dump_phantom_spec(phantom: PhantomSpec) -> str:
-    return (
-        json.dumps(
-            {
-                "axis_point_mm": [float(v) for v in phantom.axis_point],
-                "axis_direction": [float(v) for v in phantom.axis_direction],
-                "radius_mm": float(phantom.radius),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    # PhantomSpec holds float64 arrays and a float, so these are Python floats.
+    point, direction = phantom.axis_point.tolist(), phantom.axis_direction.tolist()
+    return render_json({"axis_point_mm": point, "axis_direction": direction, "radius_mm": phantom.radius})
 
 
 def _read_table(
@@ -344,17 +347,12 @@ def read_marker_csv(path: str | Path) -> dict[str, np.ndarray | None]:
 
 
 def comparison_to_json(comparison: TrajectoryComparison) -> str:
-    return (
-        json.dumps(
-            {
-                "max_de_mm": float(comparison.max_distance),
-                "rmse_mm": float(comparison.rmse),
-                "n_samples": int(comparison.n_samples),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    return render_json(
+        {
+            "max_de_mm": float(comparison.max_distance),
+            "rmse_mm": float(comparison.rmse),
+            "n_samples": int(comparison.n_samples),
+        }
     )
 
 
@@ -377,7 +375,7 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    spec_payload = json.loads(dump_tube_spec(dataset.tube))
+    spec_payload = _tube_document(dataset.tube)
     spec_payload["noise"] = {
         "position_sigma_mm": dataset.noise.position_sigma,
         "stroke_sigma_mm": dataset.noise.stroke_sigma,
@@ -386,7 +384,7 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     spec_payload["theta_rad"] = dataset.roll
     spec_payload["marker_arclengths_mm"] = [float(s) for s in dataset.marker_arclengths]
     path = directory / "spec.json"
-    atomic_write_text(path, json.dumps(spec_payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, render_json(spec_payload))
     written.append(path)
 
     path = directory / "joints.csv"

@@ -56,6 +56,12 @@ DEFAULT_BACKBONE_SAMPLES = 129
 _REL_SLOP = 1e-9  # tolerated relative overshoot of s at range ends
 
 
+def _check_roll(roll: float) -> None:
+    """Reject a non-finite roll angle theta, which no bending direction has."""
+    if not math.isfinite(roll):
+        raise ValidationError(f"roll angle theta must be finite, got {roll}")
+
+
 @dataclass(frozen=True)
 class JointState:
     """Joint-space description of the deployed tube.
@@ -75,11 +81,14 @@ class JointState:
     roll: float = 0.0
 
     def __post_init__(self):
-        # Written as not (x > 0) so that NaN is rejected too.
-        if not self.cylinder_radius > 0.0:
-            raise ValidationError(f"cylinder_radius must be > 0, got {self.cylinder_radius}")
-        if not self.cylinder_height > 0.0:
-            raise ValidationError(f"cylinder_height must be > 0, got {self.cylinder_height}")
+        # Written as not (0 < x < inf) so that NaN is rejected too.
+        if not 0.0 < self.cylinder_radius < math.inf:
+            raise ValidationError(f"cylinder_radius must be finite and > 0, got {self.cylinder_radius}")
+        if not 0.0 < self.cylinder_height < math.inf:
+            raise ValidationError(f"cylinder_height must be finite and > 0, got {self.cylinder_height}")
+        if not math.isfinite(self.deflection):
+            raise ValidationError(f"deflection must be finite, got {self.deflection}")
+        _check_roll(self.roll)
 
     def closure_residual(self, geom: DerivedGeometry) -> float:
         """Relative error of sqrt(H^2 + (2 pi n R)^2) against the fixed l_na."""

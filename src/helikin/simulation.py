@@ -29,6 +29,7 @@ from .kinematics import (
     JointBatch,
     JointState,
     TipTrajectory,
+    _check_roll,
     actuation_failures,
     backbone_samples,
     cylinder_axis,
@@ -188,8 +189,10 @@ def synthetic_sweep(
     wanders out of the model's domain still produces an aligned dataset.
 
     ``tube`` is stored with the dataset; its turn count must match ``geom``.
+    A non-finite ``roll`` raises ValidationError.
     """
     _check_turn_count(geom, tube.turn_count)
+    _check_roll(roll)
     for s in markers:
         if not 0.0 <= s <= geom.na_length:
             raise ValidationError(

@@ -1,12 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from helikin import fileio
+from helikin import cli, fileio, simulation
 from helikin.cli import SPEC_PATH_ENV, build_parser, main
 from helikin.estimation import compare_point_sequences
-from helikin.kinematics import TipTrajectory
+from helikin.geometry import derive_geometry
+from helikin.kinematics import TipTrajectory, joint_from_actuation
 from helikin.presets import default_tendon, default_tube
 
 
@@ -163,6 +165,21 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
+    def test_nan_theta_exits_2(self, tmp_path, spec_file, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--spec", spec_file, "--stroke-max", "3", "--theta-deg", "nan", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: roll angle theta must be finite, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("markers, cell", [("abc", "abc"), ("1,,2", ""), ("10,2x", "2x"), ("", "")])
+    def test_bad_marker_cell_exits_2(self, tmp_path, spec_file, capsys, markers, cell):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--spec", spec_file, "--stroke-max", "3", "--markers", markers, "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --markers: not an arc length: {cell!r}\n"
+        assert not out.exists()
+
 
 class TestFtlCommand:
     def test_rest_joint_traces_x_axis(self, tmp_path, spec_file):
@@ -180,6 +197,31 @@ class TestFtlCommand:
         )
         assert code == 0
         assert len(fileio.read_tip_csv(out)) == 11
+
+    def test_infinite_theta_exits_2(self, tmp_path, spec_file, capsys):
+        out = tmp_path / "tip.csv"
+        argv = ["ftl", "--spec", spec_file, "--stroke", "2.0", "--theta-deg", "inf", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: roll angle theta must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_bodies_dir_holds_every_body(self, tmp_path, spec_file):
+        bodies_dir = tmp_path / "bodies"
+        joint_args = ["--stroke", "3.1", "--tension", "0.5", "--theta-deg", "20"]
+        argv = ["ftl", "--spec", spec_file, *joint_args, "--eta-steps", "23"]
+        assert main([*argv, "--bodies-dir", str(bodies_dir), "-o", str(tmp_path / "tip.csv")]) == 0
+        geom = derive_geometry(default_tube())
+        joint = joint_from_actuation(3.1, 0.5, default_tendon(), geom, math.radians(20.0))
+        grid = simulation.default_eta_grid(23)
+        _, bodies = simulation.ftl_run(joint, geom, grid)
+        written = sorted(bodies_dir.iterdir())
+        assert [p.name for p in written] == [f"body_eta_{eta:.4f}.csv" for eta in grid]
+        for path, body in zip(written, bodies):
+            fileio.write_backbone_csv(tmp_path / "expected.csv", body)
+            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes(), path.name
+        shape = tmp_path / "shape.csv"
+        assert main(["shape", "--spec", spec_file, *joint_args, "-o", str(shape)]) == 0
+        assert written[-1].read_bytes() == shape.read_bytes()
 
 
 class TestEstimateCommand:
@@ -255,6 +297,47 @@ class TestEstimateCommand:
         row = [float(v) for v in lines[2].split(",")]
         assert row[2] == pytest.approx(3.138983758103423, rel=1e-9)
         assert row[5] == pytest.approx(np.radians(30.0), rel=1e-12)
+
+    def test_stroke_nan_theta_exits_2(self, tmp_path, spec_file, capsys):
+        strokes = tmp_path / "strokes.csv"
+        strokes.write_text("dl_t_mm,T_N\n0,0\n2,0\n")
+        out = tmp_path / "estimates.csv"
+        argv = ["estimate", "--spec", spec_file, "--method", "stroke", "--theta-deg", "nan"]
+        assert main([*argv, "-i", str(strokes), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: roll angle theta must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_stroke_on_a_bundle_marker_csv_gives_the_sweep_joints(self, tmp_path, spec_file):
+        # Ramp strokes in steps of 0.25 mm print exactly, so the estimate
+        # from the tip file's dl_t_mm,T_N columns repeats joints.csv.
+        joints = tmp_path / "joints.csv"
+        sweep = ["sweep", "--spec", spec_file, "--stroke-max", "4", "--steps", "17", "--theta-deg", "25"]
+        assert main([*sweep, "--dataset-dir", str(tmp_path / "bundle"), "-o", str(joints)]) == 0
+        out = tmp_path / "estimates.csv"
+        estimate = ["estimate", "--spec", spec_file, "--method", "stroke", "--theta-deg", "25"]
+        assert main([*estimate, "-i", str(tmp_path / "bundle" / "tip.csv"), "-o", str(out)]) == 0
+        assert out.read_bytes() == joints.read_bytes()
+
+    def test_stroke_on_a_quoted_marker_header(self, tmp_path, spec_file):
+        # The readers parse the header as CSV, so the kind of file is told the same way.
+        fileio.write_marker_csv(tmp_path / "plain.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
+        lines = (tmp_path / "plain.csv").read_text().splitlines(keepends=True)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"eta","x_mm","y_mm","z_mm","dl_t_mm","T_N"\n' + "".join(lines[1:]))
+        argv = ["estimate", "--spec", spec_file, "--method", "stroke", "-o"]
+        assert main([*argv, str(tmp_path / "a.csv"), "-i", str(tmp_path / "plain.csv")]) == 0
+        assert main([*argv, str(tmp_path / "b.csv"), "-i", str(quoted)]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_stroke_on_a_marker_csv_without_actuation_exits_2(self, tmp_path, spec_file, capsys):
+        markers = tmp_path / "markers.csv"
+        fileio.write_marker_csv(markers, np.array([0.0, 1.0]), np.ones((2, 3)))
+        out = tmp_path / "estimates.csv"
+        argv = ["estimate", "--spec", spec_file, "--method", "stroke", "-i", str(markers), "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {markers}: stroke-based estimation needs dl_t_mm/T_N columns\n"
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -394,6 +477,42 @@ class TestClearanceCommand:
         err = capsys.readouterr().err
         assert err == f"error: {curve_csv}: unexpected columns foo after s_mm,x_mm,y_mm,z_mm\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            '{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": "4"}',
+            '{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": [4]}',
+            '{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": null}',
+            '{"axis_point_mm": "abc", "axis_direction": [1, 0, 0], "radius_mm": 4}',
+        ],
+        ids=["top-level-number", "string-radius", "list-radius", "null-radius", "string-point"],
+    )
+    def test_malformed_phantom_exits_2(self, tmp_path, spec_file, capsys, text):
+        curve_csv = tmp_path / "curve.csv"
+        curve_csv.write_text("s_mm,x_mm,y_mm,z_mm\n0,0,0,0\n1,1,0,0\n")
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(text)
+        argv = ["clearance", "--spec", spec_file, "--curve", str(curve_csv), "--phantom", str(phantom)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {phantom}: ") and captured.err.count("\n") == 1
+
+    def test_tube_radius_output_file_equals_stdout(self, tmp_path, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        curve_csv.write_text("s_mm,x_mm,y_mm,z_mm\n0,0,0,0\n1,1,0,0\n")
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(
+            json.dumps({"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": 4})
+        )
+        out = tmp_path / "clearance.json"
+        argv = ["clearance", "--curve", str(curve_csv), "--phantom", str(phantom), "--tube-radius", "0.5"]
+        assert main([*argv, "-o", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert out.read_text() == stdout
+        assert json.loads(stdout) == {"collides": False, "min_clearance_mm": 5.5}
+
 
 class TestPlotCommand:
     def test_renders_svg(self, tmp_path, spec_file):
@@ -405,6 +524,17 @@ class TestPlotCommand:
         assert text.startswith("<svg")
         assert "polyline" in text
         assert "(mm)" in text
+
+    def test_quoted_backbone_header_plots_as_a_backbone(self, tmp_path, spec_file):
+        curve_csv = tmp_path / "curve.csv"
+        main(["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(curve_csv)])
+        quoted = tmp_path / "quoted.csv"
+        lines = curve_csv.read_text().splitlines(keepends=True)
+        quoted.write_text('"s_mm","x_mm","y_mm","z_mm"\n' + "".join(lines[1:]))
+        assert main(["plot", str(curve_csv), "-o", str(tmp_path / "a.svg")]) == 0
+        assert main(["plot", str(quoted), "-o", str(tmp_path / "b.svg")]) == 0
+        svg_a, svg_b = ((tmp_path / name).read_text() for name in ("a.svg", "b.svg"))
+        assert svg_a == svg_b.replace(">quoted<", ">curve<")
 
     def test_header_only_trajectory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -441,6 +571,36 @@ class TestDemoCommand:
         assert main(["demo", "--outdir", str(tmp_path / "d"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: noise seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_exits_2_before_any_file(self, tmp_path, capsys, theta):
+        assert main(["demo", "--outdir", str(tmp_path / "d"), "--theta-deg", theta]) == 2
+        assert capsys.readouterr().err == f"error: roll angle theta must be finite, got {theta}\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [("--stroke", "9.9", 3), ("--eta-steps", "1", 2), ("--phantom-radius", "-1", 2)],
+    )
+    def test_bad_argument_exits_before_any_file(self, tmp_path, capsys, flag, value, code):
+        assert main(["demo", "--outdir", str(tmp_path / "d"), flag, value]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_three_forward_kinematics_calls(self, tmp_path, monkeypatch, capsys):
+        # ftl_run's two curves and the fidelity's tip-arc-length curve; the
+        # backbone is ftl_run's body at eta = 1.
+        calls = []
+        fk = cli.forward_kinematics
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return fk(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "forward_kinematics", counted)
+        monkeypatch.setattr(simulation, "forward_kinematics", counted)
+        assert main(["demo", "--outdir", str(tmp_path / "d"), "--eta-steps", "11"]) == 0
+        assert sorted(calls) == [11, 11, 129]
 
 
 class TestHelpAndUnits:

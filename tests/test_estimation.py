@@ -40,6 +40,11 @@ def _joints_from_radii(radii, geom):
 
 
 class TestStrokeBasedEstimate:
+    @pytest.mark.parametrize("roll", [math.nan, math.inf])
+    def test_non_finite_roll_rejected(self, tendon, geom, roll):
+        with pytest.raises(ValidationError, match="roll angle theta must be finite"):
+            stroke_based_estimate([(1.0, 0.0), (2.0, 0.0)], geom, tendon, roll)
+
     def test_round_trip_from_synthesized_strokes(self, tendon, geom):
         # generate strokes backwards from known cylinder states, then
         # check the estimator reproduces those states

@@ -59,6 +59,42 @@ class TestDeviceSpecJson:
         with pytest.raises(ValidationError, match="malformed"):
             fileio.load_device_spec(path)
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [("inner_radius", '"thin"'), ("outer_radius", '"0.953"'), ("bridge_length", "true"),
+         ("outer_radius", "[1]"), ("remaining_half_angle", "null"), ("remaining_half_angle", '"63"'),
+         ("patterned_length", "1" + "0" * 400)],
+        ids=["string", "numeric-string", "true", "list", "null", "degrees-string", "401-digit"],
+    )
+    def test_wrong_field_type_rejected(self, tube, tendon, tmp_path, field, text):
+        payload = json.loads(fileio.dump_tube_spec(tube, tendon))
+        payload["tube"][field] = "VALUE"
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload).replace('"VALUE"', text))
+        with pytest.raises(ValidationError, match=f"^{path}: bad tube field '{field}': "):
+            fileio.load_device_spec(path)
+
+    @pytest.mark.parametrize("layout", ["tube", "tendon"])
+    def test_non_object_section_rejected(self, tube, tendon, tmp_path, layout):
+        payload = json.loads(fileio.dump_tube_spec(tube, tendon))
+        payload[layout] = [1, 2]
+        path = tmp_path / "section.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"'{layout}' must be a JSON object"):
+            fileio.load_device_spec(path)
+
+    def test_tendon_fields_checked_like_the_tube(self, tube, tendon, tmp_path):
+        payload = json.loads(fileio.dump_tube_spec(tube, tendon))
+        payload["tendon"]["elastic_modulus"] = "stiff"
+        path = tmp_path / "tendon.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="bad tendon field 'elastic_modulus': expected a number"):
+            fileio.load_device_spec(path)
+        del payload["tendon"]["total_length"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="tendon spec is missing required field 'total_length'"):
+            fileio.load_device_spec(path)
+
     def test_invalid_values_rejected(self, tube, tmp_path):
         payload = json.loads(fileio.dump_tube_spec(tube))["tube"]
         payload["inner_radius"] = 2.0  # larger than outer
@@ -86,6 +122,19 @@ class TestGeometryJson:
         assert "turn_count" not in payload and len(payload) == 5
 
 
+class TestRenderJson:
+    def test_layout(self):
+        assert fileio.render_json({"b": [1.5, 2], "a": True}) == (
+            '{\n  "a": true,\n  "b": [\n    1.5,\n    2\n  ]\n}\n'
+        )
+
+    def test_every_dump_uses_it(self, tube, tendon, geom):
+        document = json.loads(fileio.dump_tube_spec(tube, tendon))
+        assert fileio.dump_tube_spec(tube, tendon) == fileio.render_json(document)
+        derived = fileio.dump_derived_geometry(geom)
+        assert derived == fileio.render_json(json.loads(derived))
+
+
 class TestPhantomJson:
     def test_round_trip(self, tmp_path):
         phantom = PhantomSpec(
@@ -104,6 +153,34 @@ class TestPhantomJson:
         path = tmp_path / "phantom.json"
         path.write_text(json.dumps({"radius_mm": 4.0}))
         with pytest.raises(ValidationError, match="axis_point_mm"):
+            fileio.load_phantom_spec(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "expected a JSON object at the top level"),
+            ('{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": "4"}',
+             "bad phantom field 'radius_mm': expected a number, got \"4\""),
+            ('{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": [4]}',
+             r"bad phantom field 'radius_mm': expected a number, got \[4\]"),
+            ('{"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": null}',
+             "bad phantom field 'radius_mm': expected a number, got null"),
+            ('{"axis_point_mm": "abc", "axis_direction": [1, 0, 0], "radius_mm": 4}',
+             "bad phantom field 'axis_point_mm': expected a list of numbers"),
+            ('{"axis_point_mm": ["0", "10", "0"], "axis_direction": [1, 0, 0], "radius_mm": 4}',
+             "bad phantom field 'axis_point_mm': expected a number"),
+            ('{"axis_point_mm": [0, 10, 0], "axis_direction": [true, false, false], "radius_mm": 4}',
+             "bad phantom field 'axis_direction': expected a number, got true"),
+            ('{"axis_point_mm": [0, 10, 0], "axis_direction": {"x": 1}, "radius_mm": 4}',
+             "bad phantom field 'axis_direction': expected a list of numbers"),
+        ],
+        ids=["top-level-number", "string-radius", "list-radius", "null-radius", "string-point",
+             "string-cells", "boolean-cells", "object-direction"],
+    )
+    def test_wrong_type_rejected(self, tmp_path, text, message):
+        path = tmp_path / "phantom.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
             fileio.load_phantom_spec(path)
 
     @pytest.mark.parametrize(

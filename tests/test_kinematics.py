@@ -372,6 +372,26 @@ class TestJointState:
         with pytest.raises(Exception):
             JointState(1.0, -5.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 10.0, 0.0), "cylinder_radius must be finite"),
+            ((1.0, math.inf, 0.0), "cylinder_height must be finite"),
+            ((1.0, 10.0, math.nan), "deflection must be finite"),
+            ((1.0, 10.0, -math.inf), "deflection must be finite"),
+            ((1.0, 10.0, 0.0, math.nan), "roll angle theta must be finite"),
+            ((1.0, 10.0, 0.0, math.inf), "roll angle theta must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            JointState(*args)
+
+    @pytest.mark.parametrize("roll", [math.nan, math.inf])
+    def test_actuation_map_rejects_a_non_finite_roll(self, tendon, geom, roll):
+        with pytest.raises(ValidationError, match="roll angle theta must be finite"):
+            joint_from_actuation(2.0, 0.0, tendon, geom, roll)
+
 
 # 100x the default tendon's compliance (0.78 mm/N): within 10 N its
 # elongation reaches both R = 0 and the growth bound.

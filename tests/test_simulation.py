@@ -42,6 +42,11 @@ def _profile(n=9, max_stroke=4.0, tension=0.0):
 
 
 class TestSyntheticSweep:
+    @pytest.mark.parametrize("roll", [math.nan, math.inf, -math.inf])
+    def test_non_finite_roll_rejected(self, tube, tendon, geom, roll):
+        with pytest.raises(ValidationError, match="roll angle theta must be finite"):
+            synthetic_sweep(geom, tendon, _profile(), [33.20], NoiseSpec(), roll, tube)
+
     def test_same_seed_is_bit_identical(self, tube, tendon, geom):
         noise = NoiseSpec(position_sigma=0.5, stroke_sigma=0.1, seed=42)
         kwargs = dict(

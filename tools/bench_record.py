@@ -20,9 +20,12 @@ the body-clearance bit-equality tests assume OpenBLAS gemv rounding, so a
 different BLAS is worth knowing about before reading a diff.
 
 ``--diff A B`` notes any difference in Python, numpy, BLAS or CPU, prints
-B / A of each metric's median and flags a ratio past its bound. Over the seeds both files ran it also prints how many pairs B
-won, and whether the medians differ by more than A's IQR. It exits 1 if a
-ratio is past its bound. Only the standard library is used.
+B / A of each metric's median and flags a ratio past its bound. Over the
+seeds both files ran it also prints how many pairs B won, and whether the
+medians differ by more than A's IQR. Per workload it prints both files'
+``correct`` flag and failed/attempted share, and flags B when it is
+incorrect or fails a larger share of its ops. It exits 1 if anything is
+flagged. Only the standard library is used.
 """
 
 import argparse
@@ -156,8 +159,16 @@ def diff(path_a: str, path_b: str) -> int:
     flagged = 0
     print(f"{'workload':<13} {'metric':<16} {'A median':>12} {'B median':>12} {'B/A':>8}  pairs B won")
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
+        wa, wb = a["workloads"][workload], b["workloads"][workload]
+        share_a, share_b = (w["failed"] / max(w["attempted"], 1) for w in (wa, wb))
+        notes = [note for note, bad in (("B INCORRECT", not wb["correct"]),
+                                        ("B FAILS A LARGER SHARE", share_b > share_a)) if bad]
+        flagged += len(notes)
+        print(f"{workload:<13} {'correct':<16} {str(wa['correct']):>12} {str(wb['correct']):>12}")
+        print(f"{workload:<13} {'failed share':<16} {share_a:>12.6g} {share_b:>12.6g}  "
+              f"{wa['failed']}/{wa['attempted']} vs {wb['failed']}/{wb['attempted']}  {'; '.join(notes)}")
         for name, bound in a["bounds"].items():
-            ma, mb = a["workloads"][workload]["metrics"][name], b["workloads"][workload]["metrics"][name]
+            ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = mb["median"] / ma["median"] if ma["median"] else float("inf")
             lower = bound["better"] == "lower"
             past = ratio > 1.0 + bound["bound"] if lower else ratio < 1.0 - bound["bound"]
