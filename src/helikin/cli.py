@@ -22,6 +22,7 @@ import numpy as np
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import _overlap_grid, position_based_estimate, repeatability_compare, stroke_based_estimate
+from .fileio import _open_text
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec, derive_geometry, pattern_consistency
 from .kinematics import DEFAULT_BACKBONE_SAMPLES, JointState, backbone_samples, forward_kinematics, joint_from_actuation
 from .simulation import (
@@ -202,7 +203,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _first_cell(path: str) -> str:
     """The first header cell of a CSV, which tells its kind, parsed as the readers parse it."""
-    with open(path, newline="") as handle:
+    with _open_text(path, newline="") as handle:
         return (next(csv.reader(handle), None) or [""])[0]
 
 

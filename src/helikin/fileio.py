@@ -32,7 +32,8 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -113,9 +114,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+@contextmanager
+def _open_text(path: str | Path, newline: str | None = None) -> Iterator:
+    """Open a user file as UTF-8 text; a byte that does not decode raises ValidationError."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_json_object(path: str | Path) -> dict:
     try:
-        payload = json.loads(Path(path).read_text())
+        with _open_text(path) as handle:
+            payload = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -203,7 +215,7 @@ def _read_table(
     is rejected. With `samples`, a file with no data rows is rejected as
     having "no <samples>".
     """
-    with open(path) as handle:
+    with _open_text(path) as handle:
         first = handle.readline()
         if not first:
             raise ValidationError(f"{path}: empty CSV")
@@ -232,6 +244,8 @@ def _read_table(
             data = _parse(handle)
             if data.shape[1] != width:
                 raise ValueError(f"expected {width} columns, got {data.shape[1]}")
+        except UnicodeDecodeError:
+            raise
         except ValueError as exc:
             handle.seek(start)
             raise ValidationError(_bad_row(path, handle, width) or f"{path}: {exc}") from None

@@ -18,6 +18,10 @@ helix of radius R - y_na about the cylinder axis, anchored at the origin.
 At rest (R = y_na) it degenerates to a straight segment on the X_0 axis,
 which is what the physical tube does. The neutral fiber is the same FK
 helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
+
+One private kernel, ``_centerline``, computes this map and holds the
+package's one rotation construction: :func:`forward_kinematics`,
+``synthetic_sweep`` and :func:`cylinder_axis` all run it.
 """
 
 from __future__ import annotations
@@ -124,8 +128,8 @@ class BackboneCurve:
         """Curve over float64 arrays the caller has already shown to be valid.
 
         Skips the shape, finiteness and order checks and keeps the arrays
-        as given, so it is only for rows taken from validated curves in
-        increasing arc-length order.
+        as given, so it is only for FK's own checked result or for rows
+        taken from validated curves in increasing arc-length order.
         """
         curve = object.__new__(cls)
         object.__setattr__(curve, "s", s)
@@ -372,18 +376,6 @@ def rest_joint(geom: DerivedGeometry, roll: float = 0.0) -> JointState:
     return JointState(radius, height, deflection_angle(radius, height, geom), roll)
 
 
-def _rot_y(angle: float) -> np.ndarray:
-    """Rotation matrix about Y by ``angle`` (right-handed)."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_x(angle: float) -> np.ndarray:
-    """Rotation matrix about X by ``angle`` (right-handed)."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def backbone_samples(na_length: float, count: int = DEFAULT_BACKBONE_SAMPLES) -> np.ndarray:
     """Uniform arc-length grid [0, l_na] with ``count`` samples."""
     if count < 2:
@@ -414,51 +406,73 @@ def forward_kinematics(
     s = np.array(samples, dtype=float)  # a copy: clamping must not touch the caller's array
     if s.ndim != 1 or s.size == 0:
         raise ValidationError(f"samples must be a non-empty 1-D array, got shape {s.shape}")
-    if (s[1:] < s[:-1]).any():
+    # One strict comparison of neighbours rules out a decreasing pair, NaN and
+    # equal samples at once; the slower tests run only where it fails.
+    rising = (s[1:] > s[:-1]).all()
+    if not rising and (s[1:] < s[:-1]).any():
         raise ValidationError("samples must be sorted ascending")
-    _clamp_sorted(s, geom.na_length)
-
-    bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
-    helix = np.column_stack(
-        [
-            s * joint.cylinder_height / geom.na_length,
-            -bend_radius * np.cos(angle),
-            bend_radius * np.sin(angle),
-        ]
+    # Sorted, only the endpoints can leave [0, l_na]; overshoot within
+    # _REL_SLOP is forgiven at both ends and clamped, which can make equal samples.
+    upper, slop = geom.na_length, _REL_SLOP * max(geom.na_length, 1.0)
+    low, high = s[0], s[-1]
+    if not (-slop <= low and high <= upper + slop) or not rising and np.isnan(s).any():
+        for value in s:
+            if not -slop <= value <= upper + slop:
+                raise DomainError(f"arc length {value} outside [0, {upper}]")
+    if low < 0.0:
+        s[s < 0.0] = 0.0
+    if high > upper:
+        s[s > upper] = upper
+    if (not rising or low < 0.0 or high > upper) and (s[1:] == s[:-1]).any():
+        raise ValidationError("arc-length samples must be strictly increasing")
+    bend_radius = np.array([joint.cylinder_radius - geom.composite_na_offset])
+    (points,), _ = _centerline(
+        bend_radius, np.array([joint.cylinder_height]), np.array([joint.deflection]), joint.roll, s, geom
     )
-    helix[:, 1] += bend_radius
-    transform = _rot_x(joint.roll) @ _rot_y(-joint.deflection)
-    return BackboneCurve(s=s, points=helix @ transform.T)
+    if not np.isfinite(points).all():
+        raise ValidationError("curve contains non-finite values")
+    return BackboneCurve._trusted(s, points)
 
 
 def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Imaginary-cylinder axis in O_0 as (point, unit direction).
 
-    Every centerline point is at distance R - y_na from this line.
+    Every centerline point is at distance R - y_na from this line, which
+    runs along X through (0, R - y_na, 0) in the helix frame.
     """
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    point = _rot_x(joint.roll) @ np.array([0.0, bend_radius, 0.0])
-    direction = _rot_x(joint.roll) @ _rot_y(-joint.deflection) @ np.array([1.0, 0.0, 0.0])
-    return point, direction
+    _, (frame,) = _centerline(
+        np.array([bend_radius]), np.array([joint.cylinder_height]), np.array([joint.deflection]),
+        joint.roll, np.empty(0), geom,
+    )
+    return frame @ np.array([0.0, bend_radius, 0.0]), frame @ np.array([1.0, 0.0, 0.0])
 
 
-def _clamp_sorted(values: np.ndarray, upper: float) -> None:
-    """Check an ascending arc-length array against [0, upper] and clamp it in place.
+def _centerline(
+    bend_radius: np.ndarray, height: np.ndarray, deflection: np.ndarray, roll: float,
+    s: np.ndarray, geom: DerivedGeometry,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The centerline map for m joint states at one roll, at k arc lengths.
 
-    Overshoot within _REL_SLOP is forgiven at both ends. Sorted order
-    means only the endpoints can leave [0, upper], so the range test is
-    O(1); NaN, which defeats both the order and the range comparisons,
-    takes one vectorised test. Values in the slop band are clamped, and an
-    offending array raises DomainError naming its first bad value.
+    Takes R - y_na, H and phi of shape (m,) and ``s`` of shape (k,).
+    Returns the (m, k, 3) points in O_0 and the (m, 3, 3) frames taking
+    helix-frame vectors to O_0: the roll matrix about X times a stack of
+    tilts by -phi about Y, a product so that even its signed zeros are those
+    of Rx(theta) @ Ry(-phi). Each joint's points are ``helix @ frame.T``, one
+    BLAS product per joint, so its rows do not depend on the batch around it.
     """
-    slop = _REL_SLOP * max(upper, 1.0)
-    low, high = values[0], values[-1]
-    if not (-slop <= low and high <= upper + slop) or np.isnan(values).any():
-        for value in values:
-            if not -slop <= value <= upper + slop:
-                raise DomainError(f"arc length {value} outside [0, {upper}]")
-    if low < 0.0:
-        values[values < 0.0] = 0.0
-    if high > upper:
-        values[values > upper] = upper
+    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
+    m, r = bend_radius.size, bend_radius[:, None]
+    helix = np.empty((m, s.size, 3))
+    helix[..., 0] = s * height[:, None] / geom.na_length
+    helix[..., 1] = -r * np.cos(angle) + r
+    helix[..., 2] = r * np.sin(angle)
+    cos_roll, sin_roll = math.cos(roll), math.sin(roll)
+    rolled = np.array((1.0, 0.0, 0.0, 0.0, cos_roll, -sin_roll, 0.0, sin_roll, cos_roll)).reshape(3, 3)
+    tilt = np.zeros((9, m))  # row i is entry i of every flattened tilt matrix
+    tilt[0] = tilt[8] = np.cos(-deflection)
+    tilt[2] = np.sin(-deflection)
+    tilt[4] = 1.0
+    tilt[6] = -tilt[2]
+    frame = rolled @ tilt.T.reshape(m, 3, 3)
+    return helix @ frame.transpose(0, 2, 1), frame

@@ -10,6 +10,10 @@ hashes every ``SeedSequence([seed, i])`` at once and sets each PCG64
 state directly. It falls back to ``NoiseSpec.sample_rng`` for a seed or
 index of 2**32 or more, or when the first or last sample disagrees with
 ``default_rng``.
+
+The sweep's marker tracks and tips come from the centerline kernel that
+forward kinematics runs, and equal a batched FK call at the same arc
+lengths bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .kinematics import (
     JointBatch,
     JointState,
     TipTrajectory,
+    _centerline,
     _check_roll,
     actuation_failures,
     backbone_samples,
@@ -167,9 +172,10 @@ def synthetic_sweep(
 
     The whole profile goes through the batch actuation map
     (:func:`~helikin.kinematics.joints_from_actuation`) at once, and the
-    markers and the tip of every accepted sample are evaluated in one
-    closed-form pass, written in place into the preallocated track
-    arrays; they agree with :func:`forward_kinematics` to rounding. Noise
+    accepted samples go through FK's centerline kernel as one batch at the
+    arc lengths [*markers, l_na], so a sample's tracks and tip equal one
+    :func:`forward_kinematics` call at those arc lengths bit for bit.
+    Marker arc lengths must be distinct; one may equal l_na. Noise
     comes from one ``default_rng([seed, i])`` stream per sample, drawn in
     a fixed order: the stroke first, then one (x, y, z) triple per marker
     in ascending arc-length order. The streams do not depend on the
@@ -195,15 +201,25 @@ def synthetic_sweep(
     _check_roll(roll)
     for s in markers:
         if not 0.0 <= s <= geom.na_length:
-            raise ValidationError(
-                f"marker arc length {s} outside [0, {geom.na_length}] mm"
-            )
+            raise ValidationError(f"marker arc length {s} outside [0, {geom.na_length}] mm")
+    marker_s = np.asarray(sorted(markers), dtype=float)
+    repeated = marker_s[1:][marker_s[1:] == marker_s[:-1]]
+    if repeated.size:
+        raise ValidationError(f"marker arc length {repeated[0]} mm given more than once")
     n = len(stroke_profile)
     if n == 0:
         raise ValidationError("stroke profile must contain at least one sample")
     strokes = np.array([p[0] for p in stroke_profile], dtype=float)
     tensions = np.array([p[1] for p in stroke_profile], dtype=float)
-    marker_s = np.asarray(sorted(markers), dtype=float)
+
+    batch = joints_from_actuation(strokes, tensions, tendon, geom)
+    rows = np.flatnonzero(batch.ok)
+    # Per sample: the markers, then the tip; rows the map rejected stay NaN.
+    centerline = np.full((n, marker_s.size + 1, 3), np.nan)
+    centerline[rows], _ = _centerline(
+        batch.cylinder_radius[rows] - geom.composite_na_offset, batch.cylinder_height[rows],
+        batch.deflection[rows], roll, np.append(marker_s, geom.na_length), geom,
+    )
 
     # The noisy strokes and tracks are views of the draws' columns, scaled
     # and offset in place, so the draws take no memory beyond them.
@@ -212,27 +228,8 @@ def synthetic_sweep(
     strokes_noisy *= noise.stroke_sigma
     strokes_noisy += strokes
     noisy = draws[:, 1:].reshape(n, marker_s.size, 3)
-
-    batch = joints_from_actuation(strokes, tensions, tendon, geom)
-    rows = np.flatnonzero(batch.ok)
-    tracks_true = {s: np.full((n, 3), np.nan) for s in marker_s}
-    tips_true = np.full((n, 3), np.nan)
-
-    _centerline_points_into(
-        batch,
-        rows,
-        roll,
-        [*marker_s, geom.na_length],
-        [*(tracks_true[s] for s in marker_s), tips_true],
-        geom,
-    )
-
     noisy *= noise.position_sigma
-    noisy[~batch.ok] = np.nan
-    tracks_noisy = {}
-    for k, s in enumerate(marker_s):
-        noisy[rows, k] += tracks_true[s][rows]
-        tracks_noisy[s] = noisy[:, k]
+    noisy += centerline[:, :-1]
 
     return SyntheticDataset(
         tube=tube,
@@ -243,9 +240,9 @@ def synthetic_sweep(
         strokes_noisy=strokes_noisy,
         batch=batch,
         marker_arclengths=tuple(marker_s),
-        tracks_true=tracks_true,
-        tracks_noisy=tracks_noisy,
-        tips_true=tips_true,
+        tracks_true={s: centerline[:, k] for k, s in enumerate(marker_s)},
+        tracks_noisy={s: noisy[:, k] for k, s in enumerate(marker_s)},
+        tips_true=centerline[:, -1],
         failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom),
     )
 
@@ -324,37 +321,6 @@ def _noise_draws(noise: NoiseSpec, n: int, width: int) -> np.ndarray:
     for i, row in enumerate(out):
         noise.sample_rng(i).standard_normal(out=row)
     return out
-
-
-def _centerline_points_into(
-    batch: JointBatch,
-    rows: np.ndarray,
-    roll: float,
-    arclengths: list[float],
-    outs: list[np.ndarray],
-    geom: DerivedGeometry,
-) -> None:
-    """Write the centerline point at each arc length into ``outs[k][rows]``.
-
-    This is :func:`forward_kinematics` in closed form for the accepted
-    rows of a batch at once: the helix point, tilted by -phi about Y, then
-    rolled by ``roll`` about X. It agrees with FK to rounding, and builds
-    no per-sample transform.
-    """
-    bend_radius = batch.cylinder_radius[rows] - geom.composite_na_offset
-    height = batch.cylinder_height[rows]
-    cos_phi, sin_phi = np.cos(batch.deflection[rows]), np.sin(batch.deflection[rows])
-    cos_roll, sin_roll = math.cos(roll), math.sin(roll)
-    two_pi_n = 2.0 * math.pi * geom.turn_count
-    for s, out in zip(arclengths, outs):
-        angle = two_pi_n * s / geom.na_length
-        hx = s * height / geom.na_length
-        hy = bend_radius - bend_radius * math.cos(angle)
-        hz = bend_radius * math.sin(angle)
-        out[rows, 0] = cos_phi * hx - sin_phi * hz
-        z1 = sin_phi * hx + cos_phi * hz
-        out[rows, 1] = cos_roll * hy - sin_roll * z1
-        out[rows, 2] = sin_roll * hy + cos_roll * z1
 
 
 def default_eta_grid(steps: int = DEFAULT_ETA_STEPS) -> np.ndarray:

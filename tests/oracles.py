@@ -66,3 +66,49 @@ def point_line_distance(points, line_point, line_direction):
     offsets = np.atleast_2d(points) - np.asarray(line_point, dtype=float)
     along = offsets @ direction
     return np.linalg.norm(offsets - np.outer(along, direction), axis=1)
+
+
+def _rotation_x(angle):
+    """Right-handed rotation about X."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _rotation_y(angle):
+    """Right-handed rotation about Y."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def centerline_two_rotations(joint, geom, s):
+    """Centerline points and cylinder axis by the two-rotation formula.
+
+    The helix is stacked column by column and mapped through one
+    Rx(theta) @ Ry(-phi) matrix, where the package builds its frame as a
+    roll matrix times a stack of tilts; equal bytes pin the package to this
+    formula. Takes clamped, sorted arc lengths ``s`` and returns
+    (points, Rx(theta) @ Ry(-phi), axis point, axis direction).
+    """
+    bend_radius = joint.cylinder_radius - geom.composite_na_offset
+    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
+    helix = np.column_stack(
+        [
+            s * joint.cylinder_height / geom.na_length,
+            -bend_radius * np.cos(angle),
+            bend_radius * np.sin(angle),
+        ]
+    )
+    helix[:, 1] += bend_radius
+    transform = _rotation_x(joint.roll) @ _rotation_y(-joint.deflection)
+    point = _rotation_x(joint.roll) @ np.array([0.0, bend_radius, 0.0])
+    direction = transform @ np.array([1.0, 0.0, 0.0])
+    return helix @ transform.T, transform, point, direction
+
+
+def random_rotation(rng):
+    """A uniformly random proper rotation from the QR factorisation of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q

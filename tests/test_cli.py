@@ -181,6 +181,17 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    def test_duplicate_markers_exit_2(self, tmp_path, spec_file, capsys):
+        out, bundle = tmp_path / "x.csv", tmp_path / "d"
+        argv = [
+            "sweep", "--spec", spec_file, "--stroke-max", "3", "--markers", "10,10",
+            "--noise-sigma", "0.1", "--dataset-dir", str(bundle), "-o", str(out),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: marker arc length 10.0 mm given more than once\n"
+        assert not out.exists() and not bundle.exists()
+
+
 class TestFtlCommand:
     def test_rest_joint_traces_x_axis(self, tmp_path, spec_file):
         out = tmp_path / "tip.csv"
@@ -552,6 +563,41 @@ class TestPlotCommand:
         main(["plot", str(curve_csv), "-o", str(out_a)])
         main(["plot", str(curve_csv), "-o", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestNonUtf8Files:
+    """A byte that is not UTF-8 in any user file exits 2 with one line naming the file."""
+
+    @staticmethod
+    def _assert_one_error(capsys, path):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_curve_header_cell(self, tmp_path, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        curve_csv.write_bytes(b"s_mm\xff,x_mm,y_mm,z_mm\n0,0,0,0\n1,1,0,0\n")
+        assert main(["plot", str(curve_csv), "-o", str(tmp_path / "x.svg")]) == 2
+        self._assert_one_error(capsys, curve_csv)
+
+    def test_curve_row(self, tmp_path, spec_file, capsys):
+        # Past the reader's first 8 KiB, so the header decodes and the rows do not.
+        curve_csv = tmp_path / "curve.csv"
+        rows = b"".join(b"%d,%d,0,0\n" % (i, i) for i in range(2000))
+        curve_csv.write_bytes(b"s_mm,x_mm,y_mm,z_mm\n" + rows + b"2000,\xff,0,0\n")
+        phantom = tmp_path / "phantom.json"
+        phantom.write_text(
+            json.dumps({"axis_point_mm": [0, 10, 0], "axis_direction": [1, 0, 0], "radius_mm": 4})
+        )
+        argv = ["clearance", "--spec", spec_file, "--curve", str(curve_csv), "--phantom", str(phantom)]
+        assert main(argv) == 2
+        self._assert_one_error(capsys, curve_csv)
+
+    def test_spec_json(self, tmp_path, capsys):
+        spec = tmp_path / "device.json"
+        spec.write_bytes(b'{"tube": "\xff"}')
+        assert main(["geometry", "--spec", str(spec)]) == 2
+        self._assert_one_error(capsys, spec)
 
 
 class TestDemoCommand:

@@ -11,6 +11,7 @@ from helikin.errors import DomainError, NonPhysicalError, OverActuationError, Va
 from helikin.geometry import TendonSpec, derive_geometry
 from helikin.kinematics import (
     _REL_SLOP,
+    _centerline,
     BackboneCurve,
     JointState,
     actuation_failures,
@@ -28,7 +29,7 @@ from helikin.kinematics import (
 from helikin.presets import default_tendon, default_tube
 from helikin.simulation import ftl_run
 
-from .oracles import point_line_distance, solve_cylinder_rootfind
+from .oracles import centerline_two_rotations, point_line_distance, solve_cylinder_rootfind
 
 # Frozen via the root-find oracle below (full-precision pipeline values;
 # rounded intermediates reproduce the commonly quoted 3.139 / 60.953 / 0.270).
@@ -319,6 +320,28 @@ class TestForwardKinematicsBoundaries:
         curve.s[0] = 5.0
         assert samples[0] == 0.0
 
+    @pytest.mark.parametrize("case", ["interior", "clamped-high", "clamped-low"])
+    def test_equal_samples_rejected(self, tendon, geom, case):
+        # The clamped cases are strictly increasing until the slop band clamps them onto one end.
+        length, slop = geom.na_length, 0.5 * _REL_SLOP * geom.na_length
+        samples = {
+            "interior": [0.0, 10.0, 10.0, 20.0],
+            "clamped-high": [1.0, length, length + slop],
+            "clamped-low": [-slop, 0.0, 1.0],
+        }[case]
+        with pytest.raises(ValidationError, match="arc-length samples must be strictly increasing"):
+            forward_kinematics(self._joint(tendon, geom), geom, samples)
+
+    def test_overflowing_points_rejected(self, geom):
+        joint = JointState(geom.composite_na_offset + 1.0, 1e308, 0.3, 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="curve contains non-finite values"):
+                forward_kinematics(joint, geom)
+        # Equal samples are named before the points are computed.
+        samples = np.array([0.0, geom.na_length, geom.na_length])
+        with pytest.raises(ValidationError, match="arc-length samples must be strictly increasing"):
+            forward_kinematics(joint, geom, samples)
+
     def test_curve_rejects_nan_and_unsorted_samples(self):
         points = np.zeros((3, 3))
         with pytest.raises(ValidationError):
@@ -329,6 +352,44 @@ class TestForwardKinematicsBoundaries:
             BackboneCurve(s=np.array([0.0, 1.0, 1.0]), points=points)
         with pytest.raises(ValidationError):
             BackboneCurve(s=np.array([0.0, 1.0, 2.0]), points=np.array([[0.0, 0.0, math.nan]] * 3))
+
+
+class TestCenterlineBits:
+    """FK and the cylinder axis, bit for bit against the two-rotation formula."""
+
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    @given(
+        fraction=st.just(0.0) | st.floats(0.0, 0.999),  # 0 with no tension is the rest joint
+        tension=st.just(0.0) | st.floats(0.0, 5.0),
+        roll=st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2.0]) | st.floats(-math.pi, math.pi),
+        count=st.sampled_from([1, 2, 5, 129]) | st.integers(1, 300),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        zero_phi=st.sampled_from([None, 0.0, -0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forward_kinematics_and_axis_match_formula(
+        self, turn_count, fraction, tension, roll, count, grid, seed, zero_phi
+    ):
+        tendon, geom = _turns_device(turn_count)
+        stroke = fraction * _max_stroke(tendon, geom)
+        joint = joint_from_actuation(stroke, tension, tendon, geom, roll)
+        if zero_phi is not None:  # the actuation map never gives a phi of exactly +-0
+            joint = dataclasses.replace(joint, deflection=zero_phi)
+        if grid and count > 1:
+            s = backbone_samples(geom.na_length, count)
+        else:
+            s = np.unique(np.random.default_rng(seed).uniform(0.0, geom.na_length, count))
+        points, transform, point, direction = centerline_two_rotations(joint, geom, s)
+        assert forward_kinematics(joint, geom, s).points.tobytes() == points.tobytes()
+        # The kernel's frame itself, signed zeros included.
+        bend_radius = joint.cylinder_radius - geom.composite_na_offset
+        columns = [np.array([v]) for v in (bend_radius, joint.cylinder_height, joint.deflection)]
+        _, (frame,) = _centerline(*columns, joint.roll, s, geom)
+        assert frame.tobytes() == transform.tobytes()
+        axis_point, axis_direction = cylinder_axis(joint, geom)
+        assert axis_point.tobytes() == point.tobytes()
+        assert axis_direction.tobytes() == direction.tobytes()
 
 
 class TestFtlTipTrace:

@@ -17,8 +17,6 @@ from helikin.kinematics import (
     backbone_samples,
     cylinder_axis,
     forward_kinematics,
-    _rot_x,
-    _rot_y,
     joint_from_actuation,
 )
 from helikin.simulation import (
@@ -32,7 +30,7 @@ from helikin.simulation import (
     synthetic_sweep,
 )
 
-from .oracles import point_line_distance
+from .oracles import point_line_distance, random_rotation
 
 BODY_SAMPLES = 129
 
@@ -46,6 +44,12 @@ class TestSyntheticSweep:
     def test_non_finite_roll_rejected(self, tube, tendon, geom, roll):
         with pytest.raises(ValidationError, match="roll angle theta must be finite"):
             synthetic_sweep(geom, tendon, _profile(), [33.20], NoiseSpec(), roll, tube)
+
+    @pytest.mark.parametrize("markers, repeated", [([10.0, 10.0], 10.0), ([33.2, 10.0, 33.2], 33.2)])
+    def test_duplicate_markers_rejected(self, tube, tendon, geom, markers, repeated):
+        noise = NoiseSpec(position_sigma=0.1)
+        with pytest.raises(ValidationError, match=f"marker arc length {repeated} mm given more than once"):
+            synthetic_sweep(geom, tendon, _profile(), markers, noise, 0.0, tube)
 
     def test_same_seed_is_bit_identical(self, tube, tendon, geom):
         noise = NoiseSpec(position_sigma=0.5, stroke_sigma=0.1, seed=42)
@@ -151,14 +155,15 @@ def _max_stroke(geom):
 
 
 class TestSweepBatchPath:
+    @pytest.mark.parametrize("tip_marker", [True, False])
     @pytest.mark.parametrize("turn_count", [1, 2, 3])
-    def test_rows_match_scalar_kinematics(self, tube, tendon, turn_count):
+    def test_rows_match_scalar_kinematics(self, tube, tendon, turn_count, tip_marker):
         tube_n = dataclasses.replace(tube, turn_count=turn_count)
         geom_n = derive_geometry(tube_n)
         rng = np.random.default_rng(turn_count)
         strokes = rng.uniform(0.0, 1.05 * _max_stroke(geom_n), 120)
         tensions = rng.uniform(0.0, 10.0, 120)
-        markers = [geom_n.na_length, 10.0, 33.2, 0.0]
+        markers = ([geom_n.na_length] if tip_marker else []) + [10.0, 33.2, 0.0]
         dataset = synthetic_sweep(
             geom_n, tendon, list(zip(strokes.tolist(), tensions.tolist())), markers,
             NoiseSpec(position_sigma=0.5, stroke_sigma=0.05, seed=turn_count), 0.7, tube_n,
@@ -176,12 +181,17 @@ class TestSweepBatchPath:
                 scalar.cylinder_radius, scalar.cylinder_height,
             )
             assert joint.closure_residual(geom_n) < 1e-12
+            # Bit for bit against one FK call at the sample's own joint (its
+            # phi is numpy's arctan2) over the sweep's arc lengths, markers
+            # then tip. A marker at l_na already is the tip, which FK samples
+            # once: BLAS rounds a row alike whatever the row count.
             s = np.array(dataset.marker_arclengths)
-            points = forward_kinematics(scalar, geom_n, s).points
-            tip = forward_kinematics(scalar, geom_n, s[-1:]).points[0]
-            rows = np.array([dataset.tracks_true[s_k][i] for s_k in s])
-            assert np.abs(rows - points).max() <= 1e-12
-            assert np.abs(dataset.tips_true[i] - tip).max() <= 1e-12
+            if not tip_marker:
+                s = np.append(s, geom_n.na_length)
+            points = forward_kinematics(joint, geom_n, s).points
+            rows = [dataset.tracks_true[s_k][i] for s_k in dataset.marker_arclengths]
+            assert np.array(rows).tobytes() == points[: len(rows)].tobytes()
+            assert dataset.tips_true[i].tobytes() == points[-1].tobytes()
 
     def test_noise_is_the_documented_streams_bit_for_bit(self, tube, tendon, geom):
         noise = NoiseSpec(position_sigma=0.3, stroke_sigma=0.05, seed=2024)
@@ -495,9 +505,7 @@ class TestPhantomClearance:
         phantom = phantom_on_cylinder_axis(joint, geom, 2.0)
         base, _ = phantom_clearance(curve, phantom, 0.953)
         for _ in range(5):
-            rotation = _rot_x(rng.uniform(-math.pi, math.pi)) @ _rot_y(
-                rng.uniform(-math.pi, math.pi)
-            )
+            rotation = random_rotation(rng)
             shift = rng.normal(scale=20.0, size=3)
             moved_curve = BackboneCurve(s=curve.s, points=curve.points @ rotation.T + shift)
             moved_phantom = PhantomSpec(
