@@ -4,8 +4,11 @@ Every stage of the pipeline is exposed as a subcommand with file-based
 I/O. Units everywhere: lengths in mm, tensions in N; angles are given in
 degrees on the command line and converted to radians internally.
 
-Exit codes: 0 success, 2 validation failure (bad spec/file/arguments),
-3 numerical failure (e.g. over-actuated stroke), 4 I/O failure.
+Exit codes: 0 success, 2 validation failure (bad spec/file/arguments, or
+a curve ``plot`` cannot draw), 3 numerical failure (e.g. over-actuated
+stroke, or a JSON summary that would not be finite), 4 I/O failure.
+numpy's overflow warnings stay off: an error line is the one report a
+failed run writes, and a non-finite summary is refused where it is written.
 """
 
 from __future__ import annotations
@@ -396,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValidationError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """File formats: JSON specs and CSV curves/trajectories/joint sweeps.
 
 Every JSON text is rendered by :func:`render_json` (two-space indent,
-sorted keys, final newline). The tube, tendon and phantom readers share
+sorted keys, final newline), which refuses a non-finite number. The tube, tendon and phantom readers share
 one field reader: a spec that is no JSON object, lacks a field, or holds
 a string, true/false or null where a number or a list of numbers belongs
 raises ValidationError.
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .estimation import TrajectoryComparison
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec
 from .kinematics import BackboneCurve, JointBatch, TipTrajectory
@@ -96,8 +96,16 @@ _CONVERSIONS = {
 
 
 def render_json(document: dict) -> str:
-    """The JSON text of every file and summary: two-space indent, sorted keys, final newline."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The JSON text of every file and summary: two-space indent, sorted keys, final newline.
+
+    JSON has no Infinity or NaN (RFC 8259, section 6), so a non-finite
+    number raises DomainError instead of being written.
+    """
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        names = [k for k, v in document.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise DomainError(f"cannot write non-finite {', '.join(sorted(names)) or 'value'} as JSON") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

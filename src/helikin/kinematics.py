@@ -19,9 +19,10 @@ At rest (R = y_na) it degenerates to a straight segment on the X_0 axis,
 which is what the physical tube does. The neutral fiber is the same FK
 helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
 
-One private kernel, ``_centerline``, computes this map and holds the
-package's one rotation construction: :func:`forward_kinematics`,
-``synthetic_sweep`` and :func:`cylinder_axis` all run it.
+One private kernel, ``_centerline``, computes this map:
+:func:`forward_kinematics` and ``synthetic_sweep`` run it. Its frames come
+from ``_frames``, the package's one rotation construction, which
+:func:`cylinder_axis` calls alone.
 """
 
 from __future__ import annotations
@@ -102,26 +103,31 @@ class JointState:
         return abs(length - geom.na_length) / geom.na_length
 
 
+def _check_samples(sampled, name: str, kind: str, label: str) -> None:
+    """Check a sampled curve's parameter ``name`` and points; store both as float64."""
+    param = np.asarray(getattr(sampled, name), dtype=float)
+    pts = np.asarray(sampled.points, dtype=float)
+    if param.ndim != 1 or param.size == 0 or pts.shape != (param.size, 3):
+        raise ValidationError(
+            f"need {name} of shape (N,) and points of shape (N, 3), got {param.shape} and {pts.shape}"
+        )
+    if not (np.isfinite(param).all() and np.isfinite(pts).all()):
+        raise ValidationError(f"{kind} contains non-finite values")
+    if not (param[1:] > param[:-1]).all():
+        raise ValidationError(f"{label} must be strictly increasing")
+    object.__setattr__(sampled, name, param)
+    object.__setattr__(sampled, "points", pts)
+
+
 @dataclass(frozen=True)
 class BackboneCurve:
-    """Centerline samples in O_0: arc-length parameters (mm) and (N, 3) points."""
+    """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points."""
 
     s: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        pts = np.asarray(self.points, dtype=float)
-        if s.ndim != 1 or pts.shape != (s.size, 3):
-            raise ValidationError(
-                f"need s of shape (N,) and points of shape (N, 3), got {s.shape} and {pts.shape}"
-            )
-        if not (np.isfinite(s).all() and np.isfinite(pts).all()):
-            raise ValidationError("curve contains non-finite values")
-        if not (s[1:] > s[:-1]).all():
-            raise ValidationError("arc-length samples must be strictly increasing")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "points", pts)
+        _check_samples(self, "s", "curve", "arc-length samples")
 
     @classmethod
     def _trusted(cls, s: np.ndarray, points: np.ndarray) -> BackboneCurve:
@@ -149,24 +155,13 @@ class BackboneCurve:
 
 @dataclass(frozen=True)
 class TipTrajectory:
-    """Tip positions over a progression grid: eta values and (N, 3) points in O_0."""
+    """Tip positions over a progression grid: N >= 1 eta values and (N, 3) points in O_0."""
 
     eta: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        pts = np.asarray(self.points, dtype=float)
-        if eta.ndim != 1 or pts.shape != (eta.size, 3):
-            raise ValidationError(
-                f"need eta of shape (N,) and points of shape (N, 3), got {eta.shape} and {pts.shape}"
-            )
-        if eta.size and np.any(np.diff(eta) <= 0.0):
-            raise ValidationError("eta grid must be strictly increasing")
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(pts))):
-            raise ValidationError("trajectory contains non-finite values")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "points", pts)
+        _check_samples(self, "eta", "trajectory", "eta grid")
 
     def __len__(self) -> int:
         return self.eta.size
@@ -441,10 +436,7 @@ def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray,
     runs along X through (0, R - y_na, 0) in the helix frame.
     """
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    _, (frame,) = _centerline(
-        np.array([bend_radius]), np.array([joint.cylinder_height]), np.array([joint.deflection]),
-        joint.roll, np.empty(0), geom,
-    )
+    (frame,) = _frames(np.array([joint.deflection]), joint.roll)
     return frame @ np.array([0.0, bend_radius, 0.0]), frame @ np.array([1.0, 0.0, 0.0])
 
 
@@ -455,11 +447,9 @@ def _centerline(
     """The centerline map for m joint states at one roll, at k arc lengths.
 
     Takes R - y_na, H and phi of shape (m,) and ``s`` of shape (k,).
-    Returns the (m, k, 3) points in O_0 and the (m, 3, 3) frames taking
-    helix-frame vectors to O_0: the roll matrix about X times a stack of
-    tilts by -phi about Y, a product so that even its signed zeros are those
-    of Rx(theta) @ Ry(-phi). Each joint's points are ``helix @ frame.T``, one
-    BLAS product per joint, so its rows do not depend on the batch around it.
+    Returns the (m, k, 3) points in O_0 and the :func:`_frames` of the m
+    joints. Each joint's points are ``helix @ frame.T``, one BLAS product
+    per joint, so its rows do not depend on the batch around it.
     """
     angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
     m, r = bend_radius.size, bend_radius[:, None]
@@ -467,6 +457,17 @@ def _centerline(
     helix[..., 0] = s * height[:, None] / geom.na_length
     helix[..., 1] = -r * np.cos(angle) + r
     helix[..., 2] = r * np.sin(angle)
+    frame = _frames(deflection, roll)
+    return helix @ frame.transpose(0, 2, 1), frame
+
+
+def _frames(deflection: np.ndarray, roll: float) -> np.ndarray:
+    """The (m, 3, 3) frames taking helix-frame vectors to O_0, for phi of shape (m,).
+
+    The roll matrix about X times a stack of tilts by -phi about Y, a
+    product so that even its signed zeros are those of Rx(theta) @ Ry(-phi).
+    """
+    m = deflection.size
     cos_roll, sin_roll = math.cos(roll), math.sin(roll)
     rolled = np.array((1.0, 0.0, 0.0, 0.0, cos_roll, -sin_roll, 0.0, sin_roll, cos_roll)).reshape(3, 3)
     tilt = np.zeros((9, m))  # row i is entry i of every flattened tilt matrix
@@ -474,5 +475,4 @@ def _centerline(
     tilt[2] = np.sin(-deflection)
     tilt[4] = 1.0
     tilt[6] = -tilt[2]
-    frame = rolled @ tilt.T.reshape(m, 3, 3)
-    return helix @ frame.transpose(0, 2, 1), frame
+    return rolled @ tilt.T.reshape(m, 3, 3)

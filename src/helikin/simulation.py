@@ -366,9 +366,10 @@ def ftl_run(
     grid = np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("eta grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0.0):
+    # Both tests are written so that NaN fails them.
+    if not (grid[1:] > grid[:-1]).all():
         raise ValidationError("eta grid must be strictly increasing")
-    if grid[0] < -1e-12 or grid[-1] > 1.0 + 1e-12:
+    if not (-1e-12 <= grid[0] and grid[-1] <= 1.0 + 1e-12):
         raise DomainError(f"eta grid outside [0, 1]: [{grid[0]}, {grid[-1]}]")
     grid = np.clip(grid, 0.0, 1.0)
 
@@ -416,9 +417,9 @@ class _Deployment:
     only, which is how a deployment is cleared: every body against one
     phantom. A PhantomSpec cannot change after validation, so identity
     tells whether the kept result still holds. The rows go through the same
-    ``_axis_distance_sq`` as a plain curve; the results match a per-body scan
-    bit for bit only where gemv rounds a row the same at any position and
-    row count (see :func:`phantom_clearance`).
+    ``_axis_distance_sq`` as a plain curve, which rounds each row alike at
+    any position and row count, so the results match a per-body scan bit for
+    bit.
     """
 
     __slots__ = ("rows", "masters", "kept", "on_grid", "_phantom", "_least_sq")
@@ -477,23 +478,15 @@ def phantom_clearance(
     first body cleared against a phantom computes the distances of its
     deployment's master and tip rows once (O(body samples + eta steps)),
     and every body reads its own minimum from them. Both paths use the same
-    arithmetic, so a body's clearance is bit-identical to that of a plain
-    curve with the same rows. That equality assumes numpy's matrix-vector
-    product rounds each row alike whatever its position and the row count,
-    as the OpenBLAS gemv kernels of numpy 2.4.6 on x86-64 do; a BLAS whose
-    leftover-row kernel rounds apart would move a body's clearance by about
-    one ulp.
+    elementwise arithmetic, so a body's clearance is bit-identical to that
+    of a plain curve with the same rows, on any BLAS.
     """
-    if len(curve) == 0:
-        raise ValidationError("clearance needs a non-empty curve")
     if not (tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)):
         raise ValidationError(
             f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius}"
         )
     ftl = getattr(curve, "_ftl", None)
-    # numpy multiplies a one-row operand through dot and longer ones through
-    # gemv, which round apart, so a one-row body (eta = 0) is scanned as is.
-    if ftl is None or len(curve) == 1:
+    if ftl is None:
         least = _axis_distance_sq(curve.points, phantom).min()
     else:
         deployment, k = ftl
@@ -505,11 +498,17 @@ def phantom_clearance(
 
 
 def _axis_distance_sq(points: np.ndarray, phantom: PhantomSpec) -> np.ndarray:
-    """Squared distance of each (N, 3) point to the phantom's axis line."""
-    offsets = points - phantom.axis_point
-    along = offsets @ phantom.axis_direction
-    radial = offsets - along[:, None] * phantom.axis_direction
-    return (radial * radial).sum(axis=1)
+    """Squared distance of each (N, 3) point to the phantom's axis line.
+
+    Written out per coordinate in a fixed order, with no matrix product, so
+    a row's result depends on that row alone: not on its position, the row
+    count or the BLAS.
+    """
+    x, y, z = (points - phantom.axis_point).T
+    dx, dy, dz = phantom.axis_direction.tolist()
+    along = x * dx + y * dy + z * dz
+    rx, ry, rz = x - along * dx, y - along * dy, z - along * dz
+    return rx * rx + ry * ry + rz * rz
 
 
 def phantom_on_cylinder_axis(

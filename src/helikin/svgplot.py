@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
 from .fileio import atomic_write_text
 
 __all__ = ["render_curves_svg", "write_curves_svg"]
@@ -48,9 +49,13 @@ def _nice_step(span: float) -> float:
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
+    # No tick past hi + step lands in the panel. Counting from the span also
+    # ends the loop where adding a step no longer changes the value, as for
+    # coordinates far larger than their spread.
+    limit = math.floor((hi - first) / step) + 2
     ticks = []
     value = first
-    while value <= hi + 1e-9 * max(abs(hi), 1.0):
+    while value <= hi + 1e-9 * max(abs(hi), 1.0) and len(ticks) < limit:
         ticks.append(0.0 if abs(value) < 1e-12 else value)
         value += step
     return ticks
@@ -71,17 +76,28 @@ def _polyline_points(px: np.ndarray) -> str:
 def _panel(
     projected: list[np.ndarray], labels: tuple[str, str], title: str, origin_x: float
 ) -> list[str]:
-    """Render one panel (axes, ticks, polylines) at the given x offset."""
+    """Render one panel (axes, ticks, polylines) at the given x offset.
+
+    Raises ValidationError when the panel cannot be scaled: its padded extent
+    overflows, or it rounds to zero for coordinates too large for their spread.
+    """
     allpts = np.vstack(projected)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = 0.05 * float(span.max())
-    lo, hi = lo - pad, hi + pad
-    scale = _PANEL / float(np.max(hi - lo))
-
-    # center the data inside the square panel
-    offset = (np.array([_PANEL, _PANEL]) - scale * (hi - lo)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        span = np.maximum(hi - lo, 1e-9)
+        pad = 0.05 * float(span.max())
+        lo, hi = lo - pad, hi + pad
+        scale = _PANEL / np.max(hi - lo)
+        # center the data inside the square panel
+        offset = (np.array([_PANEL, _PANEL]) - scale * (hi - lo)) / 2.0
+        # data-coordinate range covered by the full panel square
+        window_lo = lo - offset / scale
+        window_hi = window_lo + _PANEL / scale
+    if not (0.0 < scale < math.inf and np.isfinite(window_lo).all() and np.isfinite(window_hi).all()):
+        raise ValidationError(
+            f"cannot draw the {title} panel: its coordinates overflow or are too large to resolve"
+        )
 
     def to_px(uv: np.ndarray) -> np.ndarray:
         px = origin_x + _MARGIN + offset[0] + (uv[:, 0] - lo[0]) * scale
@@ -102,10 +118,8 @@ def _panel(
         f'transform="rotate(-90 {_fmt(x0 - 36)} {_fmt((y0 + y1) / 2)})">{labels[1]} (mm)</text>',
     ]
 
-    # data-coordinate range covered by the full panel square
-    u_min = lo[0] - offset[0] / scale
-    v_min = lo[1] - offset[1] / scale
-    for tick in _ticks(u_min, u_min + _PANEL / scale):
+    u_min, v_min = window_lo
+    for tick in _ticks(u_min, window_hi[0]):
         px = x0 + (tick - u_min) * scale
         if not x0 <= px <= x1:
             continue
@@ -117,7 +131,7 @@ def _panel(
             f'<text x="{_fmt(px)}" y="{_fmt(y1 + 17)}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>'
         )
-    for tick in _ticks(v_min, v_min + _PANEL / scale):
+    for tick in _ticks(v_min, window_hi[1]):
         py = y1 - (tick - v_min) * scale
         if not y0 <= py <= y1:
             continue

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helikin import cli, fileio, simulation
 from helikin.cli import SPEC_PATH_ENV, build_parser, main
@@ -598,6 +608,160 @@ class TestNonUtf8Files:
         spec.write_bytes(b'{"tube": "\xff"}')
         assert main(["geometry", "--spec", str(spec)]) == 2
         self._assert_one_error(capsys, spec)
+
+
+def _tip_csv(path, rows):
+    """A tip CSV on eta = linspace(0, 1, n) with the given (n, 3) rows, exactly."""
+    eta = [0.0] if len(rows) == 1 else np.linspace(0.0, 1.0, len(rows)).tolist()
+    lines = [f"{e!r},{x!r},{y!r},{z!r}" for e, (x, y, z) in zip(eta, rows)]
+    path.write_text("eta,x_mm,y_mm,z_mm\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+def _curve_csv(path, rows):
+    lines = [f"{float(k)!r},{x!r},{y!r},{z!r}" for k, (x, y, z) in enumerate(rows)]
+    path.write_text("s_mm,x_mm,y_mm,z_mm\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+def _phantom_json(path, point, direction, radius):
+    path.write_text(json.dumps({"axis_point_mm": point, "axis_direction": direction, "radius_mm": radius}))
+    return str(path)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestFloatRangeCurves:
+    """Curves whose finite coordinates are large for their spread, or overflow when squared."""
+
+    def test_plot_of_a_far_off_curve_finishes(self, tmp_path):
+        # The tick loop used to spin forever here, growing its list; the child
+        # gets a memory cap and a timeout so a regression fails instead of hanging.
+        tip = _tip_csv(tmp_path / "far.csv", [(1e16, 0.0, z) for z in (0.0, 0.25, 0.5, 0.75, 1.0)])
+        out = tmp_path / "far.svg"
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "helikin.cli", "plot", tip, "-o", str(out)],
+            capture_output=True, text=True, timeout=30, env=env, preexec_fn=cap_memory,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1e17, 0.0, z) for z in (0.0, 0.5, 1.0)],
+            [(-1e308, 0.0, 0.0), (1e308, 0.0, 1.0)],
+        ],
+        ids=["1e17", "1e308"],
+    )
+    def test_plot_that_cannot_be_drawn_exits_2(self, tmp_path, capsys, rows):
+        out = tmp_path / "x.svg"
+        assert main(["plot", _tip_csv(tmp_path / "tip.csv", rows), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot draw the ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_clearance_that_overflows_exits_3(self, tmp_path, capsys):
+        curve = _curve_csv(tmp_path / "curve.csv", [(1e200, 0.0, 0.0), (1e200, 1.0, 0.0)])
+        phantom = _phantom_json(tmp_path / "phantom.json", [0, 0, 0], [0, 1, 0], 1.0)
+        out = tmp_path / "clearance.json"
+        argv = ["clearance", "--curve", curve, "--phantom", phantom, "--tube-radius", "0.5", "-o", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: cannot write non-finite min_clearance_mm as JSON\n"
+        assert not out.exists()
+
+    def test_compare_that_overflows_exits_3(self, tmp_path, capsys):
+        a = _tip_csv(tmp_path / "a.csv", [(1e200, 0.0, 0.0)] * 2)
+        b = _tip_csv(tmp_path / "b.csv", [(-1e200, 0.0, 0.0)] * 2)
+        per_sample = tmp_path / "d.csv"
+        assert main(["compare", a, b, "--per-sample", str(per_sample)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: cannot write non-finite max_de_mm, rmse_mm as JSON\n"
+        assert not per_sample.exists()
+
+
+_COORD = st.floats(-1e308, 1e308) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _rows(draw, max_rows=5):
+    """1 to max_rows finite points, often a large offset plus a small spread."""
+    n = draw(st.integers(1, max_rows))
+    if draw(st.booleans()):
+        return [tuple(draw(_COORD) for _ in range(3)) for _ in range(n)]
+    center = [draw(st.floats(-1e308, 1e308)) for _ in range(3)]
+    return [tuple(c + draw(st.floats(-10.0, 10.0)) for c in center) for _ in range(n)]
+
+
+class TestFloatRangeBoundary:
+    """plot, clearance and compare on finite coordinates up to +-1e308.
+
+    Every run exits 0, 2 or 3, never with a traceback; stdout holds strict
+    JSON (no NaN or Infinity); a failed run writes exactly one stderr line.
+    """
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+        return code, out.getvalue()
+
+    @given(curves=st.lists(_rows(), min_size=1, max_size=2), backbone=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_plot(self, curves, backbone):
+        with tempfile.TemporaryDirectory() as tmp:
+            write = _curve_csv if backbone else _tip_csv
+            paths = [write(Path(tmp) / f"c{k}.csv", rows) for k, rows in enumerate(curves)]
+            out = Path(tmp) / "plot.svg"
+            code, stdout = self._run(["plot", *paths, "-o", str(out)])
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert stdout == f"wrote {out}\n"
+
+    @given(
+        rows=_rows(),
+        point=st.tuples(_COORD, _COORD, _COORD),
+        direction=st.sampled_from([[1, 0, 0], [0, 1, 0], [0, 0, -1], [0.6, 0, 0.8]]),
+        radius=st.floats(0.0, 1e308) | st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_clearance(self, rows, point, direction, radius):
+        with tempfile.TemporaryDirectory() as tmp:
+            curve = _curve_csv(Path(tmp) / "curve.csv", rows)
+            phantom = _phantom_json(Path(tmp) / "phantom.json", list(point), direction, radius)
+            code, stdout = self._run(["clearance", "--curve", curve, "--phantom", phantom, "--tube-radius", "0.5"])
+            if code == 0:
+                assert set(_strict_json(stdout)) == {"min_clearance_mm", "collides"}
+
+    @given(a=_rows(), b=_rows())
+    @settings(max_examples=50, deadline=None)
+    def test_compare(self, a, b):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [_tip_csv(Path(tmp) / f"{name}.csv", rows) for name, rows in (("a", a), ("b", b))]
+            code, stdout = self._run(["compare", *paths])
+            if code == 0:
+                assert set(_strict_json(stdout)) == {"max_de_mm", "rmse_mm", "n_samples"}
 
 
 class TestDemoCommand:

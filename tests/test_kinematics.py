@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helikin import kinematics
 from helikin.errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
 from helikin.geometry import TendonSpec, derive_geometry
 from helikin.kinematics import (
@@ -14,6 +15,7 @@ from helikin.kinematics import (
     _centerline,
     BackboneCurve,
     JointState,
+    TipTrajectory,
     actuation_failures,
     backbone_samples,
     cylinder_axis,
@@ -353,6 +355,31 @@ class TestForwardKinematicsBoundaries:
         with pytest.raises(ValidationError):
             BackboneCurve(s=np.array([0.0, 1.0, 2.0]), points=np.array([[0.0, 0.0, math.nan]] * 3))
 
+    def test_empty_curves_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape("need s of shape (N,)")):
+            BackboneCurve(s=np.empty(0), points=np.empty((0, 3)))
+        with pytest.raises(ValidationError, match=re.escape("need eta of shape (N,)")):
+            TipTrajectory(eta=np.empty(0), points=np.empty((0, 3)))
+
+    def test_curve_and_trajectory_share_their_checks(self):
+        # Shape, then finiteness, then strict order: a NaN parameter is named
+        # as non-finite by both classes.
+        points = np.zeros((3, 3))
+        for cls, name, kind, label in (
+            (BackboneCurve, "s", "curve", "arc-length samples"),
+            (TipTrajectory, "eta", "trajectory", "eta grid"),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(f"need {name} of shape (N,)")):
+                cls(np.zeros(2), points)
+            with pytest.raises(ValidationError, match=f"{kind} contains non-finite values"):
+                cls(np.array([0.0, math.nan, 0.5]), points)
+            with pytest.raises(ValidationError, match=f"{kind} contains non-finite values"):
+                cls(np.array([0.5, 0.25, math.inf]), points)
+            with pytest.raises(ValidationError, match=f"{label} must be strictly increasing"):
+                cls(np.array([0.0, 0.5, 0.5]), points)
+            single = cls(np.array([1]), np.array([[1, 2, 3]]))
+            assert getattr(single, name).dtype == single.points.dtype == np.float64
+
 
 class TestCenterlineBits:
     """FK and the cylinder axis, bit for bit against the two-rotation formula."""
@@ -390,6 +417,18 @@ class TestCenterlineBits:
         axis_point, axis_direction = cylinder_axis(joint, geom)
         assert axis_point.tobytes() == point.tobytes()
         assert axis_direction.tobytes() == direction.tobytes()
+
+    def test_cylinder_axis_builds_no_helix(self, tendon, geom, monkeypatch):
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.7)
+        expected = cylinder_axis(joint, geom)
+
+        def no_helix(*args):
+            raise AssertionError("cylinder_axis ran the centerline kernel")
+
+        monkeypatch.setattr(kinematics, "_centerline", no_helix)
+        point, direction = cylinder_axis(joint, geom)
+        assert point.tobytes() == expected[0].tobytes()
+        assert direction.tobytes() == expected[1].tobytes()
 
 
 class TestFtlTipTrace:

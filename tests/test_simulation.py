@@ -320,6 +320,28 @@ class TestFtlRun:
                 if float(s) in lookup:
                     assert np.linalg.norm(point - lookup[float(s)]) < 1e-9
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [math.nan, 0.5, 1.0],
+            [0.0, math.nan, 1.0],
+            [0.0, 0.5, math.nan],
+            [0.0, math.inf, 1.0],
+            [0.0, -math.inf, 1.0],
+            [math.inf, 0.5, 1.0],
+        ],
+    )
+    def test_non_finite_grid_is_not_increasing(self, tendon, geom, grid):
+        joint = joint_from_actuation(2.0, 0.0, tendon, geom)
+        with pytest.raises(ValidationError, match="eta grid must be strictly increasing"):
+            ftl_run(joint, geom, np.array(grid))
+
+    @pytest.mark.parametrize("grid", [[math.nan], [-math.inf, 0.5], [0.0, math.inf]])
+    def test_non_finite_grid_ends_are_out_of_range(self, tendon, geom, grid):
+        joint = joint_from_actuation(2.0, 0.0, tendon, geom)
+        with pytest.raises(DomainError, match=r"eta grid outside \[0, 1\]"):
+            ftl_run(joint, geom, np.array(grid))
+
     def test_reversed_grid_same_geometry(self, tendon, geom):
         joint = joint_from_actuation(2.5, 0.0, tendon, geom)
         grid = default_eta_grid(21)
@@ -618,13 +640,35 @@ def _bits(result):
     return clearance.hex(), collides
 
 
+class TestAxisDistanceRows:
+    """Each row of ``_axis_distance_sq`` depends on that row alone, on any BLAS."""
+
+    @given(
+        rows=st.integers(1, 300),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]) | st.floats(1e-3, 1e3),
+        shift=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_alone_and_shifted(self, rows, scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(scale=scale, size=(rows, 3))
+        direction = rng.normal(size=3)
+        phantom = PhantomSpec(
+            rng.normal(scale=scale, size=3), direction / np.linalg.norm(direction), scale
+        )
+        batch = simulation._axis_distance_sq(points, phantom)
+        padded = np.concatenate((rng.normal(scale=scale, size=(shift, 3)), points))
+        assert simulation._axis_distance_sq(padded, phantom)[shift:].tobytes() == batch.tobytes()
+        for i, row in enumerate(points):
+            assert simulation._axis_distance_sq(row[None], phantom).tobytes() == batch[i : i + 1].tobytes()
+
+
 class TestFtlBodyClearance:
     """Clearance of an ftl_run body equals that of a plain curve with its rows, bit for bit.
 
-    The equality assumes numpy's matrix-vector product rounds each row alike
-    whatever its position and the row count, as the OpenBLAS gemv kernels of
-    numpy 2.4.6 on x86-64 do; on a BLAS whose leftover-row kernel rounds
-    apart these tests would fail by about one ulp on correct results.
+    The distance helper rounds each row alike at any position and row count
+    (see ``TestAxisDistanceRows``), so this holds on any BLAS.
     """
 
     GRIDS = {
@@ -669,7 +713,8 @@ class TestFtlBodyClearance:
                 )
 
     def test_off_axis_phantoms_at_eta_zero(self, tendon, geom):
-        # The one-row body at eta = 0 rounds like a one-row curve.
+        # The one-row body at eta = 0 reads the shared pass and still rounds
+        # like a one-row curve.
         joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.4)
         _, bodies = ftl_run(joint, geom, default_eta_grid(3))
         first = BackboneCurve(s=bodies[0].s.copy(), points=bodies[0].points.copy())
@@ -710,9 +755,9 @@ class TestFtlBodyClearance:
         assert sum(map(len, bodies)) == 65561
         for body in bodies:
             phantom_clearance(body, phantom, 0.953)
-        # The one-row body at eta = 0 is scanned on its own; every other body
-        # reads one pass over the master rows and one tip row per body.
-        assert rows == [1, BODY_SAMPLES + grid.size]
+        # Every body, the one-row body at eta = 0 included, reads one pass
+        # over the master rows and one tip row per body.
+        assert rows == [BODY_SAMPLES + grid.size]
         rows.clear()
         for body in bodies[1:]:
             phantom_clearance(body, phantom, 0.953)

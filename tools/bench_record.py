@@ -15,9 +15,9 @@ slow phase of the machine falls on every side alike. A file holds, per workload 
 end-to-end metric, the median, quartiles, IQR and n of the runs and every
 run's value by seed; the bounds from BENCHMARK.json; the Python, numpy,
 CPU count and pinned CPUs the runs reported; and the BLAS numpy was built
-against, as the checkout's interpreter reports it. The demo digests and
-the body-clearance bit-equality tests assume OpenBLAS gemv rounding, so a
-different BLAS is worth knowing about before reading a diff.
+against, as the checkout's interpreter reports it. The demo digests
+assume OpenBLAS's rounding of FK's matrix products, so a different BLAS is
+worth knowing about before reading a diff.
 
 ``--diff A B`` notes any difference in Python, numpy, BLAS or CPU, prints
 B / A of each metric's median and flags a ratio past its bound. Over the
