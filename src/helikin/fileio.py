@@ -1,10 +1,10 @@
 """File formats: JSON specs and CSV curves/trajectories/joint sweeps.
 
 Every JSON text is rendered by :func:`render_json` (two-space indent,
-sorted keys, final newline), which refuses a non-finite number. The tube, tendon and phantom readers share
-one field reader: a spec that is no JSON object, lacks a field, or holds
-a string, true/false or null where a number or a list of numbers belongs
-raises ValidationError.
+sorted keys, final newline), which refuses a non-finite number. The tube,
+tendon and phantom readers share one field reader: a spec that is no JSON
+object, lacks a field, or holds a string, true/false or null where a
+number or a list of numbers belongs raises ValidationError.
 
 All files use millimeters, newtons and radians, except the tube JSON where
 the remaining half-angle is written in degrees (converted on load) and the
@@ -104,8 +104,8 @@ def render_json(document: dict) -> str:
     try:
         return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
-        names = [k for k, v in document.items() if isinstance(v, float) and not math.isfinite(v)]
-        raise DomainError(f"cannot write non-finite {', '.join(sorted(names)) or 'value'} as JSON") from None
+        names = sorted(k for k, v in document.items() if isinstance(v, float) and not math.isfinite(v))
+        raise DomainError(f"cannot write non-finite {', '.join(names) or 'value'} as JSON") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

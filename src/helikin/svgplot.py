@@ -94,7 +94,7 @@ def _panel(
         # data-coordinate range covered by the full panel square
         window_lo = lo - offset / scale
         window_hi = window_lo + _PANEL / scale
-    if not (0.0 < scale < math.inf and np.isfinite(window_lo).all() and np.isfinite(window_hi).all()):
+    if not (0.0 < scale < math.inf and np.isfinite((window_lo, window_hi)).all()):
         raise ValidationError(
             f"cannot draw the {title} panel: its coordinates overflow or are too large to resolve"
         )

@@ -625,7 +625,8 @@ def _curve_csv(path, rows):
 
 
 def _phantom_json(path, point, direction, radius):
-    path.write_text(json.dumps({"axis_point_mm": point, "axis_direction": direction, "radius_mm": radius}))
+    document = {"axis_point_mm": point, "axis_direction": direction, "radius_mm": radius}
+    path.write_text(json.dumps(document))
     return str(path)
 
 
@@ -750,7 +751,8 @@ class TestFloatRangeBoundary:
         with tempfile.TemporaryDirectory() as tmp:
             curve = _curve_csv(Path(tmp) / "curve.csv", rows)
             phantom = _phantom_json(Path(tmp) / "phantom.json", list(point), direction, radius)
-            code, stdout = self._run(["clearance", "--curve", curve, "--phantom", phantom, "--tube-radius", "0.5"])
+            argv = ["clearance", "--curve", curve, "--phantom", phantom, "--tube-radius", "0.5"]
+            code, stdout = self._run(argv)
             if code == 0:
                 assert set(_strict_json(stdout)) == {"min_clearance_mm", "collides"}
 

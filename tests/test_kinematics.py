@@ -276,6 +276,18 @@ class TestForwardKinematics:
         bend_radius = joint.cylinder_radius - geom.composite_na_offset
         assert np.allclose(distances, bend_radius, atol=1e-9)
 
+    def test_cylinder_axis_builds_no_helix(self, tendon, geom, monkeypatch):
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.7)
+        expected = cylinder_axis(joint, geom)
+
+        def no_helix(*args):
+            raise AssertionError("cylinder_axis ran the centerline kernel")
+
+        monkeypatch.setattr(kinematics, "_centerline", no_helix)
+        point, direction = cylinder_axis(joint, geom)
+        assert point.tobytes() == expected[0].tobytes()
+        assert direction.tobytes() == expected[1].tobytes()
+
     def test_rejects_unsorted_or_out_of_range_samples(self, geom):
         joint = rest_joint(geom)
         with pytest.raises(Exception):
@@ -417,18 +429,6 @@ class TestCenterlineBits:
         axis_point, axis_direction = cylinder_axis(joint, geom)
         assert axis_point.tobytes() == point.tobytes()
         assert axis_direction.tobytes() == direction.tobytes()
-
-    def test_cylinder_axis_builds_no_helix(self, tendon, geom, monkeypatch):
-        joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.7)
-        expected = cylinder_axis(joint, geom)
-
-        def no_helix(*args):
-            raise AssertionError("cylinder_axis ran the centerline kernel")
-
-        monkeypatch.setattr(kinematics, "_centerline", no_helix)
-        point, direction = cylinder_axis(joint, geom)
-        assert point.tobytes() == expected[0].tobytes()
-        assert direction.tobytes() == expected[1].tobytes()
 
 
 class TestFtlTipTrace:
