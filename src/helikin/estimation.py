@@ -151,6 +151,8 @@ def position_based_estimate(
     # math.hypot and x*x+y*y+z*z round differently on some tips.
     height = math.sqrt(tip.dot(tip))
     if not math.isfinite(height):
+        if np.isfinite(tip).all():
+            raise DomainError(f"tip {tip.tolist()} is finite, but its squared norm overflows")
         raise DomainError(f"tip {tip.tolist()} has non-finite coordinates")
     if height == 0.0:
         raise DomainError("tip at the origin carries no shape information")
@@ -164,42 +166,35 @@ def position_based_estimate(
     two_pi_n = 2.0 * math.pi * geom.turn_count
     radius = math.sqrt(max(radius_sq, 0.0)) / two_pi_n
     phi_model = math.atan2(two_pi_n * (radius - geom.composite_na_offset), height)
-    return PositionEstimate(
-        cylinder_height=height,
-        phi_truth=phi_truth,
-        cylinder_radius=radius,
-        phi_model=phi_model,
-    )
+    return PositionEstimate(height, phi_truth, radius, phi_model)  # positional: cheaper than keywords
 
 
-def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def max_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest point-to-point distance between two aligned sequences, mm."""
+    return compare_point_sequences(a, b).max_distance
+
+
+def rmse(a: np.ndarray, b: np.ndarray) -> float:
+    """Root-mean-square point-to-point distance between aligned sequences, mm."""
+    return compare_point_sequences(a, b).rmse
+
+
+def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryComparison:
+    """Both metrics plus the per-sample distance profile, in one pass.
+
+    Bit for bit, NaN included: ``d = np.linalg.norm(a - b, axis=1)``, ``np.max(d)``, ``np.sqrt(np.mean(d**2))``.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise GridMismatchError(f"point sequences differ in shape: {a.shape} vs {b.shape}")
     if a.shape[0] < 1:
         raise GridMismatchError("point sequences must contain at least one sample")
-    return np.linalg.norm(a - b, axis=1)
-
-
-def max_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest point-to-point distance between two aligned sequences, mm."""
-    return float(np.max(_paired_distances(a, b)))
-
-
-def rmse(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-mean-square point-to-point distance between aligned sequences, mm."""
-    return float(np.sqrt(np.mean(_paired_distances(a, b) ** 2)))
-
-
-def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryComparison:
-    """Both metrics plus the per-sample distance profile."""
-    distances = _paired_distances(a, b)
-    return TrajectoryComparison(
-        max_distance=float(np.max(distances)),
-        rmse=float(np.sqrt(np.mean(distances**2))),
-        per_sample_distances=distances,
-    )
+    diff = a - b
+    distances = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    squares = distances * distances
+    root = math.sqrt(float(np.add.reduce(squares, axis=None)) / squares.size)
+    return TrajectoryComparison(float(distances.max()), root, distances)
 
 
 def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> TrajectoryComparison:

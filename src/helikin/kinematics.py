@@ -20,9 +20,11 @@ which is what the physical tube does. The neutral fiber is the same FK
 helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
 
 One private kernel, ``_centerline``, computes this map:
-:func:`forward_kinematics` and ``synthetic_sweep`` run it. Its frames come
-from ``_frames``, the package's one rotation construction, which
-:func:`cylinder_axis` calls alone.
+:func:`forward_kinematics` runs it on one joint state's floats and
+``synthetic_sweep`` on arrays of joint states. Its frames come from
+``_frames``, the package's one rotation construction, which writes out the
+nine entries of Rx(theta) @ Ry(-phi) with no BLAS call, for a float phi or
+an array of them; :func:`cylinder_axis` calls it alone.
 """
 
 from __future__ import annotations
@@ -420,10 +422,8 @@ def forward_kinematics(
         s[s > upper] = upper
     if (not rising or low < 0.0 or high > upper) and (s[1:] == s[:-1]).any():
         raise ValidationError("arc-length samples must be strictly increasing")
-    bend_radius = np.array([joint.cylinder_radius - geom.composite_na_offset])
-    (points,), _ = _centerline(
-        bend_radius, np.array([joint.cylinder_height]), np.array([joint.deflection]), joint.roll, s, geom
-    )
+    bend_radius = joint.cylinder_radius - geom.composite_na_offset
+    points, _ = _centerline(bend_radius, joint.cylinder_height, joint.deflection, joint.roll, s, geom)
     if not np.isfinite(points).all():
         raise ValidationError("curve contains non-finite values")
     return BackboneCurve._trusted(s, points)
@@ -436,43 +436,47 @@ def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray,
     runs along X through (0, R - y_na, 0) in the helix frame.
     """
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    (frame,) = _frames(np.array([joint.deflection]), joint.roll)
+    frame = _frames(joint.deflection, joint.roll)
     return frame @ np.array([0.0, bend_radius, 0.0]), frame @ np.array([1.0, 0.0, 0.0])
 
 
-def _centerline(
-    bend_radius: np.ndarray, height: np.ndarray, deflection: np.ndarray, roll: float,
-    s: np.ndarray, geom: DerivedGeometry,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The centerline map for m joint states at one roll, at k arc lengths.
+def _centerline(bend_radius, height, deflection, roll: float, s: np.ndarray, geom: DerivedGeometry):
+    """The centerline map at one roll, at the k arc lengths ``s`` of shape (k,).
 
-    Takes R - y_na, H and phi of shape (m,) and ``s`` of shape (k,).
-    Returns the (m, k, 3) points in O_0 and the :func:`_frames` of the m
-    joints. Each joint's points are ``helix @ frame.T``, one BLAS product
-    per joint, so its rows do not depend on the batch around it.
+    R - y_na, H and phi are floats for one joint state, giving (k, 3) points
+    and a (3, 3) frame, or arrays of shape (m,), giving (m, k, 3) and
+    (m, 3, 3). The points are ``helix @ frame.T``, one BLAS product per
+    joint, so a joint's rows do not depend on the batch around it.
     """
     angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
-    m, r = bend_radius.size, bend_radius[:, None]
-    helix = np.empty((m, s.size, 3))
-    helix[..., 0] = s * height[:, None] / geom.na_length
-    helix[..., 1] = -r * np.cos(angle) + r
+    r = np.asarray(bend_radius)[..., None]  # (1,) for a float, (m, 1) for an array
+    helix = np.empty(r.shape[:-1] + (s.size, 3))
+    helix[..., 0] = s * np.asarray(height)[..., None] / geom.na_length
+    helix[..., 1] = r - r * np.cos(angle)  # -r * cos(a) + r bit for bit, one operation fewer
     helix[..., 2] = r * np.sin(angle)
     frame = _frames(deflection, roll)
-    return helix @ frame.transpose(0, 2, 1), frame
+    return helix @ frame.swapaxes(-1, -2), frame
 
 
-def _frames(deflection: np.ndarray, roll: float) -> np.ndarray:
-    """The (m, 3, 3) frames taking helix-frame vectors to O_0, for phi of shape (m,).
+def _frames(deflection, roll: float) -> np.ndarray:
+    """Rx(theta) @ Ry(-phi): the frame taking helix-frame vectors to O_0.
 
-    The roll matrix about X times a stack of tilts by -phi about Y, a
-    product so that even its signed zeros are those of Rx(theta) @ Ry(-phi).
+    A float phi gives one (3, 3) frame, phi of shape (m,) gives (m, 3, 3).
+    The nine entries are written out, with no BLAS call, as a gemm of the
+    two rotations gives them: each holds at most one product of non-zero
+    factors, which gemm adds to the zero partial sum in one rounding (an
+    FMA). So an entry is that product, signed even where it underflows to
+    zero, or +0 where every product has a zero factor.
     """
-    m = deflection.size
     cos_roll, sin_roll = math.cos(roll), math.sin(roll)
-    rolled = np.array((1.0, 0.0, 0.0, 0.0, cos_roll, -sin_roll, 0.0, sin_roll, cos_roll)).reshape(3, 3)
-    tilt = np.zeros((9, m))  # row i is entry i of every flattened tilt matrix
-    tilt[0] = tilt[8] = np.cos(-deflection)
-    tilt[2] = np.sin(-deflection)
-    tilt[4] = 1.0
-    tilt[6] = -tilt[2]
-    return rolled @ tilt.T.reshape(m, 3, 3)
+    cos_tilt, sin_tilt = np.cos(-deflection), np.sin(-deflection)
+    # a * b as |a| * (sign(a) * b + 0.0) is the product rounded once, but +0 for a zero b.
+    entries = np.empty((9,) + cos_tilt.shape)  # each frame's entries in row-major order
+    entries[0], entries[1], entries[2] = cos_tilt, 0.0, sin_tilt + 0.0
+    entries[3] = abs(sin_roll) * (math.copysign(1.0, sin_roll) * sin_tilt + 0.0)  # (-sin theta) * -sin(-phi)
+    entries[4], entries[5] = cos_roll, -sin_roll * cos_tilt
+    entries[6] = abs(cos_roll) * (math.copysign(1.0, -cos_roll) * sin_tilt + 0.0)  # cos theta * -sin(-phi)
+    entries[7], entries[8] = sin_roll + 0.0, cos_roll * cos_tilt
+    if sin_roll == 0.0:
+        entries[3] = entries[5] = 0.0
+    return entries.T.reshape(cos_tilt.shape + (3, 3))
