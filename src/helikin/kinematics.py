@@ -477,6 +477,6 @@ def _frames(deflection, roll: float) -> np.ndarray:
     entries[4], entries[5] = cos_roll, -sin_roll * cos_tilt
     entries[6] = abs(cos_roll) * (math.copysign(1.0, -cos_roll) * sin_tilt + 0.0)  # cos theta * -sin(-phi)
     entries[7], entries[8] = sin_roll + 0.0, cos_roll * cos_tilt
-    if sin_roll == 0.0:
+    if sin_roll == 0.0:  # theta is +-0: a zero factor in both products
         entries[3] = entries[5] = 0.0
     return entries.T.reshape(cos_tilt.shape + (3, 3))

@@ -303,6 +303,26 @@ class TestEstimateCommand:
         assert out.read_text().splitlines()[1] == "0,nan,nan,nan,nan"
         assert "sample 0:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ([1e200, 0.0, 0.0], "sample 0: tip [1e+200, 0.0, 0.0] is finite, but its squared norm overflows"),
+            ([60.0, math.nan, 0.0], "sample 0: tip [60.0, nan, 0.0] has non-finite coordinates"),
+        ],
+        ids=["overflow", "non-finite"],
+    )
+    def test_position_names_why_a_tip_has_no_norm(self, tmp_path, spec_file, capsys, point, message):
+        tips = tmp_path / "tips.csv"
+        fileio.write_marker_csv(tips, np.array([0.0]), np.array([point]))
+        out = tmp_path / "estimates.csv"
+        args = [
+            "estimate", "--spec", spec_file, "--method", "position",
+            "-i", str(tips), "-o", str(out),
+        ]
+        assert main(args) == 3
+        assert out.read_text().splitlines()[1] == "0,nan,nan,nan,nan"
+        assert capsys.readouterr().err == message + "\n"
+
     def test_stroke_round_trip(self, tmp_path, spec_file):
         strokes = tmp_path / "strokes.csv"
         strokes.write_text("dl_t_mm,T_N\n0,0\n2,0\n")

@@ -131,6 +131,11 @@ class TestPositionBasedEstimate:
         with pytest.raises(DomainError, match="non-finite"):
             position_based_estimate(np.array([60.0, bad, 0.0]), geom)
 
+    @pytest.mark.parametrize("tip", [[1e200, 0.0, 0.0], [0.0, -1.5e154, 1e154], [1.7e308, 1.7e308, 0.0]])
+    def test_overflowing_norm_is_named(self, geom, tip):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=r"is finite, but its squared norm overflows$"):
+            position_based_estimate(np.array(tip), geom)
+
     def test_straight_tube_tip(self, tube, geom):
         estimate = position_based_estimate(np.array([64.0, 0.0, 0.0]), geom)
         assert estimate.cylinder_height == pytest.approx(64.0)
@@ -305,6 +310,42 @@ class TestMetrics:
         assert rmse(scale * a, scale * b) == pytest.approx(
             scale * rmse(a, b), rel=1e-12, abs=1e-12
         )
+
+
+def _metrics_by_former_formula(a, b):
+    """Distances, maximum and RMSE as the package computed them before the one-pass score."""
+    distances = np.linalg.norm(a - b, axis=1)
+    return distances, float(np.max(distances)), float(np.sqrt(np.mean(distances**2)))
+
+
+class TestOnePassMetrics:
+    """compare_point_sequences, max_euclidean_distance and rmse keep the former formulas' bits."""
+
+    @given(
+        rows=st.sampled_from([1, 2, 7, 8, 9, 128, 129, 10_000]) | st.integers(1, 10_000),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 5),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_former_formula(self, rows, log_scale, seed, cells):
+        pairs = np.random.default_rng(seed).normal(size=(rows, 6)) * 10.0**log_scale
+        for where, column, value in cells:
+            pairs[int(where * rows), column] = value
+        a, b = pairs[:, :3], pairs[:, 3:]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            distances, d_max, root = _metrics_by_former_formula(a, b)
+            got = compare_point_sequences(a, b)
+            fields = np.array([max_euclidean_distance(a, b), rmse(a, b)])
+        assert got.per_sample_distances.tobytes() == distances.tobytes()
+        assert np.array([got.max_distance, got.rmse]).tobytes() == np.array([d_max, root]).tobytes()
+        assert fields.tobytes() == np.array([d_max, root]).tobytes()
 
 
 class TestRepeatabilityCompare:

@@ -356,6 +356,22 @@ class TestForwardKinematicsBoundaries:
         with pytest.raises(ValidationError, match="arc-length samples must be strictly increasing"):
             forward_kinematics(joint, geom, samples)
 
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (np.zeros((2, 2)), ValidationError, "samples must be a non-empty 1-D array, got shape (2, 2)"),
+            (np.empty(0), ValidationError, "samples must be a non-empty 1-D array, got shape (0,)"),
+            ([0.0, 20.0, 10.0], ValidationError, "samples must be sorted ascending"),
+            ([math.nan, 10.0, 20.0], DomainError, "arc length nan outside [0, {upper}]"),
+            ([0.0, 10.0, math.nan], DomainError, "arc length nan outside [0, {upper}]"),
+        ],
+        ids=["2-d", "empty", "descending", "nan-first", "nan-last"],
+    )
+    def test_error_table(self, tendon, geom, samples, error, message):
+        with pytest.raises(error) as raised:
+            forward_kinematics(self._joint(tendon, geom), geom, samples)
+        assert str(raised.value) == message.format(upper=geom.na_length)
+
     def test_curve_rejects_nan_and_unsorted_samples(self):
         points = np.zeros((3, 3))
         with pytest.raises(ValidationError):
@@ -429,6 +445,35 @@ class TestCenterlineBits:
         axis_point, axis_direction = cylinder_axis(joint, geom)
         assert axis_point.tobytes() == point.tobytes()
         assert axis_direction.tobytes() == direction.tobytes()
+
+
+def _frames_by_gemm(deflection, roll):
+    """The frames as one gemm each: a roll matrix times a stack of tilts by -phi."""
+    cos_roll, sin_roll = math.cos(roll), math.sin(roll)
+    rolled = np.array([[1.0, 0.0, 0.0], [0.0, cos_roll, -sin_roll], [0.0, sin_roll, cos_roll]])
+    tilt = np.zeros((9, deflection.size))  # row i is entry i of every flattened tilt matrix
+    tilt[0] = tilt[8] = np.cos(-deflection)
+    tilt[2] = np.sin(-deflection)
+    tilt[4] = 1.0
+    tilt[6] = -tilt[2]
+    return rolled @ tilt.T.reshape(deflection.size, 3, 3)
+
+
+class TestFramesBits:
+    """The written-out frames carry the gemm's bytes, signed zeros and underflowed products included.
+
+    The reference rounds through this platform's BLAS, like the demo digests.
+    """
+
+    angles = st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(roll=angles, phis=st.lists(angles, min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_frames_match_gemm(self, roll, phis):
+        expected = _frames_by_gemm(np.array(phis), roll)
+        assert kinematics._frames(np.array(phis), roll).tobytes() == expected.tobytes()
+        frame = kinematics._frames(phis[0], roll)  # a float phi: the batch of one
+        assert frame.shape == (3, 3) and frame.tobytes() == expected[0].tobytes()
 
 
 class TestFtlTipTrace:
