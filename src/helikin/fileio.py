@@ -13,11 +13,10 @@ with 12 significant digits so round-trips preserve values well beyond the
 tolerances used anywhere in the package. Writes are atomic
 (write-then-rename) so a crashed run never leaves a truncated file.
 
-CSV tables are formatted with one ``%`` call per file and parsed with one
-``np.loadtxt`` call, which reads a cell to the same float64 as ``float()``.
-In a dataset bundle, the columns that the tip and marker files share (the
-index, strokes, noisy strokes and tensions) are formatted once for all of
-them; the bytes are those of writing each file on its own.
+CSV cells are formatted by one numpy kernel with the bytes of ``%.12g``
+(see :func:`_cells`) and parsed with one ``np.loadtxt`` call, which reads a
+cell to the same float64 as ``float()``. A dataset bundle formats the
+columns that its tip and marker files share once for all of them.
 Readers accept blank lines, CRLF or CR line endings and quoted cells such
 as ``"1.5"``; ``float()``'s underscore separators (``1_0``) are rejected.
 A header column past the format's own is rejected. Every row must have as
@@ -67,7 +66,6 @@ __all__ = [
     "write_dataset_bundle",
 ]
 
-_FLOAT_FMT = "%.12g"
 _MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
 
 
@@ -108,12 +106,12 @@ def render_json(document: dict) -> str:
         raise DomainError(f"cannot write non-finite {', '.join(names) or 'value'} as JSON") from None
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file in the same directory, then rename."""
+def atomic_write_text(path: str | Path, text: str | bytes) -> None:
+    """Write text, or bytes as they are, to path via a temp file in the same directory, then rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", newline="") if isinstance(text, str) else os.fdopen(fd, "wb") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -277,29 +275,124 @@ def _bad_row(path: str | Path, lines: Iterable[str], width: int) -> str | None:
     return None
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """A column's cells as %.12g text, for a column that several files share."""
-    return [_FLOAT_FMT % v for v in values.tolist()]
+_POW10 = np.array([float(10**k) for k in range(16)])  # each exact in float64
+_CELL = np.dtype([("text", "V20"), ("end", np.uint8)])  # "-1.23456789012e-308" is 19 bytes
 
 
-def _table(header: list[str], columns: list) -> str:
-    """CSV text of equal-length columns under a header, from one ``%`` call.
+def _digit_words() -> list[np.ndarray]:
+    """The cell kernel's NUL-padded 4-byte words, filled in place as uint8 (no large temporaries).
 
-    A column is either a float ndarray, formatted %.12g by that call, or a
-    list of strings spliced in as they are.
+    ints: 0..9999 right-aligned, then -0..-999 at 10^4 + i; first: ".ddd"
+    for 0..999; groups: "dddd" for 0..9999. The second half of first and
+    groups drops trailing zeros (and first's "." for 0).
     """
-    k, n = len(columns), len(columns[0])
-    cells = [None] * (n * k)
-    for j, column in enumerate(columns):
-        cells[j::k] = column.tolist() if isinstance(column, np.ndarray) else column
-    cells = tuple(cells)  # frees the list before the text is built
-    row = ",".join(_FLOAT_FMT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-    return (",".join(header).replace("%", "%%") + "\n" + row * n) % cells
+    groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # one axis per digit of 0..9999
+    for place in range(4):
+        groups[..., place] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - place))
+    groups[1, ..., 0, 3] = groups[1, ..., 0, 0, 2] = groups[1, :, 0, 0, 0, 1] = groups[1, 0, 0, 0, 0, 0] = 0
+    first = groups[:, 0].copy()
+    first[..., 0] = ord(".")
+    first[1, 0, 0, 0, 0] = 0
+    ints = np.empty((11, 10, 10, 10, 4), np.uint8)  # 0..9999, then -0..-999 at [10]
+    ints[:10] = groups[0]
+    ints[0, ..., 0] = ints[0, 0, ..., 1] = ints[0, 0, 0, :, 2] = 0
+    ints[10] = ints[0]
+    ints[10, 0, 0, :, 2] = ints[10, 0, 1:, :, 1] = ints[10, 1:, :, :, 0] = ord("-")
+    return [t.view(np.uint32).ravel() for t in (ints, first, groups)]
+
+
+_INT_WORDS, _FIRST_WORDS, _GROUP_WORDS = _digit_words()
+
+
+def _cells(values: np.ndarray, digits: int = 12) -> np.ndarray:
+    """A 1-D float array as (n, 5) uint32 words, each row ``'%.<digits>g' % v`` padded with NUL.
+
+    P = digits runs from 4 to 12. Fixed notation with up to four integer
+    digits (three when negative) comes from the digit words; every other
+    cell (0, -0, NaN, +-inf, scientific notation, or refused below) is
+    Python's ``%`` text. With X = floor(log10|v|), the exact power
+    10^(P-1-X) (exponent 0..15), s = fl(|v| 10^(P-1-X)) and m = rint(s), a
+    cell is accepted only if 10^(P-1) <= s, m < 10^P and |s - m| < 1/2 - 2^-12.
+    As s < 2^40, s is within 2^-14 of the exact product, so m is the
+    correctly rounded P-digit mantissa with no tie, and X is the exponent
+    of the rounded value, as %g requires: an X one too small gives
+    m >= 10^P, one too large gives s < 10^(P-1) unless v rounds up into
+    the next decade, where that X is right. log10's rounding thus costs
+    speed, never a byte. m splits exactly into the integer part (one word)
+    and the 15-digit fraction (m mod 10^f) 10^(15-f), f = P-1-X (four
+    words), whose trailing zeros, and the "." of a zero fraction, are NUL.
+    """
+    v = np.asarray(values, dtype=float)
+    negative = np.signbit(v)
+    s = np.abs(v)
+    # Steps write into arrays they no longer need: at this size a fresh
+    # temporary costs more in page faults than its arithmetic.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.floor(np.log10(s))
+        fast = (x >= -4) & (x + negative <= 3)
+        e = np.where(fast, digits - 1 - x, 0.0).astype(np.intp)
+        power = _POW10.take(e)
+        m = np.rint(np.multiply(s, power, out=s))
+        fast &= (s >= _POW10[digits - 1]) & (m < _POW10[digits])
+        fast &= np.abs(np.subtract(s, m, out=x), out=x) < 0.5 - 2.0**-12
+    np.copyto(m, 0.0, where=~fast)
+    whole = np.floor(np.divide(m, power, out=s), out=s)
+    np.subtract(m, np.multiply(whole, power, out=power), out=m)
+    fraction = np.multiply(m, _POW10[::-1].take(e), out=m).astype(np.intp)
+    high, low = np.divmod(fraction, 10**8, out=(e, fraction))
+    g0, g1 = np.divmod(high, 10**4, out=(high, np.empty_like(high)))
+    g2, g3 = np.divmod(low, 10**4, out=(low, np.empty_like(low)))
+    # A group with no digit after it takes the stripped half of its table.
+    low_zero = (g2 == 0) & (g3 == 0)
+    np.add(g0, 1000, out=g0, where=low_zero & (g1 == 0))
+    np.add(g1, 10**4, out=g1, where=low_zero)
+    np.add(g2, 10**4, out=g2, where=g3 == 0)
+    g3 += 10**4
+    whole = whole.astype(np.intp)
+    np.add(whole, 10**4, out=whole, where=negative)
+    cells = np.empty((len(v), 5), np.uint32)
+    for j, (table, index) in enumerate(zip([_INT_WORDS, _FIRST_WORDS] + [_GROUP_WORDS] * 3, [whole, g0, g1, g2, g3])):
+        np.take(table, index, out=cells[:, j], mode="clip")
+    slow = np.flatnonzero(~fast)
+    text = [f"%.{digits}g" % value for value in v[slow].tolist()]
+    cells[slow] = np.array(text, dtype="S20").view(np.uint32).reshape(-1, 5)
+    return cells
+
+
+def _join_cells(columns: list[np.ndarray], ends: int | np.ndarray = ord("\n")) -> bytearray:
+    """Equal-length columns of cells as ASCII text, row by row.
+
+    A cell is followed by "," or, the last of its row, by `ends` (a code, or
+    one per row); one translate drops the NUL padding.
+    """
+    buffer = bytearray(len(columns[0]) * len(columns) * _CELL.itemsize)
+    slots = np.frombuffer(buffer, _CELL).reshape(-1, len(columns))
+    for j, cells in enumerate(columns):
+        slots["text"][:, j] = cells.view(_CELL["text"])[:, 0]
+    slots["end"] = ord(",")
+    slots["end"][:, -1] = ends
+    return buffer.translate(None, b"\0")
+
+
+def _csv_bytes(header: list[str], columns: list[np.ndarray]) -> bytearray:
+    text = _join_cells(columns)
+    text[:0] = (",".join(header) + "\n").encode()
+    return text
 
 
 def write_table_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length columns under a header, every cell as %.12g."""
-    atomic_write_text(path, _table(header, [np.asarray(c, dtype=float) for c in columns]))
+    """Write columns under a header, every cell as %.12g.
+
+    Anything but one 1-D column per header name, all of one length, raises ValidationError.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shapes = [c.shape for c in columns]
+    if not columns or len(header) != len(columns) or len(set(shapes)) > 1 or len(shapes[0]) != 1:
+        raise ValidationError(
+            f"{path}: a CSV table needs one 1-D column per header name, all of one length; "
+            f"got {len(header)} names for columns of shapes {shapes}"
+        )
+    atomic_write_text(path, _csv_bytes(header, [_cells(c) for c in columns]))
 
 
 def write_backbone_csv(path: str | Path, curve: BackboneCurve) -> None:
@@ -382,10 +475,6 @@ def write_comparison_csv(path: str | Path, index: np.ndarray, comparison: Trajec
     write_table_csv(path, ["eta", "d_e_mm"], [index, comparison.per_sample_distances])
 
 
-def _marker_file_tag(arclength: float) -> str:
-    return (_FLOAT_FMT % arclength).replace(".", "p").replace("-", "m")
-
-
 def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> list[Path]:
     """Write a synthetic dataset as a directory of spec + CSV files.
 
@@ -414,33 +503,20 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     written.append(path)
 
     ok = dataset.batch.ok
-    truth, noisy = _marker_templates(dataset, ok)
+    index, strokes, noisy, tensions = (
+        _cells(column[ok])
+        for column in (dataset.sample_index(), dataset.strokes, dataset.strokes_noisy, dataset.tensions)
+    )
 
-    def write_markers(name: str, template: str, points: np.ndarray) -> None:
+    def write_markers(name: str, points: np.ndarray, strokes: np.ndarray) -> None:
         path = directory / name
-        atomic_write_text(path, template % tuple(points[ok].ravel().tolist()))
+        points = [_cells(column) for column in points[ok].T]
+        atomic_write_text(path, _csv_bytes(_MARKER_HEADER, [index, *points, strokes, tensions]))
         written.append(path)
 
-    write_markers("tip.csv", truth, dataset.tips_true)
+    write_markers("tip.csv", dataset.tips_true, strokes)
     for s in dataset.marker_arclengths:
-        tag = _marker_file_tag(s)
-        write_markers(f"marker_{tag}.csv", noisy, dataset.tracks_noisy[s])
-        write_markers(f"marker_{tag}_truth.csv", truth, dataset.tracks_true[s])
+        tag = ("%.12g" % s).replace(".", "p").replace("-", "m")
+        write_markers(f"marker_{tag}.csv", dataset.tracks_noisy[s], noisy)
+        write_markers(f"marker_{tag}_truth.csv", dataset.tracks_true[s], strokes)
     return written
-
-
-def _marker_templates(dataset: SyntheticDataset, ok: np.ndarray) -> tuple[str, str]:
-    """The bundle's truth and noisy marker CSVs, each point coordinate a %.12g slot.
-
-    The index, stroke and tension columns that the tip and marker files
-    share are formatted here once. The joints.csv strokes and tensions are
-    not reused: holding them as text while joints.csv is formatted raised
-    the write's memory peak above that of writing each file on its own.
-    """
-    index = _format_column(dataset.sample_index()[ok])
-    tensions = _format_column(dataset.tensions[ok])
-    slot = [_FLOAT_FMT] * len(index)
-    return tuple(
-        _table(_MARKER_HEADER, [index, slot, slot, slot, _format_column(strokes[ok]), tensions])
-        for strokes in (dataset.strokes, dataset.strokes_noisy)
-    )

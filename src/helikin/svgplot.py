@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_write_text
+from .fileio import _cells, _join_cells, atomic_write_text
 
 __all__ = ["render_curves_svg", "write_curves_svg"]
 
@@ -65,18 +65,23 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _polyline_points(px: np.ndarray) -> str:
+def _polyline_points(*curves: np.ndarray) -> str:
     """(N, 2) pixel coordinates as ``x,y x,y ...``, each ``%.10g`` like :func:`_fmt`.
 
-    One ``%`` call formats the whole polyline, not one call per point.
+    Several curves give one such line each, joined by newlines; one call of
+    the CSV writers' cell kernel formats the coordinates of them all.
     """
-    return (("%.10g,%.10g " * len(px)) % tuple(px.ravel().tolist()))[:-1]
+    px = np.concatenate(curves)
+    cells = _cells(px.ravel(), 10).reshape(-1, 2, 5)
+    ends = np.full(len(px), ord(" "), np.uint8)
+    ends[np.cumsum([len(c) for c in curves]) - 1] = ord("\n")
+    return _join_cells([cells[:, 0], cells[:, 1]], ends)[:-1].decode()
 
 
 def _panel(
     projected: list[np.ndarray], labels: tuple[str, str], title: str, origin_x: float
-) -> list[str]:
-    """Render one panel (axes, ticks, polylines) at the given x offset.
+) -> tuple[list[str], list[np.ndarray]]:
+    """Render one panel's axes and ticks at the given x offset; return them and its curves in pixels.
 
     Raises ValidationError when the panel cannot be scaled: its padded extent
     overflows, or it rounds to zero for coordinates too large for their spread.
@@ -144,13 +149,7 @@ def _panel(
             f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>'
         )
 
-    for k, uv in enumerate(projected):
-        coords = _polyline_points(to_px(uv))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-    return parts
+    return parts, [to_px(uv) for uv in projected]
 
 
 def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) -> str:
@@ -158,6 +157,8 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
     if not curves:
         raise ValueError("need at least one curve to plot")
     pts = [np.asarray(c, dtype=float).reshape(-1, 3) for c in curves]
+    if not all(len(p) for p in pts):
+        raise ValidationError(f"curve {[len(p) for p in pts].index(0)} has no points to plot")
 
     panel_w = _PANEL + 2 * _MARGIN
     width = 3 * panel_w + 2 * _GAP
@@ -173,8 +174,13 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
         ([p[:, [0, 2]] for p in pts], ("x", "z"), "side view (X-Z)"),
         ([_iso_project(p) for p in pts], ("u", "v"), "isometric"),
     ]
-    for k, (projected, labels, title) in enumerate(panels):
-        parts.extend(_panel(projected, labels, title, k * (panel_w + _GAP)))
+    drawn = [_panel(*panel, k * (panel_w + _GAP)) for k, panel in enumerate(panels)]
+    lines = iter(_polyline_points(*(px for _, pixels in drawn for px in pixels)).split("\n"))
+    for frame, pixels in drawn:
+        parts += frame + [
+            f'<polyline points="{next(lines)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            for color, _ in zip(_COLORS * len(pixels), pixels)
+        ]
 
     if names:
         for k, name in enumerate(names):

@@ -518,6 +518,87 @@ class TestTableWriterParity:
         assert loaded.tobytes() == expected.tobytes()
 
 
+def _per_cell_text(columns, digits):
+    """The reference table text: every cell through Python's own format."""
+    rows = zip(*[np.asarray(c, dtype=float).tolist() for c in columns])
+    return "".join(",".join(format(v, f".{digits}g") for v in row) + "\n" for row in rows)
+
+
+def _kernel_text(columns, digits):
+    return fileio._join_cells([fileio._cells(np.asarray(c, dtype=float), digits) for c in columns]).decode()
+
+
+def _adversarial_values():
+    values = [2.0**-k for k in range(1, 61)]  # exact binary ties of the decimal digits
+    for p in range(-6, 14):
+        x = float(10**p) if p >= 0 else 10.0**p
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    values += [1e-4, np.nextafter(1e-4, 0.0), 9999.99999999, 9999.999999995, np.nextafter(1e4, 0.0), 999.999999999]
+    values += [9.9999999999995, 99.999999999999951, 0.00099999999999995, 9.99999999995, 0.5, 1.0 / 3.0]
+    # Decimal ties in the fixed range: 11 and 13 significant digits ending in 5, all exact in binary.
+    values += [1.0009765625, 5.0009765625, 123.0009765625, 4321.123046875, 0.1230009765625]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.nan, math.inf]
+    return np.array(values + [-v for v in values])
+
+
+class TestCellKernel:
+    """The CSV and SVG cell kernel against Python's per-cell ``format``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda k: st.lists(st.tuples(*[st.floats()] * k), min_size=1, max_size=50)),
+        st.sampled_from([12, 10]),
+    )
+    def test_matches_per_cell_format(self, rows, digits):
+        columns = list(zip(*rows))
+        assert _kernel_text(columns, digits) == _per_cell_text(columns, digits)
+
+    @pytest.mark.parametrize("digits", [12, 10])
+    def test_adversarial_table(self, digits):
+        values = _adversarial_values()
+        table = np.resize(values, (-(-len(values) // 4), 4))  # every value, wrapped into 4 columns
+        assert _kernel_text(list(table.T), digits) == _per_cell_text(list(table.T), digits)
+
+    @pytest.mark.parametrize("error", [1e-11, -1e-11])
+    def test_a_log10_off_by_one_costs_no_byte(self, monkeypatch, error):
+        # log10 pushed across a power of ten: the exponent it implies is one off for these values.
+        exact_log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: exact_log10(a * (1.0 + error)))
+        values = np.array([9.99999999997, 99.9999999997, 0.0999999999997, 1.00000000001, 10.0000000001, 1.0, 100.0])
+        assert _kernel_text([values, -values], 12) == _per_cell_text([values, -values], 12)
+
+    def test_fixed_notation_takes_the_digit_words(self):
+        # Python's text sits left-aligned in a cell; the digit words right-align the integer part.
+        values = np.array([1e-4, 0.5, 12.25, -1.5, 999.75])
+        python_text = np.array([format(v, ".12g") for v in values.tolist()], "S20").view(np.uint32).reshape(-1, 5)
+        assert (fileio._cells(values) != python_text).any(axis=1).all()
+
+
+class TestTableWriterRejects:
+    """A table the readers would refuse is refused when written, and no file is left."""
+
+    @pytest.mark.parametrize(
+        "header, columns, match",
+        [
+            pytest.param(["a", "b", "c"], [np.zeros(2), np.ones(2)], "3 names", id="header-longer"),
+            pytest.param(["a", "b"], [np.zeros(2), np.ones(3)], r"\(2,\), \(3,\)", id="unequal-lengths"),
+            pytest.param(["a", "b"], [np.zeros(2), np.ones((2, 2))], r"\(2, 2\)", id="2-D-column"),
+            pytest.param([], [], "0 names", id="no-columns"),
+        ],
+    )
+    def test_malformed_table(self, tmp_path, header, columns, match):
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValidationError, match=match):
+            fileio.write_table_csv(path, header, columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_marker_points_of_two_columns(self, tmp_path):
+        path = tmp_path / "marker.csv"
+        with pytest.raises(ValidationError, match="4 names for columns of shapes"):
+            fileio.write_marker_csv(path, np.arange(3.0), np.ones((3, 2)))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestComparisonOutputs:
     def test_json_fields(self):
         result = compare_point_sequences(np.zeros((2, 3)), np.ones((2, 3)))

@@ -31,3 +31,18 @@ class TestPolylinePoints:
         uv = np.arange(12.0).reshape(3, 4)[:, ::2] / 7.0
         assert svgplot._polyline_points(uv) == _per_point_join(uv)
 
+
+
+class TestPolylinesOfOneSvg:
+    def test_several_curves_give_one_line_each(self):
+        rng = np.random.default_rng(7)
+        curves = [rng.uniform(-50.0, 1100.0, (n, 2)) for n in (1, 129, 1001)]
+        curves[1][3] = [math.nan, 1e-7]
+        lines = svgplot._polyline_points(*curves).split("\n")
+        assert lines == [_per_point_join(c) for c in curves]
+
+    @pytest.mark.parametrize("shapes, index", [([(0, 3)], 0), ([(4, 3), (0, 3)], 1)])
+    def test_empty_curve_is_named(self, shapes, index):
+        curves = [np.ones(shape) for shape in shapes]
+        with pytest.raises(svgplot.ValidationError, match=f"curve {index} has no points"):
+            svgplot.render_curves_svg(curves)
