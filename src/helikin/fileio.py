@@ -282,9 +282,8 @@ _CELL = np.dtype([("text", "V20"), ("end", np.uint8)])  # "-1.23456789012e-308" 
 def _digit_words() -> list[np.ndarray]:
     """The cell kernel's NUL-padded 4-byte words, filled in place as uint8 (no large temporaries).
 
-    ints: 0..9999 right-aligned, then -0..-999 at 10^4 + i; first: ".ddd"
-    for 0..999; groups: "dddd" for 0..9999. The second half of first and
-    groups drops trailing zeros (and first's "." for 0).
+    ints: 0..9999 right-aligned, then -0..-999 at 10^4 + i; first: ".ddd" for 0..999; groups:
+    "dddd" for 0..9999. The second halves of first and groups drop trailing zeros ("." too for 0).
     """
     groups = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # one axis per digit of 0..9999
     for place in range(4):
