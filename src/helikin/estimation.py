@@ -148,8 +148,14 @@ def position_based_estimate(
     if tip.shape != (3,):
         raise ValidationError(f"tip must have shape (3,), got {tip.shape}")
     # The ddot that np.linalg.norm calls on a (3,) array, so the bits match;
-    # math.hypot and x*x+y*y+z*z round differently on some tips.
-    height = math.sqrt(tip.dot(tip))
+    # math.hypot and x*x+y*y+z*z round differently on some tips. That Python
+    # sum, inf but silent on overflow, tells when ddot needs the errstate.
+    x, y, z = tip.tolist()
+    if x * x + y * y + z * z < 2.0**1023:
+        height = math.sqrt(tip.dot(tip))
+    else:
+        with np.errstate(over="ignore"):
+            height = math.sqrt(tip.dot(tip))
     if not math.isfinite(height):
         if np.isfinite(tip).all():
             raise DomainError(f"tip {tip.tolist()} is finite, but its squared norm overflows")
@@ -161,7 +167,7 @@ def position_based_estimate(
             f"tip norm {height:.6g} mm exceeds the neutral-fiber length "
             f"{geom.na_length:.6g} mm; no real cylinder radius exists"
         )
-    phi_truth = math.acos(min(max(float(tip[0]) / height, -1.0), 1.0))
+    phi_truth = math.acos(min(max(x / height, -1.0), 1.0))
     radius_sq = geom.na_length**2 - height**2
     two_pi_n = 2.0 * math.pi * geom.turn_count
     radius = math.sqrt(max(radius_sq, 0.0)) / two_pi_n

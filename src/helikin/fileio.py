@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _MARKER_HEADER = ["eta", "x_mm", "y_mm", "z_mm", "dl_t_mm", "T_N"]
+_JOINTS_HEADER = ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"]
 
 
 def _number(value) -> float:
@@ -421,9 +422,12 @@ def write_joints_csv(
     A row the batch rejected keeps its stroke and tension; its R, H and phi
     are the batch's nan and its theta is written as nan too.
     """
+    write_table_csv(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, batch, roll))
+
+
+def _joints_columns(strokes, tensions, batch: JointBatch, roll: float) -> list[np.ndarray]:
     theta = np.where(batch.ok, roll, math.nan)
-    columns = [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
-    write_table_csv(path, ["dl_t_mm", "T_N", "R_mm", "H_mm", "phi_rad", "theta_rad"], columns)
+    return [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -497,15 +501,16 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
     atomic_write_text(path, render_json(spec_payload))
     written.append(path)
 
+    # joints.csv's stroke and tension cells at the accepted rows serve the other files.
     path = directory / "joints.csv"
-    write_joints_csv(path, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
+    joints = [_cells(c) for c in _joints_columns(dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)]
+    atomic_write_text(path, _csv_bytes(_JOINTS_HEADER, joints))
     written.append(path)
 
     ok = dataset.batch.ok
-    index, strokes, noisy, tensions = (
-        _cells(column[ok])
-        for column in (dataset.sample_index(), dataset.strokes, dataset.strokes_noisy, dataset.tensions)
-    )
+    index, noisy = (_cells(column[ok]) for column in (dataset.sample_index(), dataset.strokes_noisy))
+    strokes, tensions = joints[0][ok], joints[1][ok]
+    del joints  # the other columns' cells would outlive the marker files
 
     def write_markers(name: str, points: np.ndarray, strokes: np.ndarray) -> None:
         path = directory / name

@@ -136,8 +136,7 @@ class BackboneCurve:
         """Curve over float64 arrays the caller has already shown to be valid.
 
         Skips the shape, finiteness and order checks and keeps the arrays
-        as given, so it is only for FK's own checked result or for rows
-        taken from validated curves in increasing arc-length order.
+        as given, so it is only for FK's own checked result.
         """
         curve = object.__new__(cls)
         object.__setattr__(curve, "s", s)

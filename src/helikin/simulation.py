@@ -346,13 +346,11 @@ def ftl_run(
 
     Under a fixed joint state the tip at eta lies on the final backbone at
     s = eta * l_na, so forward kinematics runs exactly twice: once on the
-    master grid and once on the tip arc lengths. One gather then copies
-    every body's rows into a single buffer, and each body is a read-only
-    slice of it, built without re-validation since its rows come from the
-    two validated curves in increasing order. A deployment costs
-    O(body samples + eta steps) array work plus a constant per body; the
-    body rows themselves are one memory copy. Writing into one body cannot
-    corrupt another.
+    master grid and once on the tip arc lengths. One ``take`` per array then
+    copies every body's rows from those two curves into one buffer, and each
+    body is a read-only slice of it, made without re-validation (one object
+    and two views) since its rows come from validated curves in increasing
+    order. Writing into one body cannot corrupt another.
 
     Each body also refers to what the deployment shares (the rows of both
     FK curves and every body's layout), so :func:`phantom_clearance` of a
@@ -383,27 +381,29 @@ def ftl_run(
     # 1e15) and appends the tip unless its last kept sample already is it.
     # The master grid starts at 0 <= s_tip, so every body keeps a sample.
     kept = np.searchsorted(full.s, s_tips * (1.0 + 1e-15), side="right")
-    on_grid = full.s[kept - 1] >= s_tips
+    off_grid = full.s[kept - 1] < s_tips
 
-    # Gather every body from [master rows; tip rows]: row r of body k is
-    # master row r for r < kept[k], then tip row k unless on the grid.
-    sizes = kept + ~on_grid
+    # Gather every body from [master rows; tip rows]: body k is master rows
+    # [0, kept[k]), then tip row k as its last row if off the grid.
+    sizes = kept + off_grid
     ends = np.cumsum(sizes)
-    rows = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-    rows[rows == np.repeat(kept, sizes)] = len(full) + np.flatnonzero(~on_grid)
+    rows = np.arange(ends[-1])
+    rows -= np.repeat(ends - sizes, sizes)
+    rows[(ends - 1)[off_grid]] = len(full) + np.flatnonzero(off_grid)
     stacked = np.concatenate((full.points, tip_curve.points))
-    s = np.concatenate((full.s, tip_curve.s))[rows]
-    points = stacked[rows]
+    s = np.concatenate((full.s, tip_curve.s)).take(rows)
+    points = stacked.take(rows, axis=0)
     stacked.flags.writeable = s.flags.writeable = points.flags.writeable = False
 
-    deployment = _Deployment(stacked, len(full), kept, on_grid)
+    deployment = _Deployment(stacked, len(full), kept, off_grid)
     bodies: list[BackboneCurve] = []
-    start = 0
-    for k, end in enumerate(ends.tolist()):
-        body = BackboneCurve._trusted(s[start:end], points[start:end])
-        object.__setattr__(body, "_ftl", (deployment, k))
+    new, assign = object.__new__, object.__setattr__
+    for k, (start, end) in enumerate(zip((ends - sizes).tolist(), ends.tolist())):
+        body = new(BackboneCurve)
+        assign(body, "s", s[start:end])
+        assign(body, "points", points[start:end])
+        assign(body, "_ftl", (deployment, k))
         bodies.append(body)
-        start = end
     return TipTrajectory(eta=grid, points=points[ends - 1]), bodies
 
 
@@ -411,7 +411,7 @@ class _Deployment:
     """What the bodies of one :func:`ftl_run` share.
 
     ``rows`` holds the master rows, then one tip row per body. Body k is
-    master rows [0, kept[k]) plus, unless on_grid[k], tip row k. Per
+    master rows [0, kept[k]) plus, if off_grid[k], tip row k. Per
     phantom, the least squared distance of every body to the phantom axis
     comes from one pass over these rows. It is kept for the last phantom
     only, which is how a deployment is cleared: every body against one
@@ -422,22 +422,22 @@ class _Deployment:
     bit.
     """
 
-    __slots__ = ("rows", "masters", "kept", "on_grid", "_phantom", "_least_sq")
+    __slots__ = ("rows", "masters", "kept", "off_grid", "_phantom", "_least_sq")
 
-    def __init__(self, rows: np.ndarray, masters: int, kept: np.ndarray, on_grid: np.ndarray):
-        self.rows, self.masters, self.kept, self.on_grid = rows, masters, kept, on_grid
+    def __init__(self, rows: np.ndarray, masters: int, kept: np.ndarray, off_grid: np.ndarray):
+        self.rows, self.masters, self.kept, self.off_grid = rows, masters, kept, off_grid
         self._phantom: PhantomSpec | None = None
-        self._least_sq = np.empty(0)
+        self._least_sq: list[float] = []
 
-    def least_sq(self, phantom: PhantomSpec) -> np.ndarray:
-        """Per body, its least squared distance to the phantom axis."""
+    def least_sq(self, phantom: PhantomSpec) -> list[float]:
+        """Per body, its least squared distance to the phantom axis, as floats cheap to index."""
         if phantom is not self._phantom:
             distance_sq = _axis_distance_sq(self.rows, phantom)
             # min is exact, so the prefix minimum over the master rows is each
             # body's own minimum over them, NaN propagation included.
             least = np.minimum.accumulate(distance_sq[: self.masters])[self.kept - 1]
-            tip = distance_sq[self.masters :]
-            self._least_sq = np.where(self.on_grid, least, np.minimum(least, tip))
+            tips = np.minimum(least, distance_sq[self.masters :])
+            self._least_sq = np.where(self.off_grid, tips, least).tolist()
             self._phantom = phantom
         return self._least_sq
 

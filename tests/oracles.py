@@ -112,3 +112,19 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def ftl_bodies_one_by_one(master, tips):
+    """Each follow-the-leader body as (s, points), built alone from two FK curves.
+
+    Body k keeps the master samples with s <= s_tip * (1 + 1e-15), then
+    appends tip row k unless the last kept sample already reaches s_tip.
+    """
+    bodies = []
+    for s_tip, tip in zip(tips.s, tips.points):
+        keep = master.s <= s_tip * (1.0 + 1e-15)
+        s, points = master.s[keep], master.points[keep]
+        if s[-1] < s_tip:
+            s, points = np.append(s, s_tip), np.vstack([points, tip])
+        bodies.append((s, points))
+    return bodies

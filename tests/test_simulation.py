@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helikin import simulation
+from helikin import kinematics, simulation
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.geometry import derive_geometry
 from helikin.estimation import position_based_estimate, rmse, stroke_based_estimate
@@ -30,7 +30,7 @@ from helikin.simulation import (
     synthetic_sweep,
 )
 
-from .oracles import point_line_distance, random_rotation
+from .oracles import ftl_bodies_one_by_one, point_line_distance, random_rotation
 
 BODY_SAMPLES = 129
 
@@ -783,6 +783,75 @@ class TestFtlBodyClearance:
                 clearance, collides = phantom_clearance(body, phantom, tube.outer_radius)
                 assert clearance == pytest.approx(expected, abs=1e-9)
                 assert collides == (clearance < 0.0)
+
+
+@st.composite
+def _deployments(draw):
+    """(grid, body samples, turn count, stroke fraction, roll) for one ftl_run.
+
+    The grid is strictly increasing in [0, 1] with 1 to 1200 values: uniform
+    draws, etas that land on master samples, and 0 and 1 when drawn.
+    """
+    body_samples = draw(st.integers(2, 300))
+    size = draw(st.integers(1, 1198))
+    on_master = draw(st.integers(0, size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = [end for end in (0.0, 1.0) if draw(st.booleans())]
+    grid = np.unique(np.concatenate([
+        rng.uniform(0.0, 1.0, size - on_master),
+        rng.choice(np.linspace(0.0, 1.0, body_samples), on_master),
+        ends,
+    ]))
+    fraction = draw(st.floats(0.0, 0.95))
+    roll = draw(st.floats(0.0, 2.0 * math.pi))
+    return grid, body_samples, draw(st.sampled_from([1, 2])), fraction, roll
+
+
+class TestFtlGather:
+    """Every body of ftl_run equals one built alone from the two FK curves, byte for byte."""
+
+    @given(case=_deployments())
+    @settings(max_examples=150, deadline=None)
+    def test_bodies_match_the_per_body_oracle(self, tube, tendon, case):
+        grid, body_samples, turn_count, fraction, roll = case
+        geom_n = derive_geometry(dataclasses.replace(tube, turn_count=turn_count))
+        joint = joint_from_actuation(fraction * _max_stroke(geom_n), 0.0, tendon, geom_n, roll)
+        tip, bodies = ftl_run(joint, geom_n, grid, body_samples=body_samples)
+
+        master = forward_kinematics(joint, geom_n, backbone_samples(geom_n.na_length, body_samples))
+        tips = forward_kinematics(joint, geom_n, grid * geom_n.na_length)
+        expected = ftl_bodies_one_by_one(master, tips)
+        assert len(bodies) == len(expected) == grid.size
+        for k, (body, (s, points)) in enumerate(zip(bodies, expected)):
+            assert type(body) is BackboneCurve
+            assert not (body.s.flags.writeable or body.points.flags.writeable)
+            assert body.s.shape == s.shape and body.s.tobytes() == s.tobytes()
+            assert body.points.shape == points.shape and body.points.tobytes() == points.tobytes()
+            assert tip.points[k].tobytes() == body.points[-1].tobytes()
+        # The first and last bodies are views of one buffer per array.
+        assert bodies[0].s.base is bodies[-1].s.base is not None
+        assert bodies[0].points.base is bodies[-1].points.base is not None
+
+    def test_no_body_is_validated(self, tendon, geom, monkeypatch):
+        checked, trusted = [], []
+        check, make = kinematics._check_samples, BackboneCurve._trusted.__func__
+
+        def counting_check(sampled, *args):
+            checked.append(type(sampled))
+            return check(sampled, *args)
+
+        def counting_trusted(cls, s, points):
+            trusted.append(len(s))
+            return make(cls, s, points)
+
+        monkeypatch.setattr(kinematics, "_check_samples", counting_check)
+        monkeypatch.setattr(BackboneCurve, "_trusted", classmethod(counting_trusted))
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        _, bodies = ftl_run(joint, geom, default_eta_grid(1001), body_samples=BODY_SAMPLES)
+        # The tip trace is checked once; both FK curves are trusted; no body is either.
+        assert checked == [TipTrajectory]
+        assert trusted == [BODY_SAMPLES, 1001]
+        assert len(bodies) == 1001
 
 
 class TestTurnCountCheck:
