@@ -212,6 +212,12 @@ def dump_phantom_spec(phantom: PhantomSpec) -> str:
     return render_json({"axis_point_mm": point, "axis_direction": direction, "radius_mm": phantom.radius})
 
 
+def _echo(cells: list[str]) -> str:
+    """Header cells joined for an error message, with line breaks and other unprintables escaped."""
+    text = ",".join(cells)
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+
+
 def _read_table(
     path: str | Path, expected_header: list[str], optional: int = 0, samples: str | None = None
 ) -> np.ndarray:
@@ -230,13 +236,12 @@ def _read_table(
         required = expected_header[: len(expected_header) - optional]
         if header[: len(required)] != required:
             raise ValidationError(
-                f"{path}: expected header starting with {','.join(required)}, "
-                f"got {','.join(header)}"
+                f"{path}: expected header starting with {','.join(required)}, got {_echo(header)}"
             )
         extra, allowed = header[len(required):], expected_header[len(required):]
         if extra not in ([], allowed):
             raise ValidationError(
-                f"{path}: unexpected columns {','.join(extra)} after {','.join(required)}"
+                f"{path}: unexpected columns {_echo(extra)} after {','.join(required)}"
                 + (f"; optional columns must be exactly {','.join(allowed)}" if allowed else "")
             )
         width = len(header)

@@ -5,11 +5,16 @@ per sample index from (seed, index): sample i draws from
 ``default_rng([seed, i])``, the stroke first, then the markers in
 ascending arc length, so datasets are reproducible even if generation is
 ever partitioned across workers. ``synthetic_sweep`` reproduces those
-streams bit for bit without building one ``default_rng`` per sample: it
-hashes every ``SeedSequence([seed, i])`` at once and sets each PCG64
-state directly. It falls back to ``NoiseSpec.sample_rng`` for a seed or
-index of 2**32 or more, or when the first or last sample disagrees with
-``default_rng``.
+streams bit for bit without building one ``default_rng`` per sample. It
+hashes every ``SeedSequence([seed, i])`` and seeds every PCG64 state in
+one numpy pass, with 128-bit arithmetic on uint64 limbs. From 1024 rows
+on it also steps all streams together and draws each normal on the
+ziggurat's fast path, with numpy's tables recovered once per process by
+probes through its public API. A row leaves that path for one reused
+generator set to its state when any of its draws was rejected or drew
+from a layer whose probes failed. Every row comes from
+``NoiseSpec.sample_rng`` instead for a seed or index of 2**32 or more, or
+when the first or last sample disagrees with ``default_rng``.
 
 The sweep's marker tracks and tips come from the centerline kernel that
 forward kinematics runs, and equal a batched FK call at the same arc
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -182,11 +187,20 @@ def synthetic_sweep(
     batching, so the noise is bit-identical to a per-sample loop.
 
     The sweep does not build those generators. It hashes
-    ``SeedSequence([seed, i])`` for every i in one uint32 numpy pass,
-    seeds PCG64 from each hash in Python ints, sets the state of one
-    reused generator and draws the sample's whole row in one call. If
-    the seed or an index does not fit one uint32 word, or the first or
-    last sample differs from ``default_rng``, every row is drawn from
+    ``SeedSequence([seed, i])`` for every i in one uint32 numpy pass and
+    seeds every PCG64 (state, inc) from the hashes in one pass on uint64
+    (hi, lo) limbs, the 128-bit products built from 32-bit partial
+    products. With 1024 samples or more it then steps every stream's LCG
+    once per column, takes the XSL-RR word and applies the fast path of
+    numpy's ziggurat: ``x = ±rabs * wi[layer]``, accepted iff
+    ``rabs < ki[layer]``. The wi and ki tables are probed through numpy's
+    public API on the first such call in a process, and each ki entry
+    holds only if its two boundary probes agree; a layer that fails gets
+    ki = 0. A sample with a rejected draw or a draw from such a layer, and
+    every sample of a smaller sweep, gets its state set on one reused
+    generator, which draws its whole row in one call. If the seed or an
+    index does not fit one uint32 word, or the first or last sample
+    differs from ``default_rng``, every row is drawn from
     :meth:`NoiseSpec.sample_rng` instead.
 
     Samples the actuation map rejects are recorded, not fatal: their
@@ -256,6 +270,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK52 = (1 << 52) - 1
+_MULT_HI, _MULT_LO = map(np.uint64, divmod(_PCG64_MULT, 1 << 64))
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
+# Rows from which a call draws on the ziggurat fast path. Below this the
+# once-per-process table probes cost more than they save.
+_TABLE_ROWS = 1024
 
 
 def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
@@ -295,25 +315,70 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+def _pcg64_seed(words: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Per row of (n, 4) words w0..w3, the (state, inc) ``PCG64`` seeds from them.
+
+    Each is a (hi, lo) pair of uint64 arrays. Seeding takes two LCG steps,
+    from state 0 with initstate w0:w1 added in between.
+    """
+    w0, w1, w2, w3 = words.T
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    lo = inc[1] + w1
+    return _lcg_step(inc[0] + w0 + (lo < w1), lo, inc), inc
+
+
 def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
-    """The (state, inc) that ``PCG64`` seeds from the words w0..w3: two LCG steps."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
+    """The (state, inc) that ``PCG64`` seeds from the words w0..w3, as ints."""
+    state, inc = _pcg64_seed(np.array([[w0, w1, w2, w3]], np.uint64))
+    return _as_ints(*state)[0], _as_ints(*inc)[0]
+
+
+def _as_ints(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def _settable_generator():
+    """A ``Generator`` on ``PCG64`` and a function that sets its (state, inc) from ints."""
+    bitgen = np.random.PCG64(0)
+    pcg = {"state": 0, "inc": 0}
+    whole = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def set_state(state: int, inc: int) -> None:
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = whole
+
+    return np.random.Generator(bitgen), set_state
+
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of each 128-bit product a * b, from 32-bit partial products."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    # Neither sum can pass 2**64 - 1: (2**32 - 1)**2 + 2 * (2**32 - 1) fits.
+    low = a1 * b0 + (a0 * b0 >> 32)
+    mid = a0 * b1 + (low & _MASK32)
+    return a1 * b1 + (low >> 32) + (mid >> 32)
+
+
+def _lcg_step(hi, lo, inc):
+    """state * _PCG64_MULT + inc mod 2**128, on (hi, lo) limbs; uint64 arrays wrap."""
+    lo_new = lo * _MULT_LO + inc[1]
+    hi_new = _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO + inc[0]
+    return hi_new + (lo_new < inc[1]), lo_new
 
 
 def _noise_draws(noise: NoiseSpec, n: int, width: int) -> np.ndarray:
     """Row i is ``noise.sample_rng(i).standard_normal(width)``, bit for bit."""
     out = np.empty((n, width))
     if noise.seed < 2**32 and n <= 2**32:
-        bitgen = np.random.PCG64(0)
-        generator = np.random.Generator(bitgen)
-        pcg = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        words = _seed_words(noise.seed, np.arange(n, dtype=np.uint32))
-        for row, w in zip(out, words):
-            pcg["state"], pcg["inc"] = _pcg64_state(*w.tolist())
-            bitgen.state = state
-            generator.standard_normal(out=row)
+        state, inc = _pcg64_seed(_seed_words(noise.seed, np.arange(n, dtype=np.uint32)))
+        slow = _ziggurat_draws(out, state, inc) if n >= _TABLE_ROWS else np.arange(n)
+        generator, set_state = _settable_generator()
+        states = _as_ints(state[0][slow], state[1][slow])
+        incs = _as_ints(inc[0][slow], inc[1][slow])
+        for i, row_state, row_inc in zip(slow.tolist(), states, incs):
+            set_state(row_state, row_inc)
+            generator.standard_normal(out=out[i])
         if all(
             np.array_equal(out[i], noise.sample_rng(i).standard_normal(width)) for i in {0, n - 1}
         ):
@@ -321,6 +386,89 @@ def _noise_draws(noise: NoiseSpec, n: int, width: int) -> np.ndarray:
     for i, row in enumerate(out):
         noise.sample_rng(i).standard_normal(out=row)
     return out
+
+
+def _ziggurat_draws(out: np.ndarray, state, inc) -> np.ndarray:
+    """Fill every row of ``out`` whose draws all take the ziggurat's fast path; return the others.
+
+    Column by column, the LCG steps every row's (hi, lo) state once, and
+    XSL-RR of the new state is the row's next 64-bit word (O'Neill 2014).
+    numpy's ``standard_normal`` takes layer ``w & 0xff``, sign bit 8 and
+    the 52-bit ``rabs = w >> 9``, and returns ``±rabs * wi[layer]`` iff
+    ``rabs < ki[layer]`` (Marsaglia & Tsang 2000). A row with any other
+    draw consumed more words, so its whole row is left to the caller.
+    """
+    wi, ki = _ziggurat_tables()
+    # Indexed by the layer and sign bits together. IEEE products are
+    # symmetric in sign, so rabs * -wi is -(rabs * wi), zeros included.
+    wi, ki = np.concatenate((wi, -wi)), np.tile(ki, 2)
+    hi, lo = state
+    fast = np.ones(len(out), bool)
+    for column in out.T:
+        hi, lo = _lcg_step(hi, lo, inc)
+        word = hi ^ lo
+        rotate = hi >> 58
+        word = word >> rotate | word << (64 - rotate & 63)
+        layer_sign = (word & 0x1FF).astype(np.intp)
+        rabs = word >> 9 & _MASK52
+        np.multiply(rabs, wi[layer_sign], out=column)
+        fast &= rabs < ki[layer_sign]
+    return np.flatnonzero(~fast)
+
+
+def _ki_candidate(wi_below: float, wi: float) -> int:
+    """floor(2**52 * wi[layer - 1] / wi[layer]): ki[layer] or one below it."""
+    return int(2.0**52 * wi_below / wi)
+
+
+@cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``standard_normal`` ziggurat tables (wi, ki), recovered through its public API.
+
+    Each probe sets a ``PCG64`` state whose next word is a chosen
+    (layer, rabs), draws one normal and reads the state back: the draw took
+    the fast path iff the state advanced exactly one step. ``wi[layer]`` is
+    the draw at rabs = 1. ``ki[layer]`` is the least rejected rabs: from
+    :func:`_ki_candidate` where the layer below has a ``wi``, else by
+    bisection, and it holds only if rabs = ki - 1 draws ``(ki - 1) *
+    wi[layer]`` and rabs = ki is rejected. A layer that fails any probe
+    (numpy's layer 1 always rejects) gets ki = 0, so every row drawing from
+    it takes the per-row path. About a thousand probes, once per process.
+    """
+    generator, set_state = _settable_generator()
+
+    def fast_draw(layer: int, rabs: int) -> float | None:
+        # With inc 1 the LCG steps this state to the word itself, whose high
+        # half is 0, so XSL-RR neither mixes nor rotates it.
+        word = layer | rabs << 9
+        set_state((word - 1) * _PCG64_MULT_INV & _MASK128, 1)
+        x = generator.standard_normal()
+        return x if generator.bit_generator.state["state"]["state"] == word else None
+
+    def least_rejected(layer: int) -> int:
+        accepted, rejected = 1, 1 << 52
+        while rejected - accepted > 1:
+            mid = (accepted + rejected) // 2
+            if fast_draw(layer, mid) is None:
+                rejected = mid
+            else:
+                accepted = mid
+        return rejected
+
+    wi = np.array([fast_draw(layer, 1) or 0.0 for layer in range(256)])
+    ki = np.zeros(256, np.uint64)
+    for layer in np.flatnonzero(wi).tolist():
+        below = wi[layer - 1] if layer else 0.0
+        k = _ki_candidate(below, wi[layer]) if below else least_rejected(layer)
+        if 0 < k < 1 << 52 and fast_draw(layer, k) is not None:
+            k += 1
+        if (
+            0 < k < 1 << 52
+            and fast_draw(layer, k - 1) == (k - 1) * wi[layer]
+            and fast_draw(layer, k) is None
+        ):
+            ki[layer] = k
+    return wi, ki
 
 
 def default_eta_grid(steps: int = DEFAULT_ETA_STEPS) -> np.ndarray:

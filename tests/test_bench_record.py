@@ -80,3 +80,67 @@ def test_incorrect_a_alone_passes(tmp_path):
 def test_ratio_past_bound_still_fails(tmp_path, capsys):
     assert _diff(tmp_path, _bench(op_median=10.0), _bench(op_median=13.0)) == 1
     assert "PAST BOUND 0.25" in capsys.readouterr().out
+
+
+def _named(samples_per_s, startup_ms):
+    def figure(value, unit):
+        return {"median": value, "q1": value, "q3": value, "iqr": 0.0, "n": 2, "unit": unit,
+                "by_seed": {"1": value, "2": value}}
+
+    return {
+        "dataset.samples_per_s": figure(samples_per_s, "1/s"),
+        "cli.startup_ms.p50": figure(startup_ms, "ms"),
+    }
+
+
+def test_named_figures_printed_but_not_gated(tmp_path, capsys):
+    a, b = _bench(), _bench()
+    a["workloads"]["cli"]["named"] = _named(1000.0, 300.0)
+    b["workloads"]["cli"]["named"] = _named(10.0, 3000.0)
+    assert _diff(tmp_path, a, b) == 0
+    out = capsys.readouterr().out
+    apart = "medians apart by more than A's IQR"
+    assert (
+        "cli           cli.startup_ms.p50              300         3000  10.0000  "
+        f"0/2 lower, ms, not gated; {apart}\n"
+    ) in out
+    assert (
+        "cli           dataset.samples_per_s          1000           10   0.0100  "
+        f"2/2 lower, 1/s, not gated; {apart}\n"
+    ) in out
+
+
+def test_file_without_named_figures_is_skipped(tmp_path, capsys):
+    b = _bench()
+    b["workloads"]["cli"]["named"] = _named(1000.0, 300.0)
+    assert _diff(tmp_path, _bench(), b) == 0
+    assert _diff(tmp_path, b, _bench()) == 0
+    assert "not gated" not in capsys.readouterr().out
+
+
+def test_record_keeps_named_figures(tmp_path, monkeypatch):
+    def run_once(checkout, workload, seed, seconds):
+        value = float(seed)
+        result = {
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {name: {"value": value} for name in ("setup_s", "op_per_ref.mean", "peak_rss_mb")},
+        }
+        named = {
+            "setup_s": {"value": value, "unit": "s"},
+            "peak_rss_mb": {"value": value, "unit": "MB"},
+            "cli.startup_ms.p50": {"value": 100.0 * value, "unit": "ms", "samples": 9},
+        }
+        env = {"python": "3", "numpy": "2", "nproc": 2, "cpu": "x", "cpus_used": None, "threads": {}}
+        return result, {"environment": env, "named": named}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "blas_of", lambda checkout: "openblas")
+    out = tmp_path / "BENCH_9.json"
+    assert bench_record.main(["--workloads", "cli", "--seeds", "1,2,3", f"{tmp_path}:{out}"]) == 0
+    cli = json.loads(out.read_text())["workloads"]["cli"]
+    # Bounded metrics are kept once, among the metrics.
+    assert list(cli["named"]) == ["cli.startup_ms.p50"]
+    assert cli["named"]["cli.startup_ms.p50"] == {
+        "median": 200.0, "q1": 150.0, "q3": 250.0, "iqr": 100.0, "n": 3, "unit": "ms",
+        "by_seed": {"1": 100.0, "2": 200.0, "3": 300.0},
+    }

@@ -191,6 +191,33 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (
+                'stroke_mm,dl_t_mm,"T_,0,0',
+                "expected header starting with dl_t_mm, got stroke_mm,dl_t_mm,T_,0,0\\n",
+            ),
+            (
+                'dl_t_mm,"T_,0,0',
+                "unexpected columns T_,0,0\\n after dl_t_mm; optional columns must be exactly T_N",
+            ),
+        ],
+        ids=["expected-header", "unexpected-columns"],
+    )
+    def test_header_cell_with_a_line_break_errs_on_one_line(
+        self, tmp_path, spec_file, capsys, header, message
+    ):
+        # The unbalanced quote runs the last header cell into the line break.
+        strokes = tmp_path / "f.csv"
+        strokes.write_text(f"{header}\n0,0\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--spec", spec_file, "--strokes", str(strokes), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {strokes}: {message}\n"
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_duplicate_markers_exit_2(self, tmp_path, spec_file, capsys):
         out, bundle = tmp_path / "x.csv", tmp_path / "d"
         argv = [

@@ -299,6 +299,111 @@ class TestNoiseStreams:
         assert simulation._pcg64_state(*words.tolist()) == (state["state"], state["inc"])
 
 
+@pytest.fixture()
+def fresh_tables():
+    """The ziggurat tables unbuilt before the test and dropped after it."""
+    simulation._ziggurat_tables.cache_clear()
+    yield simulation._ziggurat_tables
+    simulation._ziggurat_tables.cache_clear()
+
+
+class TestZigguratFastPath:
+    """The sweep's vectorised PCG64 and ziggurat draws against one generator per sample."""
+
+    @staticmethod
+    def _reference(noise, n, width):
+        return np.array([noise.sample_rng(i).standard_normal(width) for i in range(n)])
+
+    @staticmethod
+    def _fast_path(noise, n, width):
+        """The draws of :func:`simulation._ziggurat_draws` and the rows it left to the per-row path."""
+        words = simulation._seed_words(noise.seed, np.arange(n, dtype=np.uint32))
+        state, inc = simulation._pcg64_seed(words)
+        out = np.full((n, width), np.nan)
+        return out, simulation._ziggurat_draws(out, state, inc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(
+            st.integers(1, 40),
+            st.integers(simulation._TABLE_ROWS - 8, simulation._TABLE_ROWS + 8),
+            st.integers(1, 3000),
+        ),
+        width=st.integers(1, 40),
+    )
+    def test_rows_match_sample_rng(self, seed, n, width):
+        noise = NoiseSpec(seed=seed)
+        reference = self._reference(noise, n, width)
+        assert simulation._noise_draws(noise, n, width).tobytes() == reference.tobytes()
+        # The fast path alone, without the first/last-row guard behind it.
+        out, slow = self._fast_path(noise, n, width)
+        fast = np.setdiff1d(np.arange(n), slow)
+        assert out[fast].tobytes() == reference[fast].tobytes()
+
+    def test_words_at_each_boundary(self):
+        # Per layer and sign, the words with rabs = ki - 1 and ki, each crafted
+        # as the first word of a stream with inc 1: the post-step state is the
+        # word itself, so XSL-RR passes it through.
+        wi, ki = simulation._ziggurat_tables()
+        words = [
+            layer | sign << 8 | rabs << 9
+            for layer in range(256)
+            for rabs in ([int(ki[layer]) - 1, int(ki[layer])] if ki[layer] else [1])
+            for sign in (0, 1)
+        ]
+        states = [(w - 1) * simulation._PCG64_MULT_INV & simulation._MASK128 for w in words]
+        limbs = np.array([divmod(state, 1 << 64) for state in states], np.uint64)
+        ones = np.ones(len(words), np.uint64)
+        out = np.empty((len(words), 1))
+        slow = simulation._ziggurat_draws(out, (limbs[:, 0], limbs[:, 1]), (ones - 1, ones))
+        bitgen = np.random.PCG64(0)
+        generator = np.random.Generator(bitgen)
+        for row, (word, state) in enumerate(zip(words, states)):
+            pcg = {"state": state, "inc": 1}
+            bitgen.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+            x = generator.standard_normal()
+            if bitgen.state["state"]["state"] == word:
+                assert row not in slow
+                assert out[row].tobytes() == np.float64(x).tobytes()
+            else:
+                assert row in slow
+
+    def test_off_by_one_candidate_fails_its_probe(self, fresh_tables, monkeypatch, sample_rng_calls):
+        wi, ki = fresh_tables()
+        # Under this numpy only layer 1, which always rejects, falls back.
+        assert np.flatnonzero(ki == 0).tolist() == [1]
+        noise, n, width = NoiseSpec(seed=99), 4000, 13
+        _, slow = self._fast_path(noise, n, width)
+
+        layer, candidate = 100, simulation._ki_candidate
+        monkeypatch.setattr(
+            simulation,
+            "_ki_candidate",
+            lambda below, w: int(ki[layer]) + 1 if w == wi[layer] else candidate(below, w),
+        )
+        fresh_tables.cache_clear()
+        wi_patched, ki_patched = fresh_tables()
+        assert np.array_equal(wi_patched, wi)
+        assert ki_patched[layer] == 0
+        assert np.array_equal(np.delete(ki_patched, layer), np.delete(ki, layer))
+        _, slow_patched = self._fast_path(noise, n, width)
+        assert set(slow) < set(slow_patched)
+        sample_rng_calls.clear()
+        draws = simulation._noise_draws(noise, n, width)
+        assert draws.tobytes() == self._reference(noise, n, width).tobytes()
+        # The guard's two rows and the reference's n; no row fell back to sample_rng.
+        assert sorted(sample_rng_calls) == sorted([0, n - 1, *range(n)])
+
+    def test_small_sweep_builds_no_tables(self, fresh_tables, tube, tendon, geom):
+        noise = NoiseSpec(position_sigma=0.1, stroke_sigma=0.1, seed=3)
+        synthetic_sweep(geom, tendon, _profile(17), [10.0, 33.2], noise, 0.0, tube)
+        simulation._noise_draws(noise, simulation._TABLE_ROWS - 1, 7)
+        assert fresh_tables.cache_info().currsize == 0
+        simulation._noise_draws(noise, simulation._TABLE_ROWS, 7)
+        assert fresh_tables.cache_info().currsize == 1
+
+
 class TestFtlRun:
     def test_endpoints_only_grid(self, tendon, geom):
         joint = joint_from_actuation(2.0, 0.0, tendon, geom)

@@ -13,7 +13,9 @@ claim needs ten or more. For each workload and seed every checkout runs
 once, and the order of the checkouts rotates from seed to seed, so that a
 slow phase of the machine falls on every side alike. A file holds, per workload and
 end-to-end metric, the median, quartiles, IQR and n of the runs and every
-run's value by seed; the bounds from BENCHMARK.json; the Python, numpy,
+run's value by seed; the same for each named figure of the runs' reports
+(such as ``dataset.samples_per_s`` or ``cli.startup_ms.p50``) that is not a
+bounded metric, with its unit; the bounds from BENCHMARK.json; the Python, numpy,
 CPU count and pinned CPUs the runs reported; and the BLAS numpy was built
 against, as the checkout's interpreter reports it. The demo digests
 assume OpenBLAS's rounding of FK's matrix products, so a different BLAS is
@@ -25,7 +27,10 @@ seeds both files ran it also prints how many pairs B won, and whether the
 medians differ by more than A's IQR. Per workload it prints both files'
 ``correct`` flag and failed/attempted share, and flags B when it is
 incorrect or fails a larger share of its ops. It exits 1 if anything is
-flagged. Only the standard library is used.
+flagged. The named figures both files hold are printed after a workload's
+bounded metrics, with how many pairs B read lower, and are never flagged: they
+have no bound. A file recorded without them is read as having none.
+Only the standard library is used.
 """
 
 import argparse
@@ -67,13 +72,13 @@ def parse_args(argv=None):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One run's final JSON line and the environment its report recorded."""
+    """One run's final JSON line and its report, which holds the environment and named figures."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     report = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    return result, json.loads(report.read_text())["environment"]
+    return result, json.loads(report.read_text())
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -111,9 +116,9 @@ def record(args) -> int:
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
             for checkout, out in targets[k % len(targets):] + targets[:k % len(targets)]:
-                result, env = run_once(checkout, workload, seed, seconds)
-                runs[out][workload].append((seed, result))
-                envs[out].append(env)
+                result, report = run_once(checkout, workload, seed, seconds)
+                runs[out][workload].append((seed, result, report["named"]))
+                envs[out].append(report["environment"])
                 values = {m: v["value"] for m, v in result["metrics"].items()}
                 print(f"{out.name} {workload} seed {seed}: correct={result['correct']} {values}", flush=True)
 
@@ -137,13 +142,20 @@ def record(args) -> int:
         for workload, seeded in runs[out].items():
             metrics = {}
             for m in spec["end_to_end"]:
-                by_seed = {str(seed): result["metrics"][m["name"]]["value"] for seed, result in seeded}
+                by_seed = {str(seed): result["metrics"][m["name"]]["value"] for seed, result, _ in seeded}
                 metrics[m["name"]] = {**summary(list(by_seed.values())), "unit": m["unit"], "by_seed": by_seed}
+            named = {}
+            for seed, _, figures in seeded:
+                for name, figure in figures.items():
+                    if name not in payload["bounds"]:
+                        entry = named.setdefault(name, {"unit": figure["unit"], "by_seed": {}})
+                        entry["by_seed"][str(seed)] = figure["value"]
             payload["workloads"][workload] = {
-                "correct": all(result["correct"] for _, result in seeded),
-                "attempted": sum(result["attempted"] for _, result in seeded),
-                "failed": sum(result["failed"] for _, result in seeded),
+                "correct": all(result["correct"] for _, result, _ in seeded),
+                "attempted": sum(result["attempted"] for _, result, _ in seeded),
+                "failed": sum(result["failed"] for _, result, _ in seeded),
                 "metrics": metrics,
+                "named": {name: {**summary(list(e["by_seed"].values())), **e} for name, e in named.items()},
             }
         out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}")
@@ -183,6 +195,16 @@ def diff(path_a: str, path_b: str) -> int:
                 flagged += 1
             print(f"{workload:<13} {name:<16} {ma['median']:>12.6g} {mb['median']:>12.6g} {ratio:>8.4f}  "
                   f"{won}/{len(seeds)}  {'; '.join(notes)}")
+        named_a, named_b = wa.get("named", {}), wb.get("named", {})
+        for name in [n for n in named_a if n in named_b]:
+            ma, mb = named_a[name], named_b[name]
+            ratio = mb["median"] / ma["median"] if ma["median"] else float("inf")
+            seeds = [s for s in ma["by_seed"] if s in mb["by_seed"]]
+            lower = sum(mb["by_seed"][s] < ma["by_seed"][s] for s in seeds)
+            apart = abs(mb["median"] - ma["median"]) > ma["iqr"]
+            print(f"{workload:<13} {name:<22} {ma['median']:>12.6g} {mb['median']:>12.6g} {ratio:>8.4f}  "
+                  f"{lower}/{len(seeds)} lower, {ma['unit']}, not gated"
+                  + ("; medians apart by more than A's IQR" if apart else ""))
     return 1 if flagged else 0
 
 
