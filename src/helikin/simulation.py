@@ -315,7 +315,9 @@ def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _pcg64_seed(words: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _pcg64_seed(
+    words: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Per row of (n, 4) words w0..w3, the (state, inc) ``PCG64`` seeds from them.
 
     Each is a (hi, lo) pair of uint64 arrays. Seeding takes two LCG steps,

@@ -198,7 +198,7 @@ def diff(path_a: str, path_b: str) -> int:
         named_a, named_b = wa.get("named", {}), wb.get("named", {})
         for name in [n for n in named_a if n in named_b]:
             ma, mb = named_a[name], named_b[name]
-            ratio = mb["median"] / ma["median"] if ma["median"] else float("inf")
+            ratio = mb["median"] / ma["median"] if ma["median"] else 1.0 if not mb["median"] else float("inf")
             seeds = [s for s in ma["by_seed"] if s in mb["by_seed"]]
             lower = sum(mb["by_seed"][s] < ma["by_seed"][s] for s in seeds)
             apart = abs(mb["median"] - ma["median"]) > ma["iqr"]
