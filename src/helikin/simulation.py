@@ -435,7 +435,7 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     bisection, and it holds only if rabs = ki - 1 draws ``(ki - 1) *
     wi[layer]`` and rabs = ki is rejected. A layer that fails any probe
     (numpy's layer 1 always rejects) gets ki = 0, so every row drawing from
-    it takes the per-row path. About a thousand probes, once per process.
+    it takes the per-row path. About 1 100 probes, once per process.
     """
     generator, set_state = _settable_generator()
 
@@ -462,7 +462,7 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     for layer in np.flatnonzero(wi).tolist():
         below = wi[layer - 1] if layer else 0.0
         k = _ki_candidate(below, wi[layer]) if below else least_rejected(layer)
-        if 0 < k < 1 << 52 and fast_draw(layer, k) is not None:
+        if fast_draw(layer, k) is not None:
             k += 1
         if (
             0 < k < 1 << 52

@@ -369,7 +369,23 @@ class TestZigguratFastPath:
             else:
                 assert row in slow
 
-    def test_off_by_one_candidate_fails_its_probe(self, fresh_tables, monkeypatch, sample_rng_calls):
+    def test_candidate_one_below_is_pinned(self, fresh_tables, monkeypatch):
+        wi, ki = fresh_tables()
+        layer, candidate = 100, simulation._ki_candidate
+        monkeypatch.setattr(
+            simulation,
+            "_ki_candidate",
+            lambda below, w: int(ki[layer]) - 1 if w == wi[layer] else candidate(below, w),
+        )
+        fresh_tables.cache_clear()
+        assert np.array_equal(fresh_tables()[1], ki)
+
+    # A candidate above ki would accept a rejected draw; one two below would
+    # not, but then ki is not pinned either.
+    @pytest.mark.parametrize("offset", [1, -2])
+    def test_off_by_one_candidate_fails_its_probe(
+        self, fresh_tables, monkeypatch, sample_rng_calls, offset
+    ):
         wi, ki = fresh_tables()
         # Under this numpy only layer 1, which always rejects, falls back.
         assert np.flatnonzero(ki == 0).tolist() == [1]
@@ -380,7 +396,7 @@ class TestZigguratFastPath:
         monkeypatch.setattr(
             simulation,
             "_ki_candidate",
-            lambda below, w: int(ki[layer]) + 1 if w == wi[layer] else candidate(below, w),
+            lambda below, w: int(ki[layer]) + offset if w == wi[layer] else candidate(below, w),
         )
         fresh_tables.cache_clear()
         wi_patched, ki_patched = fresh_tables()
