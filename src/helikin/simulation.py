@@ -7,7 +7,7 @@ ascending arc length, so datasets are reproducible even if generation is
 ever partitioned across workers. ``synthetic_sweep`` reproduces those
 streams bit for bit without building one ``default_rng`` per sample. It
 hashes every ``SeedSequence([seed, i])`` and seeds every PCG64 state in
-one numpy pass, with 128-bit arithmetic on uint64 limbs. From 1024 rows
+one numpy pass, with 128-bit arithmetic on uint64 limbs. From 4096 rows
 on it also steps all streams together and draws each normal on the
 ziggurat's fast path, with numpy's tables recovered once per process by
 probes through its public API. A row leaves that path for one reused
@@ -190,7 +190,7 @@ def synthetic_sweep(
     ``SeedSequence([seed, i])`` for every i in one uint32 numpy pass and
     seeds every PCG64 (state, inc) from the hashes in one pass on uint64
     (hi, lo) limbs, the 128-bit products built from 32-bit partial
-    products. With 1024 samples or more it then steps every stream's LCG
+    products. With 4096 samples or more it then steps every stream's LCG
     once per column, takes the XSL-RR word and applies the fast path of
     numpy's ziggurat: ``x = ±rabs * wi[layer]``, accepted iff
     ``rabs < ki[layer]``. The wi and ki tables are probed through numpy's
@@ -273,9 +273,10 @@ _MASK128 = (1 << 128) - 1
 _MASK52 = (1 << 52) - 1
 _MULT_HI, _MULT_LO = map(np.uint64, divmod(_PCG64_MULT, 1 << 64))
 _PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
-# Rows from which a call draws on the ziggurat fast path. Below this the
-# once-per-process table probes cost more than they save.
-_TABLE_ROWS = 1024
+# Rows from which a call draws on the ziggurat fast path. The once-per-process
+# table probes cost 4-9 ms after a sweep has warmed numpy's generators, and
+# a process's first sweep broke even at about 2 000 rows; 4096 leaves margin.
+_TABLE_ROWS = 4096
 
 
 def _seed_words(seed: int, index: np.ndarray) -> np.ndarray:

@@ -387,12 +387,11 @@ class TestZigguratFastPath:
         self, fresh_tables, monkeypatch, sample_rng_calls, offset
     ):
         wi, ki = fresh_tables()
-        # Under this numpy only layer 1, which always rejects, falls back.
-        assert np.flatnonzero(ki == 0).tolist() == [1]
-        noise, n, width = NoiseSpec(seed=99), 4000, 13
+        layer, candidate = 100, simulation._ki_candidate
+        assert ki[layer] != 0
+        noise, n, width = NoiseSpec(seed=99), simulation._TABLE_ROWS, 13
         _, slow = self._fast_path(noise, n, width)
 
-        layer, candidate = 100, simulation._ki_candidate
         monkeypatch.setattr(
             simulation,
             "_ki_candidate",
