@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
-from .kinematics import JointBatch, JointState, TipTrajectory, _check_roll, actuation_failures, joints_from_actuation
+from .kinematics import (
+    JointBatch,
+    JointState,
+    TipTrajectory,
+    _check_roll,
+    _slot_setters,
+    actuation_failures,
+    joints_from_actuation,
+)
 
 __all__ = [
     "EstimateResult",
@@ -76,7 +84,7 @@ class EstimateResult:
         return int(np.count_nonzero(self.batch.ok))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionEstimate:
     """Output of the position-based method for a single tip point (mm/rad)."""
 
@@ -86,22 +94,66 @@ class PositionEstimate:
     phi_model: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryComparison:
-    """Distance summary between two index-aligned point sequences, mm."""
+    """Distance summary between two index-aligned point sequences, mm.
+
+    ``per_sample_distances`` is a read-only float64 array, a copy of the one
+    given, so it cannot drift from the maximum and the RMSE. Comparisons
+    compare and hash by value: the two floats and the distances' shape and
+    bytes, as an array has no single truth value.
+    """
 
     max_distance: float
     rmse: float
     per_sample_distances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "per_sample_distances", np.asarray(self.per_sample_distances, dtype=float)
-        )
+        distances = np.array(self.per_sample_distances, dtype=float)
+        distances.flags.writeable = False
+        object.__setattr__(self, "per_sample_distances", distances)
+
+    def _key(self) -> tuple:
+        distances = self.per_sample_distances
+        return self.max_distance, self.rmse, distances.shape, distances.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, TrajectoryComparison):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_samples(self) -> int:
         return self.per_sample_distances.size
+
+
+_SET_ESTIMATE = _slot_setters(PositionEstimate)
+_SET_COMPARISON = _slot_setters(TrajectoryComparison)
+
+
+def _position_estimate(height: float, phi_truth: float, radius: float, phi_model: float) -> PositionEstimate:
+    """A PositionEstimate with no ``__init__``: it has no checks to skip, only their cost."""
+    set_height, set_truth, set_radius, set_model = _SET_ESTIMATE
+    estimate = object.__new__(PositionEstimate)
+    set_height(estimate, height)
+    set_truth(estimate, phi_truth)
+    set_radius(estimate, radius)
+    set_model(estimate, phi_model)
+    return estimate
+
+
+def _comparison(max_distance: float, root: float, distances: np.ndarray) -> TrajectoryComparison:
+    """A TrajectoryComparison over a float64 array that nothing else holds, made read-only in place."""
+    distances.flags.writeable = False
+    set_max, set_rmse, set_distances = _SET_COMPARISON
+    comparison = object.__new__(TrajectoryComparison)
+    set_max(comparison, max_distance)
+    set_rmse(comparison, root)
+    set_distances(comparison, distances)
+    return comparison
 
 
 def stroke_based_estimate(
@@ -172,7 +224,7 @@ def position_based_estimate(
     two_pi_n = 2.0 * math.pi * geom.turn_count
     radius = math.sqrt(max(radius_sq, 0.0)) / two_pi_n
     phi_model = math.atan2(two_pi_n * (radius - geom.composite_na_offset), height)
-    return PositionEstimate(height, phi_truth, radius, phi_model)  # positional: cheaper than keywords
+    return _position_estimate(height, phi_truth, radius, phi_model)
 
 
 def max_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,17 +242,22 @@ def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryCompariso
 
     Bit for bit, NaN included: ``d = np.linalg.norm(a - b, axis=1)``, ``np.max(d)``, ``np.sqrt(np.mean(d**2))``.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = _point_rows(a), _point_rows(b)
     if a.shape != b.shape:
         raise GridMismatchError(f"point sequences differ in shape: {a.shape} vs {b.shape}")
     if a.shape[0] < 1:
         raise GridMismatchError("point sequences must contain at least one sample")
     diff = a - b
-    distances = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    distances = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
     squares = distances * distances
     root = math.sqrt(float(np.add.reduce(squares, axis=None)) / squares.size)
-    return TrajectoryComparison(float(distances.max()), root, distances)
+    return _comparison(float(np.maximum.reduce(distances)), root, distances)
+
+
+def _point_rows(points) -> np.ndarray:
+    """``points`` as float64 with at least two axes, as ``np.atleast_2d`` gives them."""
+    points = np.asarray(points, dtype=float)
+    return points if points.ndim >= 2 else points.reshape(1, -1)
 
 
 def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> TrajectoryComparison:

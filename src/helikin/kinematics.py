@@ -30,7 +30,7 @@ an array of them; :func:`cylinder_axis` calls it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
 DEFAULT_BACKBONE_SAMPLES = 129
 
 _REL_SLOP = 1e-9  # tolerated relative overshoot of s at range ends
+_FINITE_BOUND = 2.0**1021  # FK's points are finite if both terms of its reach stay below this
 
 
 def _check_roll(roll: float) -> None:
@@ -69,7 +70,7 @@ def _check_roll(roll: float) -> None:
         raise ValidationError(f"roll angle theta must be finite, got {roll}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointState:
     """Joint-space description of the deployed tube.
 
@@ -103,6 +104,30 @@ class JointState:
             self.cylinder_height, 2.0 * math.pi * geom.turn_count * self.cylinder_radius
         )
         return abs(length - geom.na_length) / geom.na_length
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of a slotted dataclass, in field order.
+
+    A frozen dataclass guards its ``__setattr__``, not its slots, so these fill
+    the fields of ``object.__new__(cls)`` without ``__init__`` or its checks.
+    They are only for values the caller has already proven valid.
+    """
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
+_SET_JOINT = _slot_setters(JointState)
+
+
+def _joint_state(radius: float, height: float, deflection: float, roll: float) -> JointState:
+    """A JointState whose R and H are finite and > 0 and whose phi and theta are finite."""
+    set_radius, set_height, set_deflection, set_roll = _SET_JOINT
+    joint = object.__new__(JointState)
+    set_radius(joint, radius)
+    set_height(joint, height)
+    set_deflection(joint, deflection)
+    set_roll(joint, roll)
+    return joint
 
 
 def _check_samples(sampled, name: str, kind: str, label: str) -> None:
@@ -275,7 +300,9 @@ def joint_from_actuation(
     _check_turn_count(geom, turn_count)
     length = tendon_length_from_stroke(stroke, tension, tendon, geom.slack_tendon_length, geom)
     radius, height = cylinder_from_tendon_length(length, geom)
-    return JointState(radius, height, deflection_angle(radius, height, geom), roll)
+    _check_roll(roll)
+    # The map has shown R and H finite and > 0, and phi is an atan2 of finite values.
+    return _joint_state(radius, height, deflection_angle(radius, height, geom), roll)
 
 
 class JointBatch(NamedTuple):
@@ -422,8 +449,14 @@ def forward_kinematics(
     if (not rising or low < 0.0 or high > upper) and (s[1:] == s[:-1]).any():
         raise ValidationError("arc-length samples must be strictly increasing")
     bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    points, _ = _centerline(bend_radius, joint.cylinder_height, joint.deflection, joint.roll, s, geom)
-    if not np.isfinite(points).all():
+    height = joint.cylinder_height
+    points, _ = _centerline(bend_radius, height, joint.deflection, joint.roll, s, geom)
+    # A point is at most |x| + |y| + |z| <= s_max H / l_na + 3 |R - y_na| from the
+    # origin, as no frame entry exceeds 1. Both terms below 2^1021 keep that sum
+    # and every partial sum under 2^1023, so the points are finite without looking
+    # at them; the bound is written so that NaN fails it.
+    reach = float(s[-1]) * height / upper
+    if not (reach < _FINITE_BOUND and abs(bend_radius) < _FINITE_BOUND) and not np.isfinite(points).all():
         raise ValidationError("curve contains non-finite values")
     return BackboneCurve._trusted(s, points)
 
@@ -444,15 +477,21 @@ def _centerline(bend_radius, height, deflection, roll: float, s: np.ndarray, geo
 
     R - y_na, H and phi are floats for one joint state, giving (k, 3) points
     and a (3, 3) frame, or arrays of shape (m,), giving (m, k, 3) and
-    (m, 3, 3). The points are ``helix @ frame.T``, one BLAS product per
-    joint, so a joint's rows do not depend on the batch around it.
+    (m, 3, 3). The helix is written column by column in place, and the
+    points are ``helix @ frame.T``, one BLAS product per joint, so a joint's
+    rows do not depend on the batch around it.
     """
     angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
-    r = np.asarray(bend_radius)[..., None]  # (1,) for a float, (m, 1) for an array
-    helix = np.empty(r.shape[:-1] + (s.size, 3))
-    helix[..., 0] = s * np.asarray(height)[..., None] / geom.na_length
-    helix[..., 1] = r - r * np.cos(angle)  # -r * cos(a) + r bit for bit, one operation fewer
-    helix[..., 2] = r * np.sin(angle)
+    if isinstance(deflection, np.ndarray):  # joints along rows, samples along columns
+        bend_radius, height = bend_radius[:, None], height[:, None]
+        helix = np.empty((deflection.size, s.size, 3))
+    else:
+        helix = np.empty((s.size, 3))
+    x, y, z = helix[..., 0], helix[..., 1], helix[..., 2]
+    np.divide(np.multiply(s, height, out=x), geom.na_length, out=x)
+    # -r * cos(a) + r bit for bit, one operation fewer
+    np.subtract(bend_radius, np.multiply(bend_radius, np.cos(angle), out=y), out=y)
+    np.multiply(bend_radius, np.sin(angle), out=z)
     frame = _frames(deflection, roll)
     return helix @ frame.swapaxes(-1, -2), frame
 
@@ -465,17 +504,27 @@ def _frames(deflection, roll: float) -> np.ndarray:
     two rotations gives them: each holds at most one product of non-zero
     factors, which gemm adds to the zero partial sum in one rounding (an
     FMA). So an entry is that product, signed even where it underflows to
-    zero, or +0 where every product has a zero factor.
+    zero, or +0 where every product has a zero factor. For one frame the
+    entries are Python floats, which round as numpy does.
     """
     cos_roll, sin_roll = math.cos(roll), math.sin(roll)
     cos_tilt, sin_tilt = np.cos(-deflection), np.sin(-deflection)
+    shape = cos_tilt.shape
+    if not shape:
+        cos_tilt, sin_tilt = float(cos_tilt), float(sin_tilt)
     # a * b as |a| * (sign(a) * b + 0.0) is the product rounded once, but +0 for a zero b.
-    entries = np.empty((9,) + cos_tilt.shape)  # each frame's entries in row-major order
-    entries[0], entries[1], entries[2] = cos_tilt, 0.0, sin_tilt + 0.0
-    entries[3] = abs(sin_roll) * (math.copysign(1.0, sin_roll) * sin_tilt + 0.0)  # (-sin theta) * -sin(-phi)
-    entries[4], entries[5] = cos_roll, -sin_roll * cos_tilt
-    entries[6] = abs(cos_roll) * (math.copysign(1.0, -cos_roll) * sin_tilt + 0.0)  # cos theta * -sin(-phi)
-    entries[7], entries[8] = sin_roll + 0.0, cos_roll * cos_tilt
+    entries = [  # each frame's entries in row-major order
+        cos_tilt, 0.0, sin_tilt + 0.0,
+        abs(sin_roll) * (math.copysign(1.0, sin_roll) * sin_tilt + 0.0),  # (-sin theta) * -sin(-phi)
+        cos_roll, -sin_roll * cos_tilt,
+        abs(cos_roll) * (math.copysign(1.0, -cos_roll) * sin_tilt + 0.0),  # cos theta * -sin(-phi)
+        sin_roll + 0.0, cos_roll * cos_tilt,
+    ]
     if sin_roll == 0.0:  # theta is +-0: a zero factor in both products
         entries[3] = entries[5] = 0.0
-    return entries.T.reshape(cos_tilt.shape + (3, 3))
+    if not shape:
+        return np.array(entries).reshape(3, 3)
+    frames = np.empty((9,) + shape)
+    for row, entry in zip(frames, entries):
+        row[...] = entry
+    return frames.T.reshape(shape + (3, 3))

@@ -144,3 +144,76 @@ def test_record_keeps_named_figures(tmp_path, monkeypatch):
         "median": 200.0, "q1": 150.0, "q3": 250.0, "iqr": 100.0, "n": 3, "unit": "ms",
         "by_seed": {"1": 100.0, "2": 200.0, "3": 300.0},
     }
+
+
+def _layer(value, better="lower"):
+    return {"median": value, "q1": value, "q3": value, "iqr": 0.0, "n": 2, "unit": "us", "better": better,
+            "by_seed": {"1": value, "2": value}}
+
+
+def test_per_layer_metrics_printed_but_not_gated(tmp_path, capsys):
+    a, b = _bench(), _bench()
+    a["workloads"]["cli"]["per_layer"] = {"kinematics.joint_from_actuation.us_per_call": _layer(2.0),
+                                          "simulation.ftl_run.distinct_point_share": _layer(0.5, "higher")}
+    b["workloads"]["cli"]["per_layer"] = {"kinematics.joint_from_actuation.us_per_call": _layer(20.0),
+                                          "simulation.ftl_run.distinct_point_share": _layer(0.6, "higher")}
+    assert _diff(tmp_path, a, b) == 0
+    out = capsys.readouterr().out
+    assert (
+        "cli           kinematics.joint_from_actuation.us_per_call            2           20  10.0000  "
+        "0/2 lower, per layer, us, not gated; medians apart by more than A's IQR\n"
+    ) in out
+    assert "simulation.ftl_run.distinct_point_share          0.5          0.6   1.2000  2/2 higher, per layer" in out
+
+
+def test_file_without_per_layer_metrics_is_skipped(tmp_path, capsys):
+    b = _bench()
+    b["workloads"]["cli"]["per_layer"] = {"kinematics.joint_from_actuation.us_per_call": _layer(2.0)}
+    assert _diff(tmp_path, _bench(), b) == 0
+    assert _diff(tmp_path, b, _bench()) == 0
+    assert "per layer" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("per_layer", [False, True])
+def test_record_keeps_per_layer_metrics_on_request(tmp_path, monkeypatch, per_layer):
+    traces = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        traces.append(trace)
+        value = float(seed)
+        if trace:
+            metrics = {
+                "kinematics.forward_kinematics.ns_per_point": {"value": 10.0 * value, "unit": "ns"},
+                "simulation.ftl_run.busy_ms": {"value": 0.0, "unit": "ms"},  # never reached: left out
+            }
+        else:
+            metrics = {name: {"value": value} for name in ("setup_s", "op_per_ref.mean", "peak_rss_mb")}
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+        env = {"python": "3", "numpy": "2", "nproc": 2, "cpu": "x", "cpus_used": None, "threads": {}}
+        return result, {"environment": env, "named": {}}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "blas_of", lambda checkout: "openblas")
+    spec = {
+        "run_seconds": 1,
+        "end_to_end": [{"name": n, "unit": "x", "better": "lower", "bound": 0.1}
+                       for n in ("setup_s", "op_per_ref.mean", "peak_rss_mb")],
+        "per_layer": [{"name": "kinematics.forward_kinematics.ns_per_point", "unit": "ns", "better": "lower"},
+                      {"name": "simulation.ftl_run.busy_ms", "unit": "ms", "better": "lower"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    out = tmp_path / "BENCH_9.json"
+    argv = ["--workloads", "control_loop", "--seeds", "1,2,3", f"{tmp_path}:{out}"]
+    assert bench_record.main(argv + ["--per-layer"] * per_layer) == 0
+    loop = json.loads(out.read_text())["workloads"]["control_loop"]
+    assert traces == ([0, 1] * 3 if per_layer else [0] * 3)
+    if not per_layer:
+        assert "per_layer" not in loop
+        return
+    assert loop["per_layer"] == {
+        "kinematics.forward_kinematics.ns_per_point": {
+            "median": 20.0, "q1": 15.0, "q3": 25.0, "iqr": 10.0, "n": 3, "unit": "ns", "better": "lower",
+            "by_seed": {"1": 10.0, "2": 20.0, "3": 30.0},
+        },
+    }

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.estimation import (
+    PositionEstimate,
+    TrajectoryComparison,
     compare_point_sequences,
     max_euclidean_distance,
     position_based_estimate,
@@ -19,6 +21,7 @@ from helikin.geometry import derive_geometry
 from helikin.kinematics import (
     JointState,
     TipTrajectory,
+    backbone_samples,
     forward_kinematics,
     joint_from_actuation,
     tendon_length_from_cylinder,
@@ -425,6 +428,66 @@ def test_compare_point_sequences_profile():
     assert result.per_sample_distances == pytest.approx([1.0, 2.0, 2.0])
     assert result.max_distance == 2.0
     assert result.rmse == pytest.approx(math.sqrt(3.0))
+
+
+def test_comparisons_compare_and_hash_by_value():
+    a = np.zeros((3, 3))
+    b = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    one, two = compare_point_sequences(a, b), compare_point_sequences(a, b)
+    assert one == two and hash(one) == hash(two)
+    assert one != compare_point_sequences(a, b[::-1]) and one != "comparison"
+    assert {one, two} == {one}
+    with pytest.raises(ValueError, match="read-only"):
+        one.per_sample_distances[0] = 0.0
+    # The public constructor keeps a read-only copy and leaves the caller's array writable.
+    given = np.array([1.0, 2.0, 2.0])
+    built = TrajectoryComparison(one.max_distance, one.rmse, given)
+    assert built == one and hash(built) == hash(one)
+    assert given.flags.writeable and not built.per_sample_distances.flags.writeable
+    assert not np.shares_memory(given, built.per_sample_distances)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), ([1.0, 2.0, 3.0], [1.0, 2.0, 5.0])])
+def test_comparison_takes_a_point_or_a_scalar_as_one_sample(a, b):
+    result = compare_point_sequences(a, b)
+    assert result.n_samples == 1 and result.max_distance == result.rmse == 2.0
+
+
+class TestTrustedRecords:
+    """The estimators build their records without ``__init__``; they must be the checked ones."""
+
+    @staticmethod
+    def _assert_same_record(fast, cls):
+        values = dataclasses.astuple(fast)
+        public = cls(*values)
+        assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+        for got, want in zip(values, dataclasses.astuple(public)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(fast) is cls and not hasattr(fast, "__dict__")
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, field.name, 1.0)
+
+    @given(
+        fraction=st.just(0.0) | st.floats(0.0, 0.999),
+        roll=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(allow_nan=False, allow_infinity=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fast_path_records_match_the_public_constructors(self, tendon, geom, fraction, roll, seed):
+        stroke = fraction * (geom.slack_tendon_length - geom.na_length + 2.0 * math.pi * geom.turn_count
+                             * geom.tendon_na_distance)
+        joint = joint_from_actuation(stroke, 0.0, tendon, geom, roll)
+        curve = forward_kinematics(joint, geom, backbone_samples(geom.na_length, 5))
+        markers = curve.points[:4] + np.random.default_rng(seed).normal(0.0, 0.1, (4, 3))
+        self._assert_same_record(joint, JointState)
+        self._assert_same_record(position_based_estimate(curve.tip, geom), PositionEstimate)
+        self._assert_same_record(compare_point_sequences(curve.points[:4], markers), TrajectoryComparison)
+
+    @pytest.mark.parametrize("roll", [math.nan, math.inf, -math.inf])
+    def test_actuation_map_still_checks_the_roll(self, tendon, geom, roll):
+        with pytest.raises(ValidationError, match="roll angle theta must be finite"):
+            joint_from_actuation(2.0, 0.0, tendon, geom, roll)
 
 
 def test_estimators_read_the_turn_count_from_the_geometry(tube, tendon):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -348,9 +349,21 @@ class TestForwardKinematicsBoundaries:
 
     def test_overflowing_points_rejected(self, geom):
         joint = JointState(geom.composite_na_offset + 1.0, 1e308, 0.3, 0.2)
+        # R - y_na = 1e308 reaches 2e308 across the axis; a half turn on one sample.
+        wide = JointState(geom.composite_na_offset + 1e308, 10.0, 0.3, 0.2)
+        half_turn = np.array([geom.na_length / (2.0 * geom.turn_count)])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match="curve contains non-finite values"):
-                forward_kinematics(joint, geom)
+            for curve_joint, samples in (
+                (joint, None),
+                (joint, np.array([geom.na_length])),  # s H overflows on a 1-sample grid
+                (wide, None),
+                (wide, half_turn),
+            ):
+                with pytest.raises(ValidationError, match="curve contains non-finite values"):
+                    forward_kinematics(curve_joint, geom, samples)
+        # Past the scalar bound the points themselves decide: at s = 0 they are finite.
+        start = forward_kinematics(wide, geom, np.array([0.0]))
+        assert start.points.tobytes() == np.zeros((1, 3)).tobytes()
         # Equal samples are named before the points are computed.
         samples = np.array([0.0, geom.na_length, geom.na_length])
         with pytest.raises(ValidationError, match="arc-length samples must be strictly increasing"):
@@ -407,6 +420,28 @@ class TestForwardKinematicsBoundaries:
                 cls(np.array([0.0, 0.5, 0.5]), points)
             single = cls(np.array([1]), np.array([[1, 2, 3]]))
             assert getattr(single, name).dtype == single.points.dtype == np.float64
+
+
+# sha256 of FK's points over 5 strokes x 5 rolls, by sample count. Recorded with
+# numpy 2.4.6 and OpenBLAS on x86-64, like the demo digests. One sample makes
+# the product a (1, 3) @ (3, 3), which BLAS runs as a gemv with its own rounding.
+FK_DIGESTS = {
+    1: "27d74780e504bb593b9f42fa03b9dd2ad7143e23fb36ab80ad747a3d1487e1fc",
+    5: "45321f62a857bf335f12f8ae8e6657e5239dd8a903f168261c952f02e17f0cc0",
+    129: "f3c1a52b12f8dcc4fce8b83f593c2899c8d31d50feecfdda3e92d76792402bf9",
+    1001: "31b6755967ac02440dc49cf361b0996e1abf4335d22dc87dff5870ac5e079df1",
+}
+
+
+@pytest.mark.parametrize("count", sorted(FK_DIGESTS))
+def test_forward_kinematics_keeps_its_bytes(tendon, geom, count):
+    s = np.array([geom.na_length]) if count == 1 else backbone_samples(geom.na_length, count)
+    digest = hashlib.sha256()
+    for stroke in (0.0, 0.8, 2.0, 4.5, 7.5):
+        for roll in (0.0, -0.0, 0.7, -2.3, 3.0):
+            joint = joint_from_actuation(stroke, 0.0, tendon, geom, roll)
+            digest.update(forward_kinematics(joint, geom, s).points.tobytes())
+    assert digest.hexdigest() == FK_DIGESTS[count]
 
 
 class TestCenterlineBits:

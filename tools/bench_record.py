@@ -4,6 +4,7 @@
     python3 tools/bench_record.py --seeds 601,602,603,604,605,606,607,608,609,610 \
         ../parent:BENCH_5.json .:BENCH_6.json
     python3 tools/bench_record.py --workloads dataset --seeds 1,5,9 .:BENCH_6.json
+    python3 tools/bench_record.py --per-layer --workloads control_loop --seeds 1,2 .:BENCH_6.json
     python3 tools/bench_record.py --diff BENCH_5.json BENCH_6.json
 
 Each CHECKOUT:OUT argument names a source checkout, whose own
@@ -17,7 +18,11 @@ run's value by seed; the same for each named figure of the runs' reports
 (such as ``dataset.samples_per_s`` or ``cli.startup_ms.p50``) that is not a
 bounded metric, with its unit; the bounds from BENCHMARK.json; the Python, numpy,
 CPU count and pinned CPUs the runs reported; and the BLAS numpy was built
-against, as the checkout's interpreter reports it. The demo digests
+against, as the checkout's interpreter reports it. With ``--per-layer`` each
+checkout also runs ``--trace 1`` for every workload and seed, and the file
+keeps each BENCHMARK.json per-layer metric the workload reaches (one that
+reads 0 on every run is left out) the same way, in a ``per_layer`` block.
+The demo digests
 assume OpenBLAS's rounding of FK's matrix products, so a different BLAS is
 worth knowing about before reading a diff.
 
@@ -29,8 +34,10 @@ medians differ by more than A's IQR. Per workload it prints both files'
 incorrect or fails a larger share of its ops. It exits 1 if anything is
 flagged. The named figures both files hold are printed after a workload's
 bounded metrics, with how many pairs B read lower, and are never flagged: they
-have no bound. A file recorded without them is read as having none.
-Only the standard library is used.
+have no bound. The same goes for the per-layer metrics, printed with how
+many pairs B read better in the metric's own direction. A file recorded
+without either block is read as having none. Only the standard library is
+used.
 """
 
 import argparse
@@ -55,6 +62,8 @@ def parse_args(argv=None):
     parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated")
     parser.add_argument("--seeds", help="comma-separated; required to record")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
+    parser.add_argument("--per-layer", action="store_true",
+                        help="also run --trace 1 per workload, seed and checkout and keep the per-layer metrics")
     args = parser.parse_args(argv)
     if not args.diff and not args.targets:
         parser.error("give CHECKOUT:OUT targets or --diff A B")
@@ -71,13 +80,13 @@ def parse_args(argv=None):
     return args
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, dict]:
     """One run's final JSON line and its report, which holds the environment and named figures."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    report = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    report = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return result, json.loads(report.read_text())
 
 
@@ -112,6 +121,7 @@ def record(args) -> int:
             raise SystemExit(f"error: {target!r} is not CHECKOUT:OUT")
         targets.append((Path(checkout).resolve(), Path(out)))
     runs = {out: {w: [] for w in args.workloads} for _, out in targets}
+    layers = {out: {w: [] for w in args.workloads} for _, out in targets}
     envs = {out: [] for _, out in targets}
     for workload in args.workloads:
         for k, seed in enumerate(args.seeds):
@@ -121,6 +131,10 @@ def record(args) -> int:
                 envs[out].append(report["environment"])
                 values = {m: v["value"] for m, v in result["metrics"].items()}
                 print(f"{out.name} {workload} seed {seed}: correct={result['correct']} {values}", flush=True)
+                if args.per_layer:
+                    traced, _ = run_once(checkout, workload, seed, seconds, trace=1)
+                    layers[out][workload].append((seed, traced))
+                    print(f"{out.name} {workload} seed {seed} traced: correct={traced['correct']}", flush=True)
 
     for checkout, out in targets:
         env = envs[out]
@@ -139,6 +153,8 @@ def record(args) -> int:
             "bounds": {m["name"]: {k: m[k] for k in ("unit", "better", "bound")} for m in spec["end_to_end"]},
             "workloads": {},
         }
+        if args.per_layer:
+            payload["per_layer_command"] = f"perfbench/run.py --trace 1 --seconds {seconds:g}"
         for workload, seeded in runs[out].items():
             metrics = {}
             for m in spec["end_to_end"]:
@@ -157,9 +173,34 @@ def record(args) -> int:
                 "metrics": metrics,
                 "named": {name: {**summary(list(e["by_seed"].values())), **e} for name, e in named.items()},
             }
+            if args.per_layer:
+                payload["workloads"][workload]["per_layer"] = per_layer_block(spec, layers[out][workload])
         out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}")
     return 0
+
+
+def per_layer_block(spec: dict, traced: list[tuple[int, dict]]) -> dict:
+    """Median, quartiles and by-seed values of each per-layer metric that reads non-zero on some run."""
+    block = {}
+    for m in spec["per_layer"]:
+        by_seed = {str(seed): result["metrics"][m["name"]]["value"] for seed, result in traced}
+        if any(by_seed.values()):
+            block[m["name"]] = {**summary(list(by_seed.values())), "unit": m["unit"], "better": m["better"],
+                                "by_seed": by_seed}
+    return block
+
+
+def print_ungated(workload: str, name: str, ma: dict, mb: dict, lower: bool, what: str) -> None:
+    """One figure of A and B with how many pairs B read lower (or higher), never flagged."""
+    ratio = mb["median"] / ma["median"] if ma["median"] else 1.0 if not mb["median"] else float("inf")
+    seeds = [s for s in ma["by_seed"] if s in mb["by_seed"]]
+    won = sum((mb["by_seed"][s] < ma["by_seed"][s]) if lower else (mb["by_seed"][s] > ma["by_seed"][s])
+              for s in seeds)
+    apart = abs(mb["median"] - ma["median"]) > ma["iqr"]
+    print(f"{workload:<13} {name:<22} {ma['median']:>12.6g} {mb['median']:>12.6g} {ratio:>8.4f}  "
+          f"{won}/{len(seeds)} {what}, {ma['unit']}, not gated"
+          + ("; medians apart by more than A's IQR" if apart else ""))
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -197,14 +238,11 @@ def diff(path_a: str, path_b: str) -> int:
                   f"{won}/{len(seeds)}  {'; '.join(notes)}")
         named_a, named_b = wa.get("named", {}), wb.get("named", {})
         for name in [n for n in named_a if n in named_b]:
-            ma, mb = named_a[name], named_b[name]
-            ratio = mb["median"] / ma["median"] if ma["median"] else 1.0 if not mb["median"] else float("inf")
-            seeds = [s for s in ma["by_seed"] if s in mb["by_seed"]]
-            lower = sum(mb["by_seed"][s] < ma["by_seed"][s] for s in seeds)
-            apart = abs(mb["median"] - ma["median"]) > ma["iqr"]
-            print(f"{workload:<13} {name:<22} {ma['median']:>12.6g} {mb['median']:>12.6g} {ratio:>8.4f}  "
-                  f"{lower}/{len(seeds)} lower, {ma['unit']}, not gated"
-                  + ("; medians apart by more than A's IQR" if apart else ""))
+            print_ungated(workload, name, named_a[name], named_b[name], True, "lower")
+        layers_a, layers_b = wa.get("per_layer", {}), wb.get("per_layer", {})
+        for name in [n for n in layers_a if n in layers_b]:
+            ma, mb = layers_a[name], layers_b[name]
+            print_ungated(workload, name, ma, mb, ma["better"] == "lower", f"{ma['better']}, per layer")
     return 1 if flagged else 0
 
 
