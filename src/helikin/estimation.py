@@ -11,6 +11,12 @@ Two estimators mirror what is observable on the physical device:
 
 The metrics are the ones used to score such estimates: maximum Euclidean
 distance and RMSE between index-aligned point sequences.
+
+:class:`PositionEstimate` and :class:`TrajectoryComparison` are slotted
+frozen dataclasses. The estimator and the metrics fill their slots
+directly rather than through ``__init__``, a sizeable share of a call on a
+few points. A comparison's distances are read-only, and comparisons
+compare and hash by value.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ _SET_COMPARISON = _slot_setters(TrajectoryComparison)
 
 
 def _position_estimate(height: float, phi_truth: float, radius: float, phi_model: float) -> PositionEstimate:
-    """A PositionEstimate with no ``__init__``: it has no checks to skip, only their cost."""
+    """A PositionEstimate built without ``__init__``, which checks nothing and only costs time."""
     set_height, set_truth, set_radius, set_model = _SET_ESTIMATE
     estimate = object.__new__(PositionEstimate)
     set_height(estimate, height)

@@ -21,10 +21,17 @@ helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
 
 One private kernel, ``_centerline``, computes this map:
 :func:`forward_kinematics` runs it on one joint state's floats and
-``synthetic_sweep`` on arrays of joint states. Its frames come from
-``_frames``, the package's one rotation construction, which writes out the
-nine entries of Rx(theta) @ Ry(-phi) with no BLAS call, for a float phi or
-an array of them; :func:`cylinder_axis` calls it alone.
+``synthetic_sweep`` on arrays of joint states. It writes the helix columns
+in place. Its frames come from ``_frames``, the package's one rotation
+construction, which writes out the nine entries of Rx(theta) @ Ry(-phi)
+with no BLAS call, for a float phi (as Python floats) or an array of them;
+:func:`cylinder_axis` calls it alone. FK looks at every point for a
+non-finite value only when a scalar bound on s_max H / l_na and |R - y_na|
+cannot rule one out.
+
+:class:`JointState` is a slotted frozen dataclass. Its constructor checks
+every field; :func:`joint_from_actuation`, whose map has already shown R
+and H finite and > 0, checks only the roll and fills the slots directly.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ _SET_JOINT = _slot_setters(JointState)
 
 
 def _joint_state(radius: float, height: float, deflection: float, roll: float) -> JointState:
-    """A JointState whose R and H are finite and > 0 and whose phi and theta are finite."""
+    """A JointState built without ``__init__``'s checks: R and H must be finite and > 0, phi and theta finite."""
     set_radius, set_height, set_deflection, set_roll = _SET_JOINT
     joint = object.__new__(JointState)
     set_radius(joint, radius)
