@@ -77,6 +77,14 @@ def _check_roll(roll: float) -> None:
         raise ValidationError(f"roll angle theta must be finite, got {roll}")
 
 
+def _check_count(count: int, what: str) -> None:
+    """Reject a grid size that is no integer >= 2; bool is an int but no count, 3.0 a float."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValidationError(f"need an integer number of {what}, got {count!r}")
+    if count < 2:
+        raise ValidationError(f"need at least 2 {what}, got {count}")
+
+
 @dataclass(frozen=True, slots=True)
 class JointState:
     """Joint-space description of the deployed tube.
@@ -155,13 +163,35 @@ def _check_samples(sampled, name: str, kind: str, label: str) -> None:
 
 @dataclass(frozen=True)
 class BackboneCurve:
-    """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points."""
+    """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points.
+
+    A body from :func:`~helikin.simulation.ftl_run` holds only ``_ftl``, its
+    (deployment, index), until ``s`` or ``points`` is first read; that read
+    sets the views of every body of its deployment. Copies and pickles of a
+    body are plain curves over the same rows.
+    """
 
     s: np.ndarray
     points: np.ndarray
 
+    # A class attribute, not a field: every curve reads None here but an
+    # ftl_run body, and reading it never reaches __getattr__.
+    _ftl = None
+
     def __post_init__(self):
         _check_samples(self, "s", "curve", "arc-length samples")
+
+    def __getattr__(self, name: str):
+        # Python calls this only when normal lookup fails, which for s and
+        # points happens only on a body whose deployment has not gathered yet.
+        ftl = self._ftl
+        if ftl is not None and name in ("s", "points"):
+            ftl[0].gather()
+            return object.__getattribute__(self, name)
+        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self)
+
+    def __getstate__(self) -> dict:
+        return {"s": self.s, "points": self.points}
 
     @classmethod
     def _trusted(cls, s: np.ndarray, points: np.ndarray) -> BackboneCurve:
@@ -176,7 +206,8 @@ class BackboneCurve:
         return curve
 
     def __len__(self) -> int:
-        return self.s.size
+        ftl = self._ftl
+        return self.s.size if ftl is None else ftl[0].size(ftl[1])
 
     @property
     def tip(self) -> np.ndarray:
@@ -326,11 +357,17 @@ class JointBatch(NamedTuple):
     deflection: np.ndarray
 
     def joint_states(self, roll: float = 0.0) -> tuple[JointState | None, ...]:
-        """One :class:`JointState` per row at roll ``roll``, None where rejected."""
-        # Row by row rather than through tolist(), which would hold three
-        # full lists of floats at once.
+        """One :class:`JointState` per row at roll ``roll``, None where rejected.
+
+        A non-finite roll raises ValidationError unless every row is rejected.
+        """
+        if self.ok.any():
+            _check_roll(roll)
+        # The mask has proven R and H finite and > 0 and phi finite on every
+        # accepted row. Row by row rather than through tolist(), which would
+        # hold three full lists of floats at once.
         return tuple(
-            JointState(float(radius), float(height), float(phi), roll) if ok else None
+            _joint_state(float(radius), float(height), float(phi), roll) if ok else None
             for ok, radius, height, phi in zip(
                 self.ok, self.cylinder_radius, self.cylinder_height, self.deflection
             )
@@ -408,8 +445,7 @@ def rest_joint(geom: DerivedGeometry, roll: float = 0.0) -> JointState:
 
 def backbone_samples(na_length: float, count: int = DEFAULT_BACKBONE_SAMPLES) -> np.ndarray:
     """Uniform arc-length grid [0, l_na] with ``count`` samples."""
-    if count < 2:
-        raise ValidationError(f"need at least 2 samples, got {count}")
+    _check_count(count, "samples")
     return np.linspace(0.0, na_length, count)
 
 

@@ -24,8 +24,10 @@ lengths bit for bit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .kinematics import (
     JointState,
     TipTrajectory,
     _centerline,
+    _check_count,
     _check_roll,
     actuation_failures,
     backbone_samples,
@@ -476,8 +479,7 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def default_eta_grid(steps: int = DEFAULT_ETA_STEPS) -> np.ndarray:
     """Uniform progression grid on [0, 1] including both endpoints."""
-    if steps < 2:
-        raise ValidationError(f"need at least 2 eta steps, got {steps}")
+    _check_count(steps, "eta steps")
     return np.linspace(0.0, 1.0, steps)
 
 
@@ -497,15 +499,16 @@ def ftl_run(
 
     Under a fixed joint state the tip at eta lies on the final backbone at
     s = eta * l_na, so forward kinematics runs exactly twice: once on the
-    master grid and once on the tip arc lengths. One ``take`` per array then
-    copies every body's rows from those two curves into one buffer, and each
-    body is a read-only slice of it, made without re-validation (one object
-    and two views) since its rows come from validated curves in increasing
-    order. Writing into one body cannot corrupt another.
-
-    Each body also refers to what the deployment shares (the rows of both
-    FK curves and every body's layout), so :func:`phantom_clearance` of a
-    body costs O(1) after the first body cleared against a phantom.
+    master grid and once on the tip arc lengths. Each body is built without
+    re-validation, since its rows come from validated curves in increasing
+    order, and holds only its place in the deployment the bodies share (the
+    rows of both FK curves and every body's layout). No body row is copied
+    until some body's ``s`` or ``points`` is first read. That read copies
+    every body's rows with one ``take`` per array into one buffer and makes
+    each body's ``s`` and ``points`` read-only slices of it, so writing into
+    one body cannot corrupt another. ``len()`` of a body and
+    :func:`phantom_clearance`, which costs O(1) per body after the first
+    body cleared against a phantom, do not copy.
 
     n comes from ``geom``; a turn count that is given only has to match it.
     """
@@ -533,52 +536,85 @@ def ftl_run(
     # The master grid starts at 0 <= s_tip, so every body keeps a sample.
     kept = np.searchsorted(full.s, s_tips * (1.0 + 1e-15), side="right")
     off_grid = full.s[kept - 1] < s_tips
-
-    # Gather every body from [master rows; tip rows]: body k is master rows
-    # [0, kept[k]), then tip row k as its last row if off the grid.
-    sizes = kept + off_grid
-    ends = np.cumsum(sizes)
-    rows = np.arange(ends[-1])
-    rows -= np.repeat(ends - sizes, sizes)
-    rows[(ends - 1)[off_grid]] = len(full) + np.flatnonzero(off_grid)
     stacked = np.concatenate((full.points, tip_curve.points))
-    s = np.concatenate((full.s, tip_curve.s)).take(rows)
-    points = stacked.take(rows, axis=0)
-    stacked.flags.writeable = s.flags.writeable = points.flags.writeable = False
+    stacked.flags.writeable = False
 
-    deployment = _Deployment(stacked, len(full), kept, off_grid)
-    bodies: list[BackboneCurve] = []
-    new, assign = object.__new__, object.__setattr__
-    for k, (start, end) in enumerate(zip((ends - sizes).tolist(), ends.tolist())):
-        body = new(BackboneCurve)
-        assign(body, "s", s[start:end])
-        assign(body, "points", points[start:end])
-        assign(body, "_ftl", (deployment, k))
-        bodies.append(body)
-    return TipTrajectory(eta=grid, points=points[ends - 1]), bodies
+    # Body k ends on tip row k if off the grid, else on master row kept[k] - 1.
+    last = np.where(off_grid, len(full) + np.arange(grid.size), kept - 1)
+    tip = TipTrajectory(eta=grid, points=stacked.take(last, axis=0))
+    return tip, _Deployment(stacked, full.s, tip_curve.s, kept, off_grid).bodies()
 
 
 class _Deployment:
     """What the bodies of one :func:`ftl_run` share.
 
     ``rows`` holds the master rows, then one tip row per body. Body k is
-    master rows [0, kept[k]) plus, if off_grid[k], tip row k. Per
-    phantom, the least squared distance of every body to the phantom axis
-    comes from one pass over these rows. It is kept for the last phantom
-    only, which is how a deployment is cleared: every body against one
-    phantom. A PhantomSpec cannot change after validation, so identity
-    tells whether the kept result still holds. The rows go through the same
-    ``_axis_distance_sq`` as a plain curve, which rounds each row alike at
-    any position and row count, so the results match a per-body scan bit for
-    bit.
+    master rows [0, kept[k]) plus, if off_grid[k], tip row k.
+
+    :meth:`gather` copies those rows into one buffer per array on the first
+    read of any body's ``s`` or ``points``, and sets every body's views in
+    one loop. Until then the deployment refers to its bodies weakly, so
+    dropping them frees it; after it, not at all.
+
+    Per phantom, the least squared distance of every body to the phantom
+    axis comes from one pass over ``rows``, gathered or not. It is kept for
+    the last phantom only, which is how a deployment is cleared: every body
+    against one phantom. A PhantomSpec cannot change after validation, so
+    identity tells whether the kept result still holds. The rows go through
+    the same ``_axis_distance_sq`` as a plain curve, which rounds each row
+    alike at any position and row count, so the results match a per-body
+    scan bit for bit.
     """
 
-    __slots__ = ("rows", "masters", "kept", "off_grid", "_phantom", "_least_sq")
+    __slots__ = (
+        "rows", "masters", "kept", "off_grid", "_s_rows", "_bodies", "_phantom", "_least_sq", "__weakref__"
+    )
 
-    def __init__(self, rows: np.ndarray, masters: int, kept: np.ndarray, off_grid: np.ndarray):
-        self.rows, self.masters, self.kept, self.off_grid = rows, masters, kept, off_grid
+    def __init__(
+        self, rows: np.ndarray, master_s: np.ndarray, tip_s: np.ndarray, kept: np.ndarray, off_grid: np.ndarray
+    ):
+        self.rows, self.masters, self.kept, self.off_grid = rows, master_s.size, kept, off_grid
+        self._s_rows = (master_s, tip_s)
+        self._bodies: list[weakref.ref] = []
         self._phantom: PhantomSpec | None = None
         self._least_sq: list[float] = []
+
+    def bodies(self) -> list[BackboneCurve]:
+        """One body per tip row, each holding only (this deployment, its index)."""
+        new, assign = object.__new__, object.__setattr__
+        bodies = list(map(new, repeat(BackboneCurve, self.kept.size)))
+        for k, body in enumerate(bodies):
+            assign(body, "_ftl", (self, k))
+        self._bodies = list(map(weakref.ref, bodies))
+        return bodies
+
+    def size(self, k: int) -> int:
+        """Rows of body k, without gathering."""
+        return int(self.kept[k] + self.off_grid[k])
+
+    def gather(self) -> None:
+        """Set ``s`` and ``points`` of every live body to its views of one copy of its rows; once."""
+        refs = self._bodies
+        if not refs:
+            return
+        # Body k is rows [ends[k] - sizes[k], ends[k]) of the gathered buffers.
+        sizes = self.kept + self.off_grid
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1])
+        rows -= np.repeat(ends - sizes, sizes)
+        rows[(ends - 1)[self.off_grid]] = self.masters + np.flatnonzero(self.off_grid)
+        s = np.concatenate(self._s_rows).take(rows)
+        points = self.rows.take(rows, axis=0)
+        s.flags.writeable = points.flags.writeable = False
+        assign = object.__setattr__
+        for ref, start, end in zip(refs, (ends - sizes).tolist(), ends.tolist()):
+            body = ref()
+            if body is not None:
+                assign(body, "s", s[start:end])
+                assign(body, "points", points[start:end])
+        # Dropped only after the fill, so that a body read on another thread
+        # meanwhile gathers again rather than finding no views.
+        self._bodies = []
 
     def least_sq(self, phantom: PhantomSpec) -> list[float]:
         """Per body, its least squared distance to the phantom axis, as floats cheap to index."""
@@ -625,18 +661,19 @@ def phantom_clearance(
     tube's own outer radius, since the curve is a centerline. Negative
     clearance means contact.
 
-    A curve costs O(samples). A body from :func:`ftl_run` costs O(1): the
-    first body cleared against a phantom computes the distances of its
-    deployment's master and tip rows once (O(body samples + eta steps)),
-    and every body reads its own minimum from them. Both paths use the same
-    elementwise arithmetic, so a body's clearance is bit-identical to that
-    of a plain curve with the same rows, on any BLAS.
+    A curve costs O(samples). A body from :func:`ftl_run` costs O(1) and
+    does not copy its rows: the first body cleared against a phantom
+    computes the distances of its deployment's master and tip rows once
+    (O(body samples + eta steps)), and every body reads its own minimum
+    from them. Both paths use the same elementwise arithmetic, so a body's
+    clearance is bit-identical to that of a plain curve with the same rows,
+    on any BLAS.
     """
     if not (tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)):
         raise ValidationError(
             f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius}"
         )
-    ftl = getattr(curve, "_ftl", None)
+    ftl = curve._ftl
     if ftl is None:
         least = _axis_distance_sq(curve.points, phantom).min()
     else:

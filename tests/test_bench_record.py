@@ -73,6 +73,18 @@ def test_failed_share_compared(tmp_path, capsys, a, b, code):
     assert ("B FAILS A LARGER SHARE" in capsys.readouterr().out) == bool(code)
 
 
+def test_workload_missing_from_b_fails(tmp_path, capsys):
+    a, b = _bench(), _bench()
+    a["workloads"]["dataset"] = copy.deepcopy(a["workloads"]["cli"])
+    assert _diff(tmp_path, a, b) == 1
+    out = capsys.readouterr().out
+    assert "dataset       MISSING FROM B\n" in out
+    assert "cli           op_per_ref.mean" in out
+    # A workload only B ran is compared with nothing and flags nothing.
+    assert _diff(tmp_path, b, a) == 0
+    assert "MISSING" not in capsys.readouterr().out
+
+
 def test_incorrect_a_alone_passes(tmp_path):
     assert _diff(tmp_path, _bench(correct=False), _bench()) == 0
 

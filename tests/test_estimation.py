@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helikin import kinematics
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.estimation import (
     PositionEstimate,
@@ -114,9 +115,10 @@ class TestStrokeBasedEstimate:
         assert one != stroke_based_estimate(log, geom, tendon, 0.3)
 
     def test_joint_series_is_built_on_first_read_and_kept(self, tendon, geom, monkeypatch):
-        built = []
-        check = JointState.__post_init__
-        monkeypatch.setattr(JointState, "__post_init__", lambda j: built.append(j) or check(j))
+        # Accepted rows are filled without the validating constructor.
+        built, validated, fill = [], [], kinematics._joint_state
+        monkeypatch.setattr(kinematics, "_joint_state", lambda *row: built.append(row) or fill(*row))
+        monkeypatch.setattr(JointState, "__post_init__", validated.append)
         result = stroke_based_estimate([(0.0, 0.0), (9.5, 0.0), (2.0, 0.0)], geom, tendon, roll=0.3)
         assert built == [] and result.ok_count == 2
         assert math.isnan(result.per_sample_phi[1])
@@ -125,7 +127,7 @@ class TestStrokeBasedEstimate:
         series = result.joint_series
         assert len(built) == 2 and series[1] is None
         assert [j.roll for j in series if j is not None] == [0.3, 0.3]
-        assert result.joint_series is series and len(built) == 2
+        assert result.joint_series is series and len(built) == 2 and validated == []
 
 
 class TestPositionBasedEstimate:

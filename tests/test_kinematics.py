@@ -297,6 +297,23 @@ class TestForwardKinematics:
             forward_kinematics(joint, geom, np.array([geom.na_length + 1.0]))
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, False, "3", None])
+def test_backbone_samples_reject_a_count_that_is_no_integer(geom, count):
+    with pytest.raises(ValidationError, match="need an integer number of samples"):
+        backbone_samples(geom.na_length, count)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_backbone_samples_take_python_and_numpy_integers(geom, count):
+    assert backbone_samples(geom.na_length, count).tolist() == [0.0, geom.na_length / 2.0, geom.na_length]
+
+
+@pytest.mark.parametrize("count", [1, 0, -3, np.int64(1)])
+def test_backbone_samples_need_two(geom, count):
+    with pytest.raises(ValidationError, match="need at least 2 samples"):
+        backbone_samples(geom.na_length, count)
+
+
 class TestForwardKinematicsBoundaries:
     """Range and order checks on the arc-length samples."""
 
@@ -675,6 +692,31 @@ class TestJointBatch:
         assert joint.deflection == pytest.approx(scalar.deflection, rel=1e-15)
         assert joint.roll == 0.4
         assert type(joint.cylinder_radius) is float
+
+    @given(
+        fractions=st.lists(st.floats(0.0, 1.05), min_size=1, max_size=20),
+        roll=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_joint_states_match_the_public_constructor(self, tendon, geom, fractions, roll):
+        batch = joints_from_actuation([f * _max_stroke(tendon, geom) for f in fractions],
+                                      [0.0] * len(fractions), tendon, geom)
+        for ok, joint, *row in zip(batch.ok, batch.joint_states(roll), *batch[1:]):
+            if not ok:
+                assert joint is None
+                continue
+            public = JointState(*map(float, row), roll)
+            assert joint == public and hash(joint) == hash(public) and repr(joint) == repr(public)
+            assert type(joint) is JointState and not hasattr(joint, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                joint.roll = 0.0
+
+    @pytest.mark.parametrize("roll", [math.nan, math.inf, -math.inf])
+    def test_joint_states_check_the_roll_only_when_a_row_is_accepted(self, tendon, geom, roll):
+        with pytest.raises(ValidationError, match="roll angle theta must be finite"):
+            joints_from_actuation([2.0, 9.0], [0.0, 0.0], tendon, geom).joint_states(roll)
+        assert joints_from_actuation([9.0, -1.0], [0.0, 0.0], tendon, geom).joint_states(roll) == (None, None)
+        assert joints_from_actuation([], [], tendon, geom).joint_states(roll) == ()
 
     def test_shape_mismatch_rejected(self, tendon, geom):
         with pytest.raises(ValidationError):

@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from helikin.kinematics import (
     cylinder_axis,
     forward_kinematics,
     joint_from_actuation,
+    rest_joint,
 )
 from helikin.simulation import (
     NoiseSpec,
@@ -111,16 +116,17 @@ class TestSyntheticSweep:
         assert np.all(np.isfinite(dataset.tips_true[2]))
 
     def test_joints_are_built_on_first_read_and_kept(self, tube, tendon, geom, monkeypatch):
-        built = []
-        check = JointState.__post_init__
-        monkeypatch.setattr(JointState, "__post_init__", lambda j: built.append(j) or check(j))
+        # Accepted rows are filled without the validating constructor.
+        built, validated, fill = [], [], kinematics._joint_state
+        monkeypatch.setattr(kinematics, "_joint_state", lambda *row: built.append(row) or fill(*row))
+        monkeypatch.setattr(JointState, "__post_init__", validated.append)
         profile = [(0.0, 0.0), (9.0, 0.0), (2.0, 0.0)]
         dataset = synthetic_sweep(geom, tendon, profile, [33.2], NoiseSpec(seed=3), 0.7, tube)
         assert built == [] and dataset.batch.ok.tolist() == [True, False, True]
         joints = dataset.joints
         assert len(built) == 2 and joints[1] is None
         assert [j.roll for j in joints if j is not None] == [0.7, 0.7]
-        assert dataset.joints is joints and len(built) == 2
+        assert dataset.joints is joints and len(built) == 2 and validated == []
 
     def test_marker_out_of_range_rejected(self, tube, tendon, geom):
         with pytest.raises(ValidationError):
@@ -972,6 +978,137 @@ class TestFtlGather:
         assert checked == [TipTrajectory]
         assert trusted == [BODY_SAMPLES, 1001]
         assert len(bodies) == 1001
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, "3"])
+def test_grid_sizes_that_are_no_integer_are_rejected(tendon, geom, count):
+    with pytest.raises(ValidationError, match="need an integer number of eta steps"):
+        default_eta_grid(count)
+    joint = joint_from_actuation(2.0, 0.0, tendon, geom)
+    with pytest.raises(ValidationError, match="need an integer number of samples"):
+        ftl_run(joint, geom, default_eta_grid(5), body_samples=count)
+
+
+@pytest.mark.parametrize("count", [3, np.int64(3), np.uint16(3)])
+def test_grid_sizes_take_python_and_numpy_integers(tendon, geom, count):
+    assert default_eta_grid(count).tolist() == [0.0, 0.5, 1.0]
+    joint = joint_from_actuation(2.0, 0.0, tendon, geom)
+    _, bodies = ftl_run(joint, geom, np.array([1.0]), body_samples=count)
+    assert bodies[0].s.tolist() == backbone_samples(geom.na_length, 3).tolist()
+
+
+class TestLazyBodies:
+    """ftl_run copies no body row until some body's s or points is first read, then all at once."""
+
+    @pytest.fixture()
+    def deployment(self, tendon, geom):
+        # 257 eta steps on 129 master samples: every other tip lies on the master grid.
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        grid = default_eta_grid(257)
+        master = forward_kinematics(joint, geom, backbone_samples(geom.na_length, BODY_SAMPLES))
+        tips = forward_kinematics(joint, geom, grid * geom.na_length)
+        expected = ftl_bodies_one_by_one(master, tips)
+        _, bodies = ftl_run(joint, geom, grid, body_samples=BODY_SAMPLES)
+        phantom = phantom_on_cylinder_axis(joint, geom, 4.0)
+        return bodies, expected, phantom
+
+    @pytest.fixture()
+    def gathers(self, monkeypatch):
+        calls, gather = [], simulation._Deployment.gather
+        monkeypatch.setattr(simulation._Deployment, "gather", lambda dep: calls.append(dep) or gather(dep))
+        return calls
+
+    @staticmethod
+    def _assert_bytes(curve, s, points):
+        assert curve.s.tobytes() == s.tobytes() and curve.points.tobytes() == points.tobytes()
+        assert curve.s.shape == s.shape and curve.points.shape == points.shape
+
+    def test_clearance_and_len_do_not_gather(self, deployment, gathers, tube):
+        bodies, expected, phantom = deployment
+        cleared = [phantom_clearance(body, phantom, tube.outer_radius) for body in bodies]
+        assert [len(body) for body in bodies] == [s.size for s, _ in expected]
+        assert gathers == [] and all("s" not in vars(body) for body in bodies)
+        for result, (s, points) in zip(cleared, expected):
+            assert _bits(result) == _bits(phantom_clearance(BackboneCurve(s, points), phantom, tube.outer_radius))
+
+    def test_first_read_gathers_every_body_once(self, deployment, gathers):
+        bodies, expected, _ = deployment
+        bodies[100].points
+        assert len(gathers) == 1 and all({"s", "points"} <= vars(body).keys() for body in bodies)
+        for body, (s, points) in zip(bodies, expected):
+            self._assert_bytes(body, s, points)
+            body.tip, body.chord_length()
+        assert len(gathers) == 1
+        assert gathers[0]._bodies == []
+
+    @pytest.mark.parametrize("order", ["reversed", "points first"])
+    def test_read_order_does_not_change_the_bytes(self, deployment, order):
+        bodies, expected, _ = deployment
+        pairs = list(zip(bodies, expected))
+        if order == "reversed":
+            pairs.reverse()
+            for body, _ in pairs:
+                body.s
+        else:
+            for body, _ in pairs:
+                body.points
+        for body, (s, points) in pairs:
+            self._assert_bytes(body, s, points)
+            assert not (body.s.flags.writeable or body.points.flags.writeable)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda body: pickle.loads(pickle.dumps(body)),
+            dataclasses.replace,
+        ],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_copies_are_plain_curves_with_the_same_rows(self, deployment, tube, read_first, duplicate):
+        bodies, expected, phantom = deployment
+        body, (s, points) = bodies[-2], expected[-2]
+        if read_first:
+            body.s
+        twin = duplicate(body)
+        assert type(twin) is BackboneCurve and twin._ftl is None
+        self._assert_bytes(twin, s, points)
+        self._assert_bytes(body, s, points)
+        assert len(twin) == len(body) == s.size
+        assert phantom_clearance(twin, phantom, tube.outer_radius) == phantom_clearance(
+            body, phantom, tube.outer_radius
+        )
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_repr_is_a_plain_curves(self, deployment, read_first):
+        bodies, expected, _ = deployment
+        if read_first:
+            bodies[7].points
+        assert repr(bodies[7]) == repr(BackboneCurve(*expected[7]))
+
+    def test_missing_attributes_raise_the_standard_error(self, deployment, geom):
+        bodies, _, _ = deployment
+        curve = forward_kinematics(rest_joint(geom), geom)
+        for target in (curve, bodies[3]):
+            with pytest.raises(AttributeError) as caught:
+                getattr(target, "x")
+            assert str(caught.value) == "'BackboneCurve' object has no attribute 'x'"
+            assert caught.value.name == "x" and caught.value.obj is target
+            assert getattr(target, "x", None) is None and not hasattr(target, "__setstate__")
+        assert "s" not in vars(bodies[3])
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_dropping_the_bodies_frees_the_deployment(self, tendon, geom, read_first):
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        _, bodies = ftl_run(joint, geom, default_eta_grid(257), body_samples=BODY_SAMPLES)
+        if read_first:
+            bodies[0].s
+        shared = weakref.ref(bodies[0]._ftl[0])
+        del bodies
+        gc.collect()
+        assert shared() is None
 
 
 class TestTurnCountCheck:

@@ -27,7 +27,8 @@ assume OpenBLAS's rounding of FK's matrix products, so a different BLAS is
 worth knowing about before reading a diff.
 
 ``--diff A B`` notes any difference in Python, numpy, BLAS or CPU, prints
-B / A of each metric's median and flags a ratio past its bound. Over the
+B / A of each metric's median and flags a ratio past its bound, and flags
+each workload of A that B lacks. Over the
 seeds both files ran it also prints how many pairs B won, and whether the
 medians differ by more than A's IQR. Per workload it prints both files'
 ``correct`` flag and failed/attempted share, and flags B when it is
@@ -211,7 +212,11 @@ def diff(path_a: str, path_b: str) -> int:
             print(f"note: {key} differs: {env_a} vs {env_b}")
     flagged = 0
     print(f"{'workload':<13} {'metric':<16} {'A median':>12} {'B median':>12} {'B/A':>8}  pairs B won")
-    for workload in [w for w in a["workloads"] if w in b["workloads"]]:
+    for workload in a["workloads"]:
+        if workload not in b["workloads"]:
+            print(f"{workload:<13} MISSING FROM B")
+            flagged += 1
+            continue
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         share_a, share_b = (w["failed"] / max(w["attempted"], 1) for w in (wa, wb))
         notes = [note for note, bad in (("B INCORRECT", not wb["correct"]),
