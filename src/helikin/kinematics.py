@@ -31,7 +31,8 @@ cannot rule one out.
 
 :class:`JointState` is a slotted frozen dataclass. Its constructor checks
 every field; :func:`joint_from_actuation`, whose map has already shown R
-and H finite and > 0, checks only the roll and fills the slots directly.
+and H finite and > 0, checks only the roll and fills the slots directly,
+and so does :meth:`JointBatch.joint_states` on the rows its mask accepted.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ class BackboneCurve:
         if ftl is not None and name in ("s", "points"):
             ftl[0].gather()
             return object.__getattribute__(self, name)
-        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self)
+        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
 
     def __getstate__(self) -> dict:
         return {"s": self.s, "points": self.points}

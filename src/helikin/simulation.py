@@ -567,7 +567,8 @@ class _Deployment:
     """
 
     __slots__ = (
-        "rows", "masters", "kept", "off_grid", "_s_rows", "_bodies", "_phantom", "_least_sq", "__weakref__"
+        "rows", "masters", "kept", "off_grid", "_s_rows", "_bodies", "_sizes", "_phantom", "_least_sq",
+        "__weakref__",
     )
 
     def __init__(
@@ -576,6 +577,7 @@ class _Deployment:
         self.rows, self.masters, self.kept, self.off_grid = rows, master_s.size, kept, off_grid
         self._s_rows = (master_s, tip_s)
         self._bodies: list[weakref.ref] = []
+        self._sizes: list[int] | None = None
         self._phantom: PhantomSpec | None = None
         self._least_sq: list[float] = []
 
@@ -590,7 +592,11 @@ class _Deployment:
 
     def size(self, k: int) -> int:
         """Rows of body k, without gathering."""
-        return int(self.kept[k] + self.off_grid[k])
+        # Python ints: len() of 1001 bodies costs about 0.2 ms, against 0.9 ms
+        # through numpy scalars.
+        if self._sizes is None:
+            self._sizes = (self.kept + self.off_grid).tolist()
+        return self._sizes[k]
 
     def gather(self) -> None:
         """Set ``s`` and ``points`` of every live body to its views of one copy of its rows; once."""
