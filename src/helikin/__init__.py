@@ -14,64 +14,9 @@ constants), :mod:`~helikin.kinematics` (actuation to 3-D shape),
 clearance). Around them: :mod:`~helikin.presets` (the reference device),
 :mod:`~helikin.errors` (exception classes), :mod:`~helikin.fileio` (JSON
 and CSV formats), :mod:`~helikin.svgplot` (SVG plots) and
-:mod:`~helikin.cli` (file-based command-line front end).
+:mod:`~helikin.cli` (file-based command-line front end). Import each name
+from its module, whose ``__all__`` lists its public names: the package
+re-exports none, and importing it loads no submodule and no numpy.
 """
-
-from .errors import (
-    DomainError,
-    GridMismatchError,
-    HelikinError,
-    NonPhysicalError,
-    OverActuationError,
-    ValidationError,
-)
-from .estimation import (
-    EstimateResult,
-    PositionEstimate,
-    TrajectoryComparison,
-    compare_point_sequences,
-    max_euclidean_distance,
-    position_based_estimate,
-    repeatability_compare,
-    rmse,
-    stroke_based_estimate,
-)
-from .geometry import (
-    DerivedGeometry,
-    PatternReport,
-    TendonSpec,
-    TubeSpec,
-    composite_neutral_axis_offset,
-    derive_geometry,
-    neutral_axis_length,
-    notch_neutral_axis_offset,
-    pattern_consistency,
-    slack_tendon_length,
-    tendon_neutral_axis_distance,
-)
-from .kinematics import (
-    BackboneCurve,
-    JointState,
-    TipTrajectory,
-    backbone_samples,
-    cylinder_from_tendon_length,
-    deflection_angle,
-    forward_kinematics,
-    joint_from_actuation,
-    rest_joint,
-    tendon_length_from_cylinder,
-    tendon_length_from_stroke,
-)
-from .simulation import (
-    NoiseSpec,
-    PhantomSpec,
-    SyntheticDataset,
-    default_eta_grid,
-    ftl_fidelity,
-    ftl_run,
-    phantom_clearance,
-    phantom_on_cylinder_axis,
-    synthetic_sweep,
-)
 
 __version__ = "0.1.0"

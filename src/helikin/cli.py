@@ -4,9 +4,9 @@ Every stage of the pipeline is exposed as a subcommand with file-based
 I/O. Units everywhere: lengths in mm, tensions in N; angles are given in
 degrees on the command line and converted to radians internally.
 
-Exit codes: 0 success, 2 validation failure (bad spec/file/arguments, or
-a curve ``plot`` cannot draw), 3 numerical failure (e.g. over-actuated
-stroke, or a JSON summary that would not be finite), 4 I/O failure.
+Exit codes: 0 success, 2 validation failure (bad spec/file/arguments, or a
+curve ``plot`` cannot draw), 3 numerical failure (e.g. over-actuated stroke,
+or a JSON summary that would not be finite), 4 I/O failure or out of memory.
 numpy's overflow warnings stay off: an error line is the one report a
 failed run writes, and a non-finite summary is refused where it is written.
 """
@@ -25,7 +25,6 @@ import numpy as np
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import _overlap_grid, position_based_estimate, repeatability_compare, stroke_based_estimate
-from .fileio import _open_text
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec, derive_geometry, pattern_consistency
 from .kinematics import DEFAULT_BACKBONE_SAMPLES, JointState, backbone_samples, forward_kinematics, joint_from_actuation
 from .simulation import (
@@ -206,8 +205,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _first_cell(path: str) -> str:
     """The first header cell of a CSV, which tells its kind, parsed as the readers parse it."""
-    with _open_text(path, newline="") as handle:
-        return (next(csv.reader(handle), None) or [""])[0]
+    with fileio._open_text(path) as handle:
+        return (next(csv.reader([handle.readline()])) or [""])[0]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -246,7 +245,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         else:
             curves.append(fileio.read_tip_csv(path).points)
         names.append(Path(path).stem)
-    svgplot.write_curves_svg(args.output, curves, names)
+    fileio.atomic_write_text(args.output, svgplot.render_curves_svg(curves, names))
     print(f"wrote {args.output}")
     return 0
 
@@ -279,9 +278,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     tip, bodies, fidelity = _ftl_stage(joint, geom, grid, outdir / "tip.csv")
     backbone = bodies[-1]
     fileio.write_backbone_csv(outdir / "backbone.csv", backbone)
-    svgplot.write_curves_svg(
-        outdir / "shape.svg", [backbone.points, tip.points], ["backbone", "tip trace"]
-    )
+    svg = svgplot.render_curves_svg([backbone.points, tip.points], ["backbone", "tip trace"])
+    fileio.atomic_write_text(outdir / "shape.svg", svg)
 
     # stage 4: clearance against a phantom on the imaginary-cylinder axis
     fileio.atomic_write_text(outdir / "phantom.json", fileio.dump_phantom_spec(phantom))
@@ -409,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
 
 

@@ -33,6 +33,7 @@ from .kinematics import (
     JointBatch,
     JointState,
     TipTrajectory,
+    _ValueRecord,
     _check_roll,
     _slot_setters,
     actuation_failures,
@@ -100,14 +101,13 @@ class PositionEstimate:
     phi_model: float
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryComparison:
+@dataclass(frozen=True, slots=True, eq=False)
+class TrajectoryComparison(_ValueRecord):
     """Distance summary between two index-aligned point sequences, mm.
 
     ``per_sample_distances`` is a read-only float64 array, a copy of the one
     given, so it cannot drift from the maximum and the RMSE. Comparisons
-    compare and hash by value: the two floats and the distances' shape and
-    bytes, as an array has no single truth value.
+    compare and hash by value, the distances by their shape, dtype and bytes.
     """
 
     max_distance: float
@@ -118,18 +118,6 @@ class TrajectoryComparison:
         distances = np.array(self.per_sample_distances, dtype=float)
         distances.flags.writeable = False
         object.__setattr__(self, "per_sample_distances", distances)
-
-    def _key(self) -> tuple:
-        distances = self.per_sample_distances
-        return self.max_distance, self.rmse, distances.shape, distances.tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, TrajectoryComparison):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def n_samples(self) -> int:

@@ -122,9 +122,9 @@ def atomic_write_text(path: str | Path, text: str | bytes) -> None:
 
 
 @contextmanager
-def _open_text(path: str | Path, newline: str | None = None) -> Iterator:
+def _open_text(path: str | Path) -> Iterator:
     """Open a user file as UTF-8 text; a byte that does not decode raises ValidationError."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:

@@ -146,6 +146,27 @@ def _joint_state(radius: float, height: float, deflection: float, roll: float) -
     return joint
 
 
+class _ValueRecord:
+    """Equality and hash of a frozen dataclass by value, each array field by its shape, dtype and bytes.
+
+    Subclasses pass ``eq=False``, so that the dataclass decorator keeps these methods.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        values = (getattr(self, field.name) for field in fields(self))
+        return tuple((v.shape, v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _check_samples(sampled, name: str, kind: str, label: str) -> None:
     """Check a sampled curve's parameter ``name`` and points; store both as float64."""
     param = np.asarray(getattr(sampled, name), dtype=float)
@@ -162,8 +183,8 @@ def _check_samples(sampled, name: str, kind: str, label: str) -> None:
     object.__setattr__(sampled, "points", pts)
 
 
-@dataclass(frozen=True)
-class BackboneCurve:
+@dataclass(frozen=True, eq=False)
+class BackboneCurve(_ValueRecord):
     """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points.
 
     A body from :func:`~helikin.simulation.ftl_run` holds only ``_ftl``, its
@@ -218,8 +239,8 @@ class BackboneCurve:
         return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
 
 
-@dataclass(frozen=True)
-class TipTrajectory:
+@dataclass(frozen=True, eq=False)
+class TipTrajectory(_ValueRecord):
     """Tip positions over a progression grid: N >= 1 eta values and (N, 3) points in O_0."""
 
     eta: np.ndarray

@@ -40,6 +40,7 @@ from .kinematics import (
     JointBatch,
     JointState,
     TipTrajectory,
+    _ValueRecord,
     _centerline,
     _check_count,
     _check_roll,
@@ -91,8 +92,8 @@ class NoiseSpec:
         return np.random.default_rng([self.seed, index])
 
 
-@dataclass(frozen=True)
-class PhantomSpec:
+@dataclass(frozen=True, eq=False)
+class PhantomSpec(_ValueRecord):
     """Infinite-cylinder obstacle: a point on its axis, unit direction, radius (mm).
 
     Radius 0 degenerates to a line obstacle, which is allowed. The spec
@@ -124,7 +125,7 @@ class PhantomSpec:
         object.__setattr__(self, "radius", float(self.radius))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Forward-model dataset with ground truth retained alongside noisy channels.
 
@@ -132,7 +133,7 @@ class SyntheticDataset:
     arrays. A sample where the map failed is False in ``batch.ok`` and nan
     in the other fields, and ``failures`` lists its index and reason.
     ``joints`` builds one JointState per sample at ``roll`` (None where the
-    map failed) on its first read and keeps it.
+    map failed) on its first read and keeps it. Datasets compare by identity.
     """
 
     tube: TubeSpec

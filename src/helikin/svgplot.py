@@ -8,14 +8,13 @@ bytes, which keeps plots diffable in tests and across runs.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _cells, _join_cells, atomic_write_text
+from .fileio import _cells, _join_cells
 
-__all__ = ["render_curves_svg", "write_curves_svg"]
+__all__ = ["render_curves_svg"]
 
 _PANEL = 300          # drawable panel size, px
 _MARGIN = 46          # margin around each panel for ticks/labels, px
@@ -197,8 +196,3 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_curves_svg(
-    path: str | Path, curves: list[np.ndarray], names: list[str] | None = None
-) -> None:
-    atomic_write_text(path, render_curves_svg(curves, names))

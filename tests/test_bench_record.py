@@ -229,3 +229,34 @@ def test_record_keeps_per_layer_metrics_on_request(tmp_path, monkeypatch, per_la
             "by_seed": {"1": 10.0, "2": 20.0, "3": 30.0},
         },
     }
+
+
+def _runs(*values):
+    return {**bench_record.summary(list(values)), "by_seed": {str(k): v for k, v in enumerate(values, 1)}}
+
+
+@pytest.mark.parametrize(
+    "b, code, notes",
+    [
+        # A's IQR (0.15) is 43 % of its median (0.35), wider than the 25 % bound.
+        ((0.25, 0.3, 0.35, 0.45), 0, "unresolved: A's IQR is 43 % of its median"),
+        ((0.5, 0.6, 0.7, 0.8), 1, "unresolved: A's IQR is 43 % of its median; PAST BOUND 0.25\n"),
+        ((0.1, 0.12, 0.15, 0.19), 0, "medians apart by more than A's IQR\n"),  # every B run beats every A run
+    ],
+    ids=["ratio within the bound", "ratio past the bound", "every B run better"],
+)
+def test_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, b, code, notes):
+    bench_a, bench_b = _bench(), _bench()
+    bench_a["workloads"]["cli"]["metrics"]["setup_s"] = _runs(0.2, 0.3, 0.4, 0.5)
+    bench_b["workloads"]["cli"]["metrics"]["setup_s"] = _runs(*b)
+    assert _diff(tmp_path, bench_a, bench_b) == code
+    line = next(line for line in capsys.readouterr().out.splitlines(keepends=True) if " setup_s " in line)
+    assert notes in line
+
+
+def test_spread_inside_the_bound_is_not_marked(tmp_path, capsys):
+    bench_a, bench_b = _bench(), _bench()
+    bench_a["workloads"]["cli"]["metrics"]["setup_s"] = _runs(0.40, 0.41, 0.43, 0.44)
+    bench_b["workloads"]["cli"]["metrics"]["setup_s"] = _runs(0.39, 0.42, 0.45, 0.46)
+    assert _diff(tmp_path, bench_a, bench_b) == 0
+    assert "unresolved" not in capsys.readouterr().out

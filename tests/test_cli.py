@@ -397,6 +397,15 @@ class TestEstimateCommand:
         assert main([*argv, str(tmp_path / "b.csv"), "-i", str(quoted)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_stroke_on_a_crlf_marker_csv_reads_it_as_a_marker_file(self, tmp_path, spec_file):
+        fileio.write_marker_csv(tmp_path / "lf.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes((tmp_path / "lf.csv").read_bytes().replace(b"\n", b"\r\n"))
+        argv = ["estimate", "--spec", spec_file, "--method", "stroke", "-o"]
+        assert main([*argv, str(tmp_path / "a.csv"), "-i", str(tmp_path / "lf.csv")]) == 0
+        assert main([*argv, str(tmp_path / "b.csv"), "-i", str(crlf)]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_stroke_on_a_marker_csv_without_actuation_exits_2(self, tmp_path, spec_file, capsys):
         markers = tmp_path / "markers.csv"
         fileio.write_marker_csv(markers, np.array([0.0, 1.0]), np.ones((2, 3)))
@@ -603,6 +612,18 @@ class TestPlotCommand:
         assert main(["plot", str(quoted), "-o", str(tmp_path / "b.svg")]) == 0
         svg_a, svg_b = ((tmp_path / name).read_text() for name in ("a.svg", "b.svg"))
         assert svg_a == svg_b.replace(">quoted<", ">curve<")
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+    def test_line_endings_plot_alike(self, tmp_path, spec_file, ending):
+        # The legend names each curve by its file's stem, so both files are curve.csv.
+        (tmp_path / "lf").mkdir()
+        (tmp_path / "other").mkdir()
+        lf, other = tmp_path / "lf" / "curve.csv", tmp_path / "other" / "curve.csv"
+        main(["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(lf)])
+        other.write_bytes(lf.read_bytes().replace(b"\n", ending))
+        assert main(["plot", str(lf), "-o", str(tmp_path / "a.svg")]) == 0
+        assert main(["plot", str(other), "-o", str(tmp_path / "b.svg")]) == 0
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_header_only_trajectory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -860,6 +881,31 @@ class TestDemoCommand:
         monkeypatch.setattr(simulation, "forward_kinematics", counted)
         assert main(["demo", "--outdir", str(tmp_path / "d"), "--eta-steps", "11"]) == 0
         assert sorted(calls) == [11, 11, 129]
+
+
+class TestOutOfMemory:
+    """A count too large to allocate exits 4 with one stderr line; no test allocates it."""
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("default_eta_grid", ["demo", "--eta-steps", "100000000000"]),
+            ("default_eta_grid", ["ftl", "--stroke", "2", "--eta-steps", "100000000000"]),
+            ("backbone_samples", ["shape", "--stroke", "2", "--samples", "100000000000"]),
+        ],
+        ids=["demo", "ftl", "shape"],
+    )
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+    def test_exits_4_before_any_file(self, tmp_path, monkeypatch, capsys, target, argv, message):
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, refuse)
+        out = tmp_path / "out"
+        flag = "--outdir" if argv[0] == "demo" else "-o"
+        assert main([*argv, flag, str(out)]) == 4
+        assert capsys.readouterr().err == f"out of memory: {message or 'allocation failed'}\n"
+        assert not out.exists()
 
 
 class TestHelpAndUnits:

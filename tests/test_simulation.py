@@ -1130,3 +1130,61 @@ class TestTurnCountCheck:
         tube2 = dataclasses.replace(tube, turn_count=2)
         with pytest.raises(ValidationError, match="turn count 2 differs from the geometry's 1"):
             synthetic_sweep(geom, tendon, _profile(), [33.2], NoiseSpec(), 0.0, tube2)
+
+
+def _flip_last_bit(array: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``array`` with the lowest bit of its last element flipped."""
+    flipped = np.array(array, dtype=float)
+    flipped.reshape(-1).view(np.uint64)[-1] ^= np.uint64(1)
+    return flipped
+
+
+class TestRecordEquality:
+    """Records holding arrays compare and hash by value, each array by its shape, dtype and bytes."""
+
+    @pytest.fixture()
+    def records(self, tendon, geom):
+        joint = joint_from_actuation(3.0, 0.0, tendon, geom, 0.4)
+
+        def build():
+            tip, _ = ftl_run(joint, geom, default_eta_grid(11))
+            return forward_kinematics(joint, geom), tip, phantom_on_cylinder_axis(joint, geom, 4.0)
+
+        return build(), build()
+
+    def test_equal_records_compare_and_hash_equal(self, records):
+        for one, two in zip(*records):
+            assert one is not two and one == two and hash(one) == hash(two)
+            assert {one, two} == {one} and len({one, two}) == 1
+
+    def test_one_flipped_bit_makes_records_unequal(self, records):
+        curve, tip, phantom = records[0]
+        flipped = [
+            BackboneCurve(curve.s, _flip_last_bit(curve.points)),
+            TipTrajectory(_flip_last_bit(tip.eta), tip.points),
+            PhantomSpec(phantom.axis_point, _flip_last_bit(phantom.axis_direction), phantom.radius),
+        ]
+        for record, other in zip(records[0], flipped):
+            assert record != other and not record == other and len({record, other}) == 2
+        assert curve != TipTrajectory(curve.s, curve.points) and curve != "curve"
+
+    def test_lazy_body_equals_a_plain_curve_over_its_rows(self, tendon, geom, monkeypatch):
+        calls, gather = [], simulation._Deployment.gather
+        monkeypatch.setattr(simulation._Deployment, "gather", lambda dep: calls.append(dep) or gather(dep))
+        joint = joint_from_actuation(4.25, 0.0, tendon, geom, 0.9)
+        grid = default_eta_grid(21)
+        master = forward_kinematics(joint, geom, backbone_samples(geom.na_length, BODY_SAMPLES))
+        expected = ftl_bodies_one_by_one(master, forward_kinematics(joint, geom, grid * geom.na_length))
+        _, bodies = ftl_run(joint, geom, grid, body_samples=BODY_SAMPLES)
+        for body, (s, points) in zip(bodies, expected):
+            plain = BackboneCurve(s, points)
+            assert body == plain and plain == body and hash(body) == hash(plain)
+        assert len(calls) == 1
+        assert bodies[-1] == master and bodies[0] != master
+
+    def test_datasets_compare_by_identity(self, tube, tendon, geom):
+        def sweep():
+            return synthetic_sweep(geom, tendon, [(0.0, 0.0), (1.0, 0.0)], [20.0, 40.0], NoiseSpec(), 0.0, tube)
+
+        ds = sweep()
+        assert ds == ds and hash(ds) == hash(ds) and ds != sweep()

@@ -30,7 +30,10 @@ worth knowing about before reading a diff.
 B / A of each metric's median and flags a ratio past its bound, and flags
 each workload of A that B lacks. Over the
 seeds both files ran it also prints how many pairs B won, and whether the
-medians differ by more than A's IQR. Per workload it prints both files'
+medians differ by more than A's IQR. Where A's IQR is a larger share of
+its median than the metric's bound and not every run of B reads better
+than every run of A, it marks the metric unresolved with that share; that
+mark is not flagged. Per workload it prints both files'
 ``correct`` flag and failed/attempted share, and flags B when it is
 incorrect or fails a larger share of its ops. It exits 1 if anything is
 flagged. The named figures both files hold are printed after a workload's
@@ -236,6 +239,13 @@ def diff(path_a: str, path_b: str) -> int:
             notes = []
             if abs(mb["median"] - ma["median"]) > ma["iqr"]:
                 notes.append("medians apart by more than A's IQR")
+            # A's own spread wider than the bound leaves the bound unresolved,
+            # unless every run of B reads better than every run of A.
+            runs_a, runs_b = ma["by_seed"].values(), mb["by_seed"].values()
+            all_better = max(runs_b) < min(runs_a) if lower else min(runs_b) > max(runs_a)
+            spread = ma["iqr"] / abs(ma["median"]) if ma["median"] else float("inf") if ma["iqr"] else 0.0
+            if spread > bound["bound"] and not all_better:
+                notes.append(f"unresolved: A's IQR is {100 * spread:.0f} % of its median")
             if past:
                 notes.append(f"PAST BOUND {bound['bound']:g}")
                 flagged += 1
