@@ -28,7 +28,10 @@ def test_every_name_in_all_resolves(module):
 
 
 def test_importing_the_package_loads_neither_numpy_nor_a_submodule():
-    code = "import sys, helikin; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('helikin.')))"
+    code = (
+        "import sys, helikin; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('helikin.')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(helikin.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
