@@ -188,29 +188,19 @@ class BackboneCurve(_ValueRecord):
     """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points.
 
     A body from :func:`~helikin.simulation.ftl_run` holds only ``_ftl``, its
-    (deployment, index), until ``s`` or ``points`` is first read; that read
-    sets the views of every body of its deployment. Copies and pickles of a
-    body are plain curves over the same rows.
+    (deployment, index), until its ``s`` or ``points`` is first read; that
+    read sets its own views of the rows its deployment gathers, and no other
+    body's. Copies and pickles of a body are plain curves over the same rows.
     """
 
     s: np.ndarray
     points: np.ndarray
 
-    # A class attribute, not a field: every curve reads None here but an
-    # ftl_run body, and reading it never reaches __getattr__.
+    # A class attribute, not a field: None on every curve but an ftl_run body.
     _ftl = None
 
     def __post_init__(self):
         _check_samples(self, "s", "curve", "arc-length samples")
-
-    def __getattr__(self, name: str):
-        # Python calls this only when normal lookup fails, which for s and
-        # points happens only on a body whose deployment has not gathered yet.
-        ftl = self._ftl
-        if ftl is not None and name in ("s", "points"):
-            ftl[0].gather()
-            return object.__getattribute__(self, name)
-        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
 
     def __getstate__(self) -> dict:
         return {"s": self.s, "points": self.points}
@@ -237,6 +227,22 @@ class BackboneCurve(_ValueRecord):
 
     def chord_length(self) -> float:
         return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
+
+
+class _BodyRows:
+    """``s`` (index 0) or ``points`` (index 1) of an unread ftl_run body; every other curve's own arrays shadow it."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, curve, owner=None):
+        if curve is None:
+            return self
+        return curve._ftl[0].fill(curve)[self.index]
+
+
+# Set after the decorator, which would take them for the fields' defaults.
+BackboneCurve.s, BackboneCurve.points = _BodyRows(0), _BodyRows(1)
 
 
 @dataclass(frozen=True, eq=False)

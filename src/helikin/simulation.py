@@ -24,7 +24,6 @@ lengths bit for bit.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import repeat
@@ -334,12 +333,6 @@ def _pcg64_seed(
     return _lcg_step(inc[0] + w0 + (lo < w1), lo, inc), inc
 
 
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> tuple[int, int]:
-    """The (state, inc) that ``PCG64`` seeds from the words w0..w3, as ints."""
-    state, inc = _pcg64_seed(np.array([[w0, w1, w2, w3]], np.uint64))
-    return _as_ints(*state)[0], _as_ints(*inc)[0]
-
-
 def _as_ints(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
 
@@ -505,11 +498,11 @@ def ftl_run(
     order, and holds only its place in the deployment the bodies share (the
     rows of both FK curves and every body's layout). No body row is copied
     until some body's ``s`` or ``points`` is first read. That read copies
-    every body's rows with one ``take`` per array into one buffer and makes
-    each body's ``s`` and ``points`` read-only slices of it, so writing into
-    one body cannot corrupt another. ``len()`` of a body and
-    :func:`phantom_clearance`, which costs O(1) per body after the first
-    body cleared against a phantom, do not copy.
+    every body's rows with one ``take`` per array into one buffer; each
+    body's own first read makes its ``s`` and ``points`` read-only slices of
+    it, so writing into one body cannot corrupt another. ``len()`` of a
+    body and :func:`phantom_clearance`, which costs O(1) per body after the
+    first body cleared against a phantom, do not copy.
 
     n comes from ``geom``; a turn count that is given only has to match it.
     """
@@ -552,10 +545,10 @@ class _Deployment:
     ``rows`` holds the master rows, then one tip row per body. Body k is
     master rows [0, kept[k]) plus, if off_grid[k], tip row k.
 
-    :meth:`gather` copies those rows into one buffer per array on the first
-    read of any body's ``s`` or ``points``, and sets every body's views in
-    one loop. Until then the deployment refers to its bodies weakly, so
-    dropping them frees it; after it, not at all.
+    :meth:`gather` copies every body's rows, once, into one read-only
+    buffer per array; :meth:`fill` gives a body its two views of them on
+    that body's first read. The deployment refers to no body, so dropping
+    the bodies frees it.
 
     Per phantom, the least squared distance of every body to the phantom
     axis comes from one pass over ``rows``, gathered or not. It is kept for
@@ -568,7 +561,7 @@ class _Deployment:
     """
 
     __slots__ = (
-        "rows", "masters", "kept", "off_grid", "_s_rows", "_bodies", "_sizes", "_phantom", "_least_sq",
+        "rows", "masters", "kept", "off_grid", "_s_rows", "_gathered", "_sizes", "_phantom", "_least_sq",
         "__weakref__",
     )
 
@@ -577,7 +570,7 @@ class _Deployment:
     ):
         self.rows, self.masters, self.kept, self.off_grid = rows, master_s.size, kept, off_grid
         self._s_rows = (master_s, tip_s)
-        self._bodies: list[weakref.ref] = []
+        self._gathered: tuple | None = None
         self._sizes: list[int] | None = None
         self._phantom: PhantomSpec | None = None
         self._least_sq: list[float] = []
@@ -588,7 +581,6 @@ class _Deployment:
         bodies = list(map(new, repeat(BackboneCurve, self.kept.size)))
         for k, body in enumerate(bodies):
             assign(body, "_ftl", (self, k))
-        self._bodies = list(map(weakref.ref, bodies))
         return bodies
 
     def size(self, k: int) -> int:
@@ -600,10 +592,7 @@ class _Deployment:
         return self._sizes[k]
 
     def gather(self) -> None:
-        """Set ``s`` and ``points`` of every live body to its views of one copy of its rows; once."""
-        refs = self._bodies
-        if not refs:
-            return
+        """Copy every body's rows into one read-only buffer per array, with each body's start and end."""
         # Body k is rows [ends[k] - sizes[k], ends[k]) of the gathered buffers.
         sizes = self.kept + self.off_grid
         ends = np.cumsum(sizes)
@@ -613,15 +602,18 @@ class _Deployment:
         s = np.concatenate(self._s_rows).take(rows)
         points = self.rows.take(rows, axis=0)
         s.flags.writeable = points.flags.writeable = False
-        assign = object.__setattr__
-        for ref, start, end in zip(refs, (ends - sizes).tolist(), ends.tolist()):
-            body = ref()
-            if body is not None:
-                assign(body, "s", s[start:end])
-                assign(body, "points", points[start:end])
-        # Dropped only after the fill, so that a body read on another thread
-        # meanwhile gathers again rather than finding no views.
-        self._bodies = []
+        # One assignment: a body read on another thread meanwhile finds all four or gathers again.
+        self._gathered = s, points, (ends - sizes).tolist(), ends.tolist()
+
+    def fill(self, body: BackboneCurve) -> tuple[np.ndarray, np.ndarray]:
+        """Set ``body``'s ``s`` and ``points`` to its views of the gathered rows, and return them."""
+        if self._gathered is None:
+            self.gather()
+        s, points, starts, ends = self._gathered
+        k = body._ftl[1]
+        object.__setattr__(body, "s", s[starts[k] : ends[k]])
+        object.__setattr__(body, "points", points[starts[k] : ends[k]])
+        return body.s, body.points
 
     def least_sq(self, phantom: PhantomSpec) -> list[float]:
         """Per body, its least squared distance to the phantom axis, as floats cheap to index."""

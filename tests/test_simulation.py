@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import pydoc
 import weakref
 
 import numpy as np
@@ -302,7 +303,8 @@ class TestNoiseStreams:
         seq = np.random.SeedSequence([seed, index])
         assert np.array_equal(words, seq.generate_state(4, np.uint64))
         state = np.random.PCG64(seq).state["state"]
-        assert simulation._pcg64_state(*words.tolist()) == (state["state"], state["inc"])
+        seeded, inc = simulation._pcg64_seed(words[None])
+        assert (simulation._as_ints(*seeded)[0], simulation._as_ints(*inc)[0]) == (state["state"], state["inc"])
 
 
 @pytest.fixture()
@@ -1034,12 +1036,12 @@ class TestLazyBodies:
     def test_first_read_gathers_every_body_once(self, deployment, gathers):
         bodies, expected, _ = deployment
         bodies[100].points
-        assert len(gathers) == 1 and all({"s", "points"} <= vars(body).keys() for body in bodies)
+        assert len(gathers) == 1
+        assert [k for k, body in enumerate(bodies) if {"s", "points"} & vars(body).keys()] == [100]
         for body, (s, points) in zip(bodies, expected):
             self._assert_bytes(body, s, points)
             body.tip, body.chord_length()
         assert len(gathers) == 1
-        assert gathers[0]._bodies == []
 
     @pytest.mark.parametrize("order", ["reversed", "points first"])
     def test_read_order_does_not_change_the_bytes(self, deployment, order):
@@ -1098,6 +1100,29 @@ class TestLazyBodies:
             assert caught.value.name == "x" and caught.value.obj is target
             assert getattr(target, "x", None) is None and not hasattr(target, "__setstate__")
         assert "s" not in vars(bodies[3])
+
+    def test_the_deployment_refers_to_no_body(self, deployment):
+        bodies, _, _ = deployment
+        assert all(weakref.getweakrefcount(body) == 0 for body in bodies)
+        bodies[-1].points
+        assert all(weakref.getweakrefcount(body) == 0 for body in bodies)
+
+    def test_a_body_reads_its_rows_after_its_siblings_are_dropped(self, deployment):
+        bodies, expected, _ = deployment
+        body, (s, points), sibling = bodies[40], expected[40], weakref.ref(bodies[41])
+        del bodies[:], deployment
+        assert sibling() is None
+        self._assert_bytes(body, s, points)
+
+    def test_the_class_reads_like_a_plain_dataclass(self):
+        assert BackboneCurve.s is vars(BackboneCurve)["s"] and BackboneCurve.points is vars(BackboneCurve)["points"]
+        assert "class BackboneCurve" in pydoc.render_doc(BackboneCurve)
+        assert [(f.name, f.default) for f in dataclasses.fields(BackboneCurve)] == [
+            ("s", dataclasses.MISSING),
+            ("points", dataclasses.MISSING),
+        ]
+        with pytest.raises(TypeError, match="missing 2 required positional arguments: 's' and 'points'"):
+            BackboneCurve()
 
     @pytest.mark.parametrize("read_first", [False, True])
     def test_dropping_the_bodies_frees_the_deployment(self, tendon, geom, read_first):
