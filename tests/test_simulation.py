@@ -1036,7 +1036,7 @@ class TestLazyBodies:
     def test_first_read_gathers_every_body_once(self, deployment, gathers):
         bodies, expected, _ = deployment
         bodies[100].points
-        assert len(gathers) == 1
+        assert len(gathers) == 1 and {"s", "points"} <= vars(bodies[100]).keys()
         assert [k for k, body in enumerate(bodies) if {"s", "points"} & vars(body).keys()] == [100]
         for body, (s, points) in zip(bodies, expected):
             self._assert_bytes(body, s, points)
@@ -1110,7 +1110,7 @@ class TestLazyBodies:
     def test_a_body_reads_its_rows_after_its_siblings_are_dropped(self, deployment):
         bodies, expected, _ = deployment
         body, (s, points), sibling = bodies[40], expected[40], weakref.ref(bodies[41])
-        del bodies[:], deployment
+        del bodies[:]
         assert sibling() is None
         self._assert_bytes(body, s, points)
 
