@@ -125,7 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.dataset_dir:
         written = fileio.write_dataset_bundle(args.dataset_dir, dataset)
         print(f"wrote {len(written)} dataset files to {args.dataset_dir}")
-    fileio.write_joints_csv(args.output, dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)
+    fileio.write_joints_csv(args.output, dataset)
     for index, message in dataset.failures:
         print(f"sample {index}: {message}", file=sys.stderr)
     print(
@@ -151,8 +151,8 @@ def cmd_ftl(args: argparse.Namespace) -> int:
     if args.bodies_dir:
         directory = Path(args.bodies_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        for eta, body in zip(grid, bodies):
-            fileio.write_backbone_csv(directory / f"body_eta_{eta:.4f}.csv", body)
+        for tag, body in zip(fileio._distinct_tags(grid, "f", 4), bodies):
+            fileio.write_backbone_csv(directory / f"body_eta_{tag}.csv", body)
     print(
         f"FTL run over {len(grid)} eta steps; tip-vs-body max distance "
         f"{fidelity.max_distance:.3e} mm -> {args.output}"
@@ -174,12 +174,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         else:
             profile = fileio.read_strokes_csv(args.input)
         result = stroke_based_estimate(profile, geom, tendon, math.radians(args.theta_deg))
-        strokes = np.array([p[0] for p in profile])
-        tensions = np.array([p[1] for p in profile])
-        fileio.write_joints_csv(args.output, strokes, tensions, result.batch, result.roll)
+        fileio.write_joints_csv(args.output, result)
         for index, message in result.failures:
             print(f"sample {index}: {message}", file=sys.stderr)
-        print(f"stroke-based estimates: {result.ok_count}/{len(profile)} ok -> {args.output}")
+        n = len(profile)
+        print(f"stroke-based estimates: {n - len(result.failures)}/{n} ok -> {args.output}")
         return 0
 
     data = fileio.read_marker_csv(args.input)
@@ -271,7 +270,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     dataset = synthetic_sweep(
         geom, tendon, profile, list(presets.MARKER_ARCLENGTHS_MM), noise, theta, tube
     )
-    fileio.write_joints_csv(outdir / "joints.csv", dataset.strokes, dataset.tensions, dataset.batch, theta)
+    fileio.write_joints_csv(outdir / "joints.csv", dataset)
 
     # stage 3: FTL run at the final stroke; the body at eta = 1 is the
     # deployed shape on ftl_run's 129-sample master grid.

@@ -3,7 +3,7 @@
 Two estimators mirror what is observable on the physical device:
 
 * stroke-based: only tendon stroke and tension are known; run them through
-  the actuation map to get (R, H, phi) per sample.
+  the actuation map to get (R, H, phi) per sample, kept with the log.
 * position-based: a measured tip position is known; its norm gives H and
   its angle against X_0 gives the ground-truth deflection, while the fixed
   neutral-fiber length closes the loop back to R and a model-predicted
@@ -15,8 +15,8 @@ distance and RMSE between index-aligned point sequences.
 :class:`PositionEstimate` and :class:`TrajectoryComparison` are slotted
 frozen dataclasses. The estimator and the metrics fill their slots
 directly rather than through ``__init__``, a sizeable share of a call on a
-few points. A comparison's distances are read-only, and comparisons
-compare and hash by value.
+few points. A comparison's distances are read-only. Comparisons and
+estimate results compare and hash by value.
 """
 
 from __future__ import annotations
@@ -53,18 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+@dataclass(frozen=True, eq=False)
+class EstimateResult(_ValueRecord):
     """Stroke-based joint estimates: the actuation map over a log, at one roll.
 
-    ``batch`` holds R, H and phi for every sample as arrays; a sample that
-    failed (e.g. an over-actuated stroke) is False in ``batch.ok`` and nan
-    in the other fields, and ``failures`` pairs its index with the error
-    message. ``joint_series`` builds one JointState per sample (None where
-    it failed) on its first read and keeps it. Results compare and hash by
-    their joint series and failures, as arrays have no single truth value.
+    ``strokes`` and ``tensions`` hold the log as float arrays, as in a
+    SyntheticDataset. ``batch`` holds R, H and phi per sample; a failed
+    sample (e.g. an over-actuated stroke) is False in ``batch.ok`` and nan in
+    the other fields, and ``failures`` pairs its index with the message.
+    ``joint_series`` builds one JointState per sample (None where it failed)
+    on its first read and keeps it. Results compare and hash by it and
+    ``failures``.
     """
 
+    strokes: np.ndarray
+    tensions: np.ndarray
     batch: JointBatch
     roll: float
     failures: tuple[tuple[int, str], ...]
@@ -73,22 +76,13 @@ class EstimateResult:
     def joint_series(self) -> tuple[JointState | None, ...]:
         return self.batch.joint_states(self.roll)
 
-    def __eq__(self, other):
-        if not isinstance(other, EstimateResult):
-            return NotImplemented
-        return (self.joint_series, self.failures) == (other.joint_series, other.failures)
-
-    def __hash__(self):
-        return hash((self.joint_series, self.failures))
+    def _key(self) -> tuple:
+        return self.joint_series, self.failures
 
     @property
     def per_sample_phi(self) -> np.ndarray:
         """Deflection phi per sample, rad; nan where the sample failed."""
         return self.batch.deflection
-
-    @property
-    def ok_count(self) -> int:
-        return int(np.count_nonzero(self.batch.ok))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,8 +168,10 @@ def stroke_based_estimate(
     pairs = list(actuation)
     strokes = [p[0] for p in pairs]
     tensions = [p[1] for p in pairs]
-    batch = joints_from_actuation(strokes, tensions, tendon, geom)
-    return EstimateResult(batch, roll, actuation_failures(strokes, tensions, batch.ok, tendon, geom))
+    columns = np.array(strokes, dtype=float), np.array(tensions, dtype=float)
+    batch = joints_from_actuation(*columns, tendon, geom)
+    # The scalar map gets the logged values, so an int stroke's message shows an int.
+    return EstimateResult(*columns, batch, roll, actuation_failures(strokes, tensions, batch.ok, tendon, geom))
 
 
 def position_based_estimate(

@@ -39,9 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .estimation import TrajectoryComparison
+from .estimation import EstimateResult, TrajectoryComparison
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec
-from .kinematics import BackboneCurve, JointBatch, TipTrajectory
+from .kinematics import BackboneCurve, TipTrajectory
 from .simulation import PhantomSpec, SyntheticDataset
 
 __all__ = [
@@ -419,20 +419,19 @@ def read_tip_csv(path: str | Path) -> TipTrajectory:
     return TipTrajectory(eta=data[:, 0], points=data[:, 1:4])
 
 
-def write_joints_csv(
-    path: str | Path, strokes: np.ndarray, tensions: np.ndarray, batch: JointBatch, roll: float
-) -> None:
-    """Joint sweep CSV of a batch at one roll: one row per sample.
+def write_joints_csv(path: str | Path, log: EstimateResult | SyntheticDataset) -> None:
+    """Joint sweep CSV of an actuation log, an estimate or a synthetic dataset: one row per sample.
 
     A row the batch rejected keeps its stroke and tension; its R, H and phi
     are the batch's nan and its theta is written as nan too.
     """
-    write_table_csv(path, _JOINTS_HEADER, _joints_columns(strokes, tensions, batch, roll))
+    write_table_csv(path, _JOINTS_HEADER, _joints_columns(log))
 
 
-def _joints_columns(strokes, tensions, batch: JointBatch, roll: float) -> list[np.ndarray]:
-    theta = np.where(batch.ok, roll, math.nan)
-    return [strokes, tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
+def _joints_columns(log: EstimateResult | SyntheticDataset) -> list[np.ndarray]:
+    batch = log.batch
+    theta = np.where(batch.ok, log.roll, math.nan)
+    return [log.strokes, log.tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]
 
 
 def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -483,11 +482,21 @@ def write_comparison_csv(path: str | Path, index: np.ndarray, comparison: Trajec
     write_table_csv(path, ["eta", "d_e_mm"], [index, comparison.per_sample_distances])
 
 
+def _distinct_tags(values, code: str, digits: int) -> list[str]:
+    """Each of ``values`` as ``'%.<p><code>' % value``, at the least p >= ``digits`` that tells them apart."""
+    while True:
+        tags = [f"%.{digits}{code}" % value for value in values]
+        if len(set(tags)) >= len(set(values)):
+            return tags
+        digits += 1
+
+
 def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> list[Path]:
     """Write a synthetic dataset as a directory of spec + CSV files.
 
     Layout: spec.json, joints.csv, tip.csv, then per marker
-    marker_<s>.csv (noisy) and marker_<s>_truth.csv (noiseless).
+    marker_<s>.csv (noisy) and marker_<s>_truth.csv (noiseless), <s> as %.12g
+    or finer where markers need it; eta is the sample index scaled to [0, 1].
     Returns the list of files written.
     """
     directory = Path(directory)
@@ -508,12 +517,12 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
 
     # joints.csv's stroke and tension cells at the accepted rows serve the other files.
     path = directory / "joints.csv"
-    joints = [_cells(c) for c in _joints_columns(dataset.strokes, dataset.tensions, dataset.batch, dataset.roll)]
+    joints = [_cells(c) for c in _joints_columns(dataset)]
     atomic_write_text(path, _csv_bytes(_JOINTS_HEADER, joints))
     written.append(path)
 
-    ok = dataset.batch.ok
-    index, noisy = (_cells(column[ok]) for column in (dataset.sample_index(), dataset.strokes_noisy))
+    ok, n = dataset.batch.ok, dataset.n_samples
+    index, noisy = (_cells(column[ok]) for column in (np.arange(n) / max(n - 1, 1), dataset.strokes_noisy))
     strokes, tensions = joints[0][ok], joints[1][ok]
     del joints  # the other columns' cells would outlive the marker files
 
@@ -524,8 +533,8 @@ def write_dataset_bundle(directory: str | Path, dataset: SyntheticDataset) -> li
         written.append(path)
 
     write_markers("tip.csv", dataset.tips_true, strokes)
-    for s in dataset.marker_arclengths:
-        tag = ("%.12g" % s).replace(".", "p").replace("-", "m")
+    for s, tag in zip(dataset.marker_arclengths, _distinct_tags(dataset.marker_arclengths, "g", 12)):
+        tag = tag.replace(".", "p").replace("-", "m")
         write_markers(f"marker_{tag}.csv", dataset.tracks_noisy[s], noisy)
         write_markers(f"marker_{tag}_truth.csv", dataset.tracks_true[s], strokes)
     return written

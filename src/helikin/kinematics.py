@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -217,6 +218,15 @@ class BackboneCurve(_ValueRecord):
         object.__setattr__(curve, "points", points)
         return curve
 
+    @classmethod
+    def _ftl_bodies(cls, deployment, count: int) -> list[BackboneCurve]:
+        """``count`` ftl_run bodies, body k holding only (deployment, k); see :class:`_BodyRows`."""
+        new, assign = object.__new__, object.__setattr__
+        bodies = list(map(new, repeat(cls, count)))
+        for k, body in enumerate(bodies):
+            assign(body, "_ftl", (deployment, k))
+        return bodies
+
     def __len__(self) -> int:
         ftl = self._ftl
         return self.s.size if ftl is None else ftl[0].size(ftl[1])
@@ -238,7 +248,10 @@ class _BodyRows:
     def __get__(self, curve, owner=None):
         if curve is None:
             return self
-        return curve._ftl[0].fill(curve)[self.index]
+        rows = curve._ftl[0].body_rows(curve._ftl[1])
+        object.__setattr__(curve, "s", rows[0])
+        object.__setattr__(curve, "points", rows[1])
+        return rows[self.index]
 
 
 # Set after the decorator, which would take them for the fields' defaults.

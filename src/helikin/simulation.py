@@ -24,9 +24,8 @@ lengths bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -146,7 +145,7 @@ class SyntheticDataset:
     tracks_true: dict[float, np.ndarray]
     tracks_noisy: dict[float, np.ndarray]
     tips_true: np.ndarray
-    failures: tuple[tuple[int, str], ...] = field(default=())
+    failures: tuple[tuple[int, str], ...]
 
     @cached_property
     def joints(self) -> tuple[JointState | None, ...]:
@@ -155,13 +154,6 @@ class SyntheticDataset:
     @property
     def n_samples(self) -> int:
         return self.strokes.size
-
-    def sample_index(self) -> np.ndarray:
-        """Normalized sample index in [0, 1], used as the file index column."""
-        n = self.n_samples
-        if n == 1:
-            return np.zeros(1)
-        return np.arange(n) / (n - 1)
 
 
 def synthetic_sweep(
@@ -536,7 +528,7 @@ def ftl_run(
     # Body k ends on tip row k if off the grid, else on master row kept[k] - 1.
     last = np.where(off_grid, len(full) + np.arange(grid.size), kept - 1)
     tip = TipTrajectory(eta=grid, points=stacked.take(last, axis=0))
-    return tip, _Deployment(stacked, full.s, tip_curve.s, kept, off_grid).bodies()
+    return tip, BackboneCurve._ftl_bodies(_Deployment(stacked, full.s, tip_curve.s, kept, off_grid), grid.size)
 
 
 class _Deployment:
@@ -546,9 +538,9 @@ class _Deployment:
     master rows [0, kept[k]) plus, if off_grid[k], tip row k.
 
     :meth:`gather` copies every body's rows, once, into one read-only
-    buffer per array; :meth:`fill` gives a body its two views of them on
-    that body's first read. The deployment refers to no body, so dropping
-    the bodies frees it.
+    buffer per array; :meth:`body_rows` gives body k its two views of them,
+    which the body sets on itself on its first read. The deployment refers
+    to no body, so dropping the bodies frees it.
 
     Per phantom, the least squared distance of every body to the phantom
     axis comes from one pass over ``rows``, gathered or not. It is kept for
@@ -575,14 +567,6 @@ class _Deployment:
         self._phantom: PhantomSpec | None = None
         self._least_sq: list[float] = []
 
-    def bodies(self) -> list[BackboneCurve]:
-        """One body per tip row, each holding only (this deployment, its index)."""
-        new, assign = object.__new__, object.__setattr__
-        bodies = list(map(new, repeat(BackboneCurve, self.kept.size)))
-        for k, body in enumerate(bodies):
-            assign(body, "_ftl", (self, k))
-        return bodies
-
     def size(self, k: int) -> int:
         """Rows of body k, without gathering."""
         # Python ints: len() of 1001 bodies costs about 0.2 ms, against 0.9 ms
@@ -605,15 +589,12 @@ class _Deployment:
         # One assignment: a body read on another thread meanwhile finds all four or gathers again.
         self._gathered = s, points, (ends - sizes).tolist(), ends.tolist()
 
-    def fill(self, body: BackboneCurve) -> tuple[np.ndarray, np.ndarray]:
-        """Set ``body``'s ``s`` and ``points`` to its views of the gathered rows, and return them."""
+    def body_rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Body k's ``s`` and ``points``: its views of the gathered rows."""
         if self._gathered is None:
             self.gather()
         s, points, starts, ends = self._gathered
-        k = body._ftl[1]
-        object.__setattr__(body, "s", s[starts[k] : ends[k]])
-        object.__setattr__(body, "points", points[starts[k] : ends[k]])
-        return body.s, body.points
+        return s[starts[k] : ends[k]], points[starts[k] : ends[k]]
 
     def least_sq(self, phantom: PhantomSpec) -> list[float]:
         """Per body, its least squared distance to the phantom axis, as floats cheap to index."""

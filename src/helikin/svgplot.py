@@ -152,9 +152,9 @@ def _panel(
 
 
 def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) -> str:
-    """Render one or more (N, 3) mm point arrays as a three-panel SVG string."""
+    """Render one or more (N, 3) mm point arrays as a three-panel SVG string; legend names are escaped."""
     if not curves:
-        raise ValueError("need at least one curve to plot")
+        raise ValidationError("need at least one curve to plot")
     pts = [np.asarray(c, dtype=float).reshape(-1, 3) for c in curves]
     if not all(len(p) for p in pts):
         raise ValidationError(f"curve {[len(p) for p in pts].index(0)} has no points to plot")
@@ -184,6 +184,7 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
     if names:
         for k, name in enumerate(names):
             color = _COLORS[k % len(_COLORS)]
+            name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             x = 10 + 170 * k
             y = height - 6
             parts.append(

@@ -218,6 +218,20 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_markers_alike_at_12_digits_get_files_of_their_own(self, tmp_path, spec_file, capsys):
+        out, bundle = tmp_path / "x.csv", tmp_path / "d"
+        argv = [
+            "sweep", "--spec", spec_file, "--stroke-max", "3", "--markers", "20,20.000000000001",
+            "--dataset-dir", str(bundle), "-o", str(out),
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote 7 dataset files to {bundle}\n")
+        names = sorted(p.name for p in bundle.iterdir())
+        assert names == sorted([
+            "spec.json", "joints.csv", "tip.csv", "marker_20.csv", "marker_20_truth.csv",
+            "marker_20p000000000001.csv", "marker_20p000000000001_truth.csv",
+        ])
+
     def test_duplicate_markers_exit_2(self, tmp_path, spec_file, capsys):
         out, bundle = tmp_path / "x.csv", tmp_path / "d"
         argv = [
@@ -270,6 +284,26 @@ class TestFtlCommand:
         shape = tmp_path / "shape.csv"
         assert main(["shape", "--spec", spec_file, *joint_args, "-o", str(shape)]) == 0
         assert written[-1].read_bytes() == shape.read_bytes()
+
+    def test_bodies_dir_names_steps_finer_than_four_decimals_apart(self, tmp_path, spec_file, monkeypatch):
+        grid = np.array([0.0, 0.5, 0.50001, 0.500012, 1.0])
+        monkeypatch.setattr(cli, "default_eta_grid", lambda steps: grid)
+        bodies_dir = tmp_path / "bodies"
+        argv = ["ftl", "--spec", spec_file, "--stroke", "3.1", "--bodies-dir", str(bodies_dir)]
+        assert main([*argv, "-o", str(tmp_path / "tip.csv")]) == 0
+        names = [f"body_eta_{eta:.6f}.csv" for eta in grid]
+        assert sorted(p.name for p in bodies_dir.iterdir()) == names
+        joint = joint_from_actuation(3.1, 0.0, default_tendon(), derive_geometry(default_tube()))
+        _, bodies = simulation.ftl_run(joint, derive_geometry(default_tube()), grid)
+        for name, body in zip(names, bodies):
+            assert fileio.read_backbone_csv(bodies_dir / name).s.size == len(body)
+
+    @pytest.mark.parametrize("steps, digits", [(41, 4), (10001, 4), (10002, 5), (20001, 5), (100001, 5), (100002, 6)])
+    def test_body_names_of_a_default_grid(self, steps, digits):
+        grid = simulation.default_eta_grid(steps)
+        names = fileio._distinct_tags(grid, "f", 4)
+        assert len(set(names)) == steps
+        assert names == [f"{eta:.{digits}f}" for eta in grid]
 
 
 class TestEstimateCommand:

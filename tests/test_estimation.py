@@ -58,7 +58,7 @@ class TestStrokeBasedEstimate:
             tendon_length = tendon_length_from_cylinder(radius, height, geom)
             profile.append((geom.slack_tendon_length - tendon_length, 0.0))
         result = stroke_based_estimate(profile, geom, tendon, roll=0.25)
-        assert result.roll == 0.25 and result.ok_count == len(truth)
+        assert result.roll == 0.25 and len(result.failures) == 0
         assert not result.failures
         for joint, (radius, height, phi) in zip(result.joint_series, truth):
             assert joint.cylinder_radius == pytest.approx(radius, abs=1e-9)
@@ -86,7 +86,7 @@ class TestStrokeBasedEstimate:
         )
         assert result.joint_series[1] is None
         assert math.isnan(result.per_sample_phi[1])
-        assert result.ok_count == 2
+        assert len(result.failures) == 1
         assert result.failures[0][0] == 1
         assert "over-actuated" in result.failures[0][1]
 
@@ -120,7 +120,7 @@ class TestStrokeBasedEstimate:
         monkeypatch.setattr(kinematics, "_joint_state", lambda *row: built.append(row) or fill(*row))
         monkeypatch.setattr(JointState, "__post_init__", validated.append)
         result = stroke_based_estimate([(0.0, 0.0), (9.5, 0.0), (2.0, 0.0)], geom, tendon, roll=0.3)
-        assert built == [] and result.ok_count == 2
+        assert built == [] and len(result.failures) == 1
         assert math.isnan(result.per_sample_phi[1])
         assert not result.per_sample_phi.flags.writeable
         assert built == []

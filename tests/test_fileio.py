@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from helikin import fileio
 from helikin.errors import ValidationError
-from helikin.estimation import compare_point_sequences
+from helikin.estimation import compare_point_sequences, stroke_based_estimate
 from helikin.geometry import derive_geometry
 from helikin.kinematics import (
     BackboneCurve,
     TipTrajectory,
     forward_kinematics,
     joint_from_actuation,
-    joints_from_actuation,
 )
 from helikin.presets import default_tendon, default_tube
 from helikin.simulation import NoiseSpec, PhantomSpec, synthetic_sweep
@@ -252,10 +251,9 @@ class TestTipCsv:
 
 class TestJointCsvAndStrokes:
     def test_joints_csv_headers_and_nan_rows(self, tendon, geom, tmp_path):
-        strokes = np.array([0.0, 9.0, 2.0])
-        batch = joints_from_actuation(strokes, np.zeros(3), tendon, geom)
+        result = stroke_based_estimate([(0.0, 0.0), (9.0, 0.0), (2.0, 0.0)], geom, tendon, 0.0)
         path = tmp_path / "joints.csv"
-        fileio.write_joints_csv(path, strokes, np.zeros(3), batch, 0.0)
+        fileio.write_joints_csv(path, result)
         lines = path.read_text().splitlines()
         assert lines[0] == "dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad"
         assert lines[2] == "9,0,nan,nan,nan,nan"
@@ -268,7 +266,8 @@ class TestJointCsvAndStrokes:
         rng = np.random.default_rng(rows)
         strokes = rng.uniform(0.0, 9.0, rows)
         tensions = rng.uniform(0.0, 10.0, rows)
-        batch = joints_from_actuation(strokes, tensions, tendon, geom)
+        result = stroke_based_estimate(zip(strokes, tensions), geom, tendon, roll)
+        batch = result.batch
         assert rows < 37 or 0 < batch.ok.sum() < rows
         lines = ["dl_t_mm,T_N,R_mm,H_mm,phi_rad,theta_rad"]
         for stroke, tension, joint in zip(strokes, tensions, batch.joint_states(roll)):
@@ -277,7 +276,7 @@ class TestJointCsvAndStrokes:
             ]
             lines.append(",".join("%.12g" % v for v in [stroke, tension, *values]))
         path = tmp_path / "joints.csv"
-        fileio.write_joints_csv(path, strokes, tensions, batch, roll)
+        fileio.write_joints_csv(path, result)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_strokes_round_trip(self, tmp_path):
@@ -649,9 +648,10 @@ class TestDatasetBundle:
     def _reference_bundle(directory, dataset):
         """The CSV files of a bundle, each written by its public writer."""
         directory.mkdir()
-        index, ok = dataset.sample_index(), dataset.batch.ok
+        n, ok = dataset.n_samples, dataset.batch.ok
+        index = np.zeros(1) if n == 1 else np.arange(n) / (n - 1)
         strokes, tensions = dataset.strokes, dataset.tensions
-        fileio.write_joints_csv(directory / "joints.csv", strokes, tensions, dataset.batch, dataset.roll)
+        fileio.write_joints_csv(directory / "joints.csv", dataset)
         fileio.write_marker_csv(
             directory / "tip.csv", index[ok], dataset.tips_true[ok], strokes[ok], tensions[ok]
         )
@@ -697,6 +697,17 @@ class TestDatasetBundle:
         ok = dataset.batch.ok
         if noisy and ok.any():
             assert not np.array_equal(dataset.strokes_noisy[ok], dataset.strokes[ok])
+
+    def test_markers_alike_at_12_digits_get_files_of_their_own(self, tmp_path, tube, tendon, geom):
+        markers = [20.0, 20.000000000001, 40.0]
+        profile = [(float(v), 0.0) for v in np.linspace(0.0, 3.0, 5)]
+        dataset = synthetic_sweep(geom, tendon, profile, markers, NoiseSpec(seed=3), 0.0, tube)
+        files = fileio.write_dataset_bundle(tmp_path / "bundle", dataset)
+        assert len(set(files)) == len(files) == 9
+        assert sorted(files) == sorted((tmp_path / "bundle").iterdir())
+        for s, tag in zip(markers, ["20", "20p000000000001", "40"]):
+            truth = fileio.read_marker_csv(tmp_path / "bundle" / f"marker_{tag}_truth.csv")
+            assert np.allclose(truth["points"], dataset.tracks_true[s], rtol=1e-11, atol=0.0)
 
     def test_bundle_files_feed_downstream_readers(self, tmp_path, tube, tendon, geom):
         profile = [(float(v), 0.0) for v in np.linspace(0.0, 3.0, 5)]

@@ -1207,6 +1207,21 @@ class TestRecordEquality:
         assert len(calls) == 1
         assert bodies[-1] == master and bodies[0] != master
 
+    def test_estimate_results_compare_and_hash_by_value(self, tendon, geom):
+        log = [(0.0, 0.0), (9.5, 0.0), (2.0, 0.0)]
+        one, two = (stroke_based_estimate(log, geom, tendon, 0.4) for _ in range(2))
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert {one, two} == {one} and len({one, two}) == 1
+        (index, message), = one.failures
+        flipped = message[:-1] + chr(ord(message[-1]) ^ 1)
+        others = [
+            stroke_based_estimate(log, geom, tendon, 0.5),
+            dataclasses.replace(one, failures=((index, flipped),)),
+        ]
+        for other in others:
+            assert one != other and not one == other and len({one, other}) == 2
+        assert one != "result" and not one == "result"
+
     def test_datasets_compare_by_identity(self, tube, tendon, geom):
         def sweep():
             return synthetic_sweep(geom, tendon, [(0.0, 0.0), (1.0, 0.0)], [20.0, 40.0], NoiseSpec(), 0.0, tube)

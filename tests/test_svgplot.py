@@ -1,4 +1,5 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -46,3 +47,17 @@ class TestPolylinesOfOneSvg:
         curves = [np.ones(shape) for shape in shapes]
         with pytest.raises(svgplot.ValidationError, match=f"curve {index} has no points"):
             svgplot.render_curves_svg(curves)
+
+
+class TestLegend:
+    _SVG = "{http://www.w3.org/2000/svg}"
+
+    @pytest.mark.parametrize("name", ["a&b<c", "x > y", "&amp;", "plain"])
+    def test_names_read_back_from_well_formed_xml(self, name):
+        svg = svgplot.render_curves_svg([np.eye(3), np.ones((2, 3))], [name, "tip trace"])
+        legend = [e.text for e in ET.fromstring(svg).iter(f"{self._SVG}text")][-2:]
+        assert legend == [name, "tip trace"]
+
+    def test_no_curves_raise_validation_error(self):
+        with pytest.raises(svgplot.ValidationError, match="need at least one curve to plot"):
+            svgplot.render_curves_svg([])
