@@ -188,7 +188,7 @@ def _check_samples(sampled, name: str, kind: str, label: str) -> None:
 class BackboneCurve(_ValueRecord):
     """Centerline samples in O_0: N >= 1 arc-length parameters (mm) and (N, 3) points.
 
-    A body from :func:`~helikin.simulation.ftl_run` holds only ``_ftl``, its
+    An ftl_run body, built by :meth:`_ftl_bodies`, holds only ``_ftl``, its
     (deployment, index), until its ``s`` or ``points`` is first read; that
     read sets its own views of the rows its deployment gathers, and no other
     body's. Copies and pickles of a body are plain curves over the same rows.
