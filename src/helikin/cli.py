@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio, presets, svgplot
 from .errors import DomainError, GridMismatchError, ValidationError
-from .estimation import _overlap_grid, position_based_estimate, repeatability_compare, stroke_based_estimate
+from .estimation import position_based_estimate, repeatability_compare, stroke_based_estimate
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec, derive_geometry, pattern_consistency
 from .kinematics import DEFAULT_BACKBONE_SAMPLES, JointState, backbone_samples, forward_kinematics, joint_from_actuation
 from .simulation import (
@@ -60,6 +60,9 @@ def _stroke_profile(args: argparse.Namespace) -> list[tuple[float, float]]:
         raise ValidationError("provide either --strokes CSV or --stroke-max")
     if args.steps < 2:
         raise ValidationError(f"--steps must be >= 2, got {args.steps}")
+    for option, value in (("--stroke-max", args.stroke_max), ("--tension", args.tension)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{option} must be finite, got {value}")
     ramp = np.linspace(0.0, args.stroke_max, args.steps)
     return [(float(v), args.tension) for v in ramp]
 
@@ -211,10 +214,9 @@ def _first_cell(path: str) -> str:
 def cmd_compare(args: argparse.Namespace) -> int:
     trial_a = fileio.read_tip_csv(args.trajectory_a)
     trial_b = fileio.read_tip_csv(args.trajectory_b)
-    comparison = repeatability_compare(trial_a, trial_b)
+    grid, comparison = repeatability_compare(trial_a, trial_b)
     sys.stdout.write(fileio.comparison_to_json(comparison))
     if args.per_sample:
-        grid = _overlap_grid(trial_a.eta, trial_b.eta)
         fileio.write_comparison_csv(args.per_sample, grid, comparison)
     return 0
 

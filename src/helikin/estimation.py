@@ -3,20 +3,23 @@
 Two estimators mirror what is observable on the physical device:
 
 * stroke-based: only tendon stroke and tension are known; run them through
-  the actuation map to get (R, H, phi) per sample, kept with the log.
+  the actuation map to get (R, H, phi) per sample, kept with the log in
+  the one log record, which a synthetic sweep's dataset extends.
 * position-based: a measured tip position is known; its norm gives H and
   its angle against X_0 gives the ground-truth deflection, while the fixed
   neutral-fiber length closes the loop back to R and a model-predicted
   deflection for comparison.
 
 The metrics are the ones used to score such estimates: maximum Euclidean
-distance and RMSE between index-aligned point sequences.
+distance and RMSE between index-aligned point sequences, or between two
+trials on the eta grid :func:`repeatability_compare` decides and returns.
 
 :class:`PositionEstimate` and :class:`TrajectoryComparison` are slotted
 frozen dataclasses. The estimator and the metrics fill their slots
 directly rather than through ``__init__``, a sizeable share of a call on a
 few points. A comparison's distances are read-only. Comparisons and
-estimate results compare and hash by value.
+estimate results compare and hash by value; a synthetic dataset, an
+estimate result too, by identity.
 """
 
 from __future__ import annotations
@@ -57,13 +60,15 @@ __all__ = [
 class EstimateResult(_ValueRecord):
     """Stroke-based joint estimates: the actuation map over a log, at one roll.
 
-    ``strokes`` and ``tensions`` hold the log as float arrays, as in a
-    SyntheticDataset. ``batch`` holds R, H and phi per sample; a failed
-    sample (e.g. an over-actuated stroke) is False in ``batch.ok`` and nan in
-    the other fields, and ``failures`` pairs its index with the message.
+    ``strokes`` and ``tensions`` hold the log as float arrays. ``batch``
+    holds R, H and phi per sample; a failed sample (e.g. an over-actuated
+    stroke) is False in ``batch.ok`` and nan in the other fields, and
+    ``failures`` pairs its index with the message.
     ``joint_series`` builds one JointState per sample (None where it failed)
     on its first read and keeps it. Results compare and hash by it and
-    ``failures``.
+    ``failures``. :func:`~helikin.simulation.synthetic_sweep` extends this
+    record with its sweep channels as a ``SyntheticDataset``, which compares
+    by identity instead.
     """
 
     strokes: np.ndarray
@@ -250,34 +255,19 @@ def _point_rows(points) -> np.ndarray:
     return points if points.ndim >= 2 else points.reshape(1, -1)
 
 
-def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> TrajectoryComparison:
-    """Compare two tip trajectories at matching progression values.
+def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> tuple[np.ndarray, TrajectoryComparison]:
+    """Compare two tip trajectories at matching progression values; return (grid, comparison).
 
     If the trials were sampled on different eta grids, both are linearly
     interpolated onto the union of their grids restricted to the
     overlapping eta range (keeping the comparison symmetric in its
-    arguments). Raises :class:`GridMismatchError` when the ranges do not
-    intersect.
+    arguments); on equal grids that union is ``trial_a.eta`` itself. The
+    k-th per-sample distance is at ``grid[k]``. Raises
+    :class:`GridMismatchError` when the ranges do not intersect.
     """
-    if trial_a.eta.shape == trial_b.eta.shape and np.array_equal(trial_a.eta, trial_b.eta):
-        return compare_point_sequences(trial_a.points, trial_b.points)
-    grid = _overlap_grid(trial_a.eta, trial_b.eta)
-
-    def resample(trial: TipTrajectory) -> np.ndarray:
-        return np.column_stack(
-            [np.interp(grid, trial.eta, trial.points[:, k]) for k in range(3)]
-        )
-
-    return compare_point_sequences(resample(trial_a), resample(trial_b))
-
-
-def _overlap_grid(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
-    """Union of two ascending eta grids, clipped to the range where both are defined.
-
-    This is the grid :func:`repeatability_compare` resamples two trials
-    onto. Raises :class:`GridMismatchError` when the ranges do not
-    intersect.
-    """
+    eta_a, eta_b = trial_a.eta, trial_b.eta
+    if eta_a.shape == eta_b.shape and np.array_equal(eta_a, eta_b):
+        return eta_a, compare_point_sequences(trial_a.points, trial_b.points)
     lo = max(eta_a[0], eta_b[0])
     hi = min(eta_a[-1], eta_b[-1])
     if lo > hi:
@@ -285,4 +275,11 @@ def _overlap_grid(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
             f"eta ranges do not overlap: [{eta_a[0]}, {eta_a[-1]}] vs [{eta_b[0]}, {eta_b[-1]}]"
         )
     grid = np.union1d(eta_a, eta_b)
-    return grid[(grid >= lo) & (grid <= hi)]
+    grid = grid[(grid >= lo) & (grid <= hi)]
+
+    def resample(trial: TipTrajectory) -> np.ndarray:
+        return np.column_stack(
+            [np.interp(grid, trial.eta, trial.points[:, k]) for k in range(3)]
+        )
+
+    return grid, compare_point_sequences(resample(trial_a), resample(trial_b))

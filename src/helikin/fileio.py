@@ -212,10 +212,14 @@ def dump_phantom_spec(phantom: PhantomSpec) -> str:
     return render_json({"axis_point_mm": point, "axis_direction": direction, "radius_mm": phantom.radius})
 
 
+def _printable(text: str) -> str:
+    """``text`` with each unprintable character, such as a control or a surrogate, escaped by ``unicode_escape``."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+
+
 def _echo(cells: list[str]) -> str:
     """Header cells joined for an error message, with line breaks and other unprintables escaped."""
-    text = ",".join(cells)
-    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+    return _printable(",".join(cells))
 
 
 def _read_table(
@@ -419,8 +423,8 @@ def read_tip_csv(path: str | Path) -> TipTrajectory:
     return TipTrajectory(eta=data[:, 0], points=data[:, 1:4])
 
 
-def write_joints_csv(path: str | Path, log: EstimateResult | SyntheticDataset) -> None:
-    """Joint sweep CSV of an actuation log, an estimate or a synthetic dataset: one row per sample.
+def write_joints_csv(path: str | Path, log: EstimateResult) -> None:
+    """Joint sweep CSV of an actuation log, such as an estimate or a synthetic dataset: one row per sample.
 
     A row the batch rejected keeps its stroke and tension; its R, H and phi
     are the batch's nan and its theta is written as nan too.
@@ -428,7 +432,7 @@ def write_joints_csv(path: str | Path, log: EstimateResult | SyntheticDataset) -
     write_table_csv(path, _JOINTS_HEADER, _joints_columns(log))
 
 
-def _joints_columns(log: EstimateResult | SyntheticDataset) -> list[np.ndarray]:
+def _joints_columns(log: EstimateResult) -> list[np.ndarray]:
     batch = log.batch
     theta = np.where(batch.ok, log.roll, math.nan)
     return [log.strokes, log.tensions, batch.cylinder_radius, batch.cylinder_height, batch.deflection, theta]

@@ -151,6 +151,7 @@ class _ValueRecord:
     """Equality and hash of a frozen dataclass by value, each array field by its shape, dtype and bytes.
 
     Subclasses pass ``eq=False``, so that the dataclass decorator keeps these methods.
+    One opts out: ``simulation.SyntheticDataset``, an ``EstimateResult``, compares by identity.
     """
 
     __slots__ = ()

@@ -25,28 +25,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
-from .estimation import TrajectoryComparison, compare_point_sequences
+from .estimation import EstimateResult, TrajectoryComparison, compare_point_sequences, stroke_based_estimate
 from .geometry import DerivedGeometry, TendonSpec, TubeSpec, _check_turn_count
 from .kinematics import (
     DEFAULT_BACKBONE_SAMPLES,
     BackboneCurve,
-    JointBatch,
     JointState,
     TipTrajectory,
     _ValueRecord,
     _centerline,
     _check_count,
     _check_roll,
-    actuation_failures,
     backbone_samples,
     cylinder_axis,
     forward_kinematics,
-    joints_from_actuation,
 )
 
 __all__ = [
@@ -124,32 +121,29 @@ class PhantomSpec(_ValueRecord):
 
 
 @dataclass(frozen=True, eq=False)
-class SyntheticDataset:
+class SyntheticDataset(EstimateResult):
     """Forward-model dataset with ground truth retained alongside noisy channels.
 
-    ``batch`` holds the actuation map's R, H and phi for every sample as
-    arrays. A sample where the map failed is False in ``batch.ok`` and nan
-    in the other fields, and ``failures`` lists its index and reason.
-    ``joints`` builds one JointState per sample at ``roll`` (None where the
-    map failed) on its first read and keeps it. Datasets compare by identity.
+    The actuation log and its map are the :class:`EstimateResult` that
+    :func:`~helikin.estimation.stroke_based_estimate` builds from the
+    profile: ``strokes``, ``tensions``, ``batch``, ``roll``, ``failures``,
+    ``joint_series`` and ``per_sample_phi``. ``joints`` reads
+    ``joint_series``. Datasets compare and hash by identity, not by value.
     """
 
     tube: TubeSpec
     noise: NoiseSpec
-    roll: float
-    strokes: np.ndarray
-    tensions: np.ndarray
     strokes_noisy: np.ndarray
-    batch: JointBatch
     marker_arclengths: tuple[float, ...]
     tracks_true: dict[float, np.ndarray]
     tracks_noisy: dict[float, np.ndarray]
     tips_true: np.ndarray
-    failures: tuple[tuple[int, str], ...]
 
-    @cached_property
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    @property
     def joints(self) -> tuple[JointState | None, ...]:
-        return self.batch.joint_states(self.roll)
+        return self.joint_series
 
     @property
     def n_samples(self) -> int:
@@ -170,11 +164,13 @@ def synthetic_sweep(
     Marker tracks are forward-kinematics positions at the given arc
     lengths; the noiseless channel is always kept next to the noisy one.
 
-    The whole profile goes through the batch actuation map
-    (:func:`~helikin.kinematics.joints_from_actuation`) at once, and the
-    accepted samples go through FK's centerline kernel as one batch at the
-    arc lengths [*markers, l_na], so a sample's tracks and tip equal one
-    :func:`forward_kinematics` call at those arc lengths bit for bit.
+    The dataset's actuation log is the one
+    :func:`~helikin.estimation.stroke_based_estimate` builds from the
+    profile at ``roll``, the whole profile through the batch actuation map
+    at once. The accepted samples go through FK's centerline kernel as one
+    batch at the arc lengths [*markers, l_na], so a sample's tracks and tip
+    equal one :func:`forward_kinematics` call at those arc lengths bit for
+    bit.
     Marker arc lengths must be distinct; one may equal l_na. Noise
     comes from one ``default_rng([seed, i])`` stream per sample, drawn in
     a fixed order: the stroke first, then one (x, y, z) triple per marker
@@ -200,8 +196,9 @@ def synthetic_sweep(
 
     Samples the actuation map rejects are recorded, not fatal: their
     joint is None, their track and tip rows are NaN, and ``failures``
-    pairs each index with the scalar map's error message. A profile that
-    wanders out of the model's domain still produces an aligned dataset.
+    pairs each index with the scalar map's error message on the logged
+    values, as the estimate reports it. A profile that wanders out of the
+    model's domain still produces an aligned dataset.
 
     ``tube`` is stored with the dataset; its turn count must match ``geom``.
     A non-finite ``roll`` raises ValidationError.
@@ -218,10 +215,8 @@ def synthetic_sweep(
     n = len(stroke_profile)
     if n == 0:
         raise ValidationError("stroke profile must contain at least one sample")
-    strokes = np.array([p[0] for p in stroke_profile], dtype=float)
-    tensions = np.array([p[1] for p in stroke_profile], dtype=float)
-
-    batch = joints_from_actuation(strokes, tensions, tendon, geom)
+    log = stroke_based_estimate(stroke_profile, geom, tendon, roll)
+    batch = log.batch
     rows = np.flatnonzero(batch.ok)
     # Per sample: the markers, then the tip; rows the map rejected stay NaN.
     centerline = np.full((n, marker_s.size + 1, 3), np.nan)
@@ -235,24 +230,20 @@ def synthetic_sweep(
     draws = _noise_draws(noise, n, 1 + 3 * marker_s.size)
     strokes_noisy = draws[:, 0]
     strokes_noisy *= noise.stroke_sigma
-    strokes_noisy += strokes
+    strokes_noisy += log.strokes
     noisy = draws[:, 1:].reshape(n, marker_s.size, 3)
     noisy *= noise.position_sigma
     noisy += centerline[:, :-1]
 
     return SyntheticDataset(
+        log.strokes, log.tensions, batch, roll, log.failures,
         tube=tube,
         noise=noise,
-        roll=roll,
-        strokes=strokes,
-        tensions=tensions,
         strokes_noisy=strokes_noisy,
-        batch=batch,
         marker_arclengths=tuple(marker_s),
         tracks_true={s: centerline[:, k] for k, s in enumerate(marker_s)},
         tracks_noisy={s: noisy[:, k] for k, s in enumerate(marker_s)},
         tips_true=centerline[:, -1],
-        failures=actuation_failures(strokes, tensions, batch.ok, tendon, geom),
     )
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _cells, _join_cells
+from .fileio import _cells, _join_cells, _printable
 
 __all__ = ["render_curves_svg"]
 
@@ -152,7 +152,11 @@ def _panel(
 
 
 def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) -> str:
-    """Render one or more (N, 3) mm point arrays as a three-panel SVG string; legend names are escaped."""
+    """Render one or more (N, 3) mm point arrays as a three-panel SVG string.
+
+    A legend name's unprintable characters are written as their ``unicode_escape``
+    text (``\\x01``, ``\\udcff``), then ``&``, ``<`` and ``>`` as XML entities.
+    """
     if not curves:
         raise ValidationError("need at least one curve to plot")
     pts = [np.asarray(c, dtype=float).reshape(-1, 3) for c in curves]
@@ -184,7 +188,7 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
     if names:
         for k, name in enumerate(names):
             color = _COLORS[k % len(_COLORS)]
-            name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            name = _printable(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             x = 10 + 170 * k
             y = height - 6
             parts.append(

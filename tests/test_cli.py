@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ class TestSweepCommand:
         argv = ["sweep", "--spec", spec_file, "--stroke-max", "3", "--theta-deg", "nan", "-o", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: roll angle theta must be finite, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--stroke-max", "--tension"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ramp_exits_2(self, tmp_path, spec_file, capsys, option, value):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--spec", spec_file, "--stroke-max", "3", f"{option}={value}", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {option} must be finite, got {float(value)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("markers, cell", [("abc", "abc"), ("1,,2", ""), ("10,2x", "2x"), ("", "")])
@@ -666,6 +676,18 @@ class TestPlotCommand:
         assert main(["plot", str(empty), "-o", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {empty}: no trajectory samples\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stem, shown", [("c\x01d", "c\\x01d"), (os.fsdecode(b"e\xff"), "e\\udcff")], ids=["control", "not-utf8"]
+    )
+    def test_unprintable_stem_plots_an_escaped_legend(self, tmp_path, spec_file, stem, shown):
+        curve_csv = tmp_path / "curve.csv"
+        assert main(["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(curve_csv)]) == 0
+        curve_csv = curve_csv.rename(tmp_path / f"{stem}.csv")
+        out = tmp_path / "plot.svg"
+        assert main(["plot", str(curve_csv), "-o", str(out)]) == 0
+        root = ElementTree.fromstring(out.read_bytes())
+        assert [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")][-1] == shown
 
     def test_svg_is_deterministic(self, tmp_path, spec_file):
         curve_csv = tmp_path / "curve.csv"

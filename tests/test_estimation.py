@@ -362,7 +362,7 @@ class TestRepeatabilityCompare:
 
     def test_identical_trials(self):
         trial = self._linear_trajectory(np.linspace(0.0, 1.0, 21))
-        result = repeatability_compare(trial, trial)
+        _, result = repeatability_compare(trial, trial)
         assert result.max_distance == 0.0
         assert result.rmse == 0.0
         assert result.n_samples == 21
@@ -371,15 +371,22 @@ class TestRepeatabilityCompare:
         eta = np.linspace(0.0, 1.0, 21)
         trial = self._linear_trajectory(eta)
         shifted = TipTrajectory(eta=eta, points=trial.points + np.array([0.0, 0.0, 1.0]))
-        result = repeatability_compare(trial, shifted)
+        _, result = repeatability_compare(trial, shifted)
         assert result.max_distance == pytest.approx(1.0)
         assert result.rmse == pytest.approx(1.0)
+
+    def test_equal_grids_are_the_returned_grid(self):
+        trial = self._linear_trajectory(np.linspace(0.0, 1.0, 21))
+        grid, result = repeatability_compare(trial, trial)
+        assert grid is trial.eta and result.n_samples == grid.size
 
     def test_resampling_is_exact_for_linear_trajectories(self):
         trial_a = self._linear_trajectory(np.linspace(0.0, 1.0, 11))
         trial_b = self._linear_trajectory(np.linspace(0.05, 0.95, 31))
-        result = repeatability_compare(trial_a, trial_b)
+        grid, result = repeatability_compare(trial_a, trial_b)
         assert result.max_distance < 1e-12
+        assert np.array_equal(grid, np.union1d(trial_a.eta[1:-1], trial_b.eta))
+        assert result.n_samples == grid.size
 
     def test_symmetry_with_mismatched_grids(self):
         rng = np.random.default_rng(7)
@@ -387,8 +394,8 @@ class TestRepeatabilityCompare:
         eta_b = np.linspace(0.1, 0.9, 9)
         trial_a = TipTrajectory(eta=eta_a, points=rng.normal(size=(13, 3)))
         trial_b = TipTrajectory(eta=eta_b, points=rng.normal(size=(9, 3)))
-        ab = repeatability_compare(trial_a, trial_b)
-        ba = repeatability_compare(trial_b, trial_a)
+        _, ab = repeatability_compare(trial_a, trial_b)
+        _, ba = repeatability_compare(trial_b, trial_a)
         assert ab.max_distance == ba.max_distance
         assert ab.rmse == ba.rmse
 
@@ -419,7 +426,7 @@ class TestRepeatabilityCompare:
         trial_rng = np.random.default_rng(99)
         trial_a = TipTrajectory(eta=eta, points=base + trial_rng.normal(scale=sigma, size=base.shape))
         trial_b = TipTrajectory(eta=eta, points=base + trial_rng.normal(scale=sigma, size=base.shape))
-        result = repeatability_compare(trial_a, trial_b)
+        _, result = repeatability_compare(trial_a, trial_b)
         assert abs(result.rmse - mc_mean) < 5.0 * mc_std
 
 

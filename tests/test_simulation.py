@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helikin import kinematics, simulation
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.geometry import derive_geometry
-from helikin.estimation import position_based_estimate, rmse, stroke_based_estimate
+from helikin.estimation import EstimateResult, position_based_estimate, rmse, stroke_based_estimate
 from helikin.kinematics import (
     BackboneCurve,
     JointState,
@@ -115,6 +115,23 @@ class TestSyntheticSweep:
         assert dataset.joints[1] is None
         assert np.all(np.isnan(dataset.tips_true[1]))
         assert np.all(np.isfinite(dataset.tips_true[2]))
+
+    def test_failures_match_the_stroke_based_estimate(self, tube, tendon, geom):
+        # One failure-message rule: a message shows the stroke as it was logged.
+        profile = [(-1, 0), (math.nan, 0.0), (2.0, 0.0)]
+        dataset = synthetic_sweep(geom, tendon, profile, [33.2], NoiseSpec(), 0.0, tube)
+        assert dataset.failures == stroke_based_estimate(profile, geom, tendon, 0.0).failures
+        assert [i for i, _ in dataset.failures] == [0, 1]
+        assert dataset.failures[0][1].endswith("got -1")
+
+    def test_dataset_is_the_estimate_of_its_profile(self, tube, tendon, geom):
+        dataset = synthetic_sweep(geom, tendon, _profile(), [33.2], NoiseSpec(), 0.2, tube)
+        assert isinstance(dataset, EstimateResult)
+        assert dataset.joints is dataset.joint_series
+        assert dataset.joint_series == stroke_based_estimate(_profile(), geom, tendon, 0.2).joint_series
+        dataset_type = simulation.SyntheticDataset
+        inherited = {field.name for field in dataclasses.fields(dataset_type)} - set(dataset_type.__annotations__)
+        assert inherited == {field.name for field in dataclasses.fields(EstimateResult)}
 
     def test_joints_are_built_on_first_read_and_kept(self, tube, tendon, geom, monkeypatch):
         # Accepted rows are filled without the validating constructor.

@@ -58,6 +58,16 @@ class TestLegend:
         legend = [e.text for e in ET.fromstring(svg).iter(f"{self._SVG}text")][-2:]
         assert legend == [name, "tip trace"]
 
+    @pytest.mark.parametrize(
+        "name, shown",
+        [("c\x01d", "c\\x01d"), ("e\udcff", "e\\udcff"), ("<\n&", "<\\n&"), ("é", "é")],
+        ids=["control", "surrogate", "line-break", "printable"],
+    )
+    def test_unprintable_characters_read_back_escaped(self, name, shown):
+        svg = svgplot.render_curves_svg([np.eye(3)], [name])
+        legend = [e.text for e in ET.fromstring(svg.encode()).iter(f"{self._SVG}text")][-1]
+        assert legend == shown
+
     def test_no_curves_raise_validation_error(self):
         with pytest.raises(svgplot.ValidationError, match="need at least one curve to plot"):
             svgplot.render_curves_svg([])
