@@ -236,7 +236,7 @@ def synthetic_sweep(
     noisy += centerline[:, :-1]
 
     return SyntheticDataset(
-        log.strokes, log.tensions, batch, roll, log.failures,
+        log.strokes, log.tensions, log.batch, log.roll, log.failures,
         tube=tube,
         noise=noise,
         strokes_noisy=strokes_noisy,
