@@ -102,7 +102,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
     fileio.write_backbone_csv(args.output, curve)
     print(
         f"R = {joint.cylinder_radius:.6f} mm, H = {joint.cylinder_height:.6f} mm, "
-        f"phi = {joint.deflection:.6f} rad; wrote {len(curve)} samples to {args.output}"
+        f"phi = {joint.deflection:.6f} rad; wrote {len(curve)} samples to {fileio._printable(args.output)}"
     )
     return 0
 
@@ -127,13 +127,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.dataset_dir:
         written = fileio.write_dataset_bundle(args.dataset_dir, dataset)
-        print(f"wrote {len(written)} dataset files to {args.dataset_dir}")
+        print(f"wrote {len(written)} dataset files to {fileio._printable(args.dataset_dir)}")
     fileio.write_joints_csv(args.output, dataset)
     for index, message in dataset.failures:
         print(f"sample {index}: {message}", file=sys.stderr)
     print(
         f"swept {dataset.n_samples} samples "
-        f"({dataset.n_samples - len(dataset.failures)} ok) -> {args.output}"
+        f"({dataset.n_samples - len(dataset.failures)} ok) -> {fileio._printable(args.output)}"
     )
     return 0
 
@@ -158,7 +158,7 @@ def cmd_ftl(args: argparse.Namespace) -> int:
             fileio.write_backbone_csv(directory / f"body_eta_{tag}.csv", body)
     print(
         f"FTL run over {len(grid)} eta steps; tip-vs-body max distance "
-        f"{fidelity.max_distance:.3e} mm -> {args.output}"
+        f"{fidelity.max_distance:.3e} mm -> {fileio._printable(args.output)}"
     )
     return 0
 
@@ -181,7 +181,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         for index, message in result.failures:
             print(f"sample {index}: {message}", file=sys.stderr)
         n = len(profile)
-        print(f"stroke-based estimates: {n - len(result.failures)}/{n} ok -> {args.output}")
+        print(f"stroke-based estimates: {n - len(result.failures)}/{n} ok -> {fileio._printable(args.output)}")
         return 0
 
     data = fileio.read_marker_csv(args.input)
@@ -201,7 +201,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     for index, message in failures:
         print(f"sample {index}: {message}", file=sys.stderr)
     n = len(data["index"])
-    print(f"position-based estimates: {n - len(failures)}/{n} ok -> {args.output}")
+    print(f"position-based estimates: {n - len(failures)}/{n} ok -> {fileio._printable(args.output)}")
     return 3 if n and len(failures) == n else 0
 
 
@@ -247,7 +247,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             curves.append(fileio.read_tip_csv(path).points)
         names.append(Path(path).stem)
     fileio.atomic_write_text(args.output, svgplot.render_curves_svg(curves, names))
-    print(f"wrote {args.output}")
+    print(f"wrote {fileio._printable(args.output)}")
     return 0
 
 

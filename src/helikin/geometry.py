@@ -6,6 +6,12 @@ shifts the bending neutral axis off the tube's central axis, so the neutral
 fiber of the resting tube is itself a shallow helix. Everything derived
 here depends only on the as-machined dimensions, never on actuation.
 
+``TubeSpec`` is the one place that checks those dimensions, and
+``derive_geometry`` the one place that turns them into the model's
+constants: the notch and composite neutral-axis offsets y_notch and y_na,
+the neutral-fiber length l_na, the tendon/neutral-axis distance d_t-na and
+the slack tendon length l_t0 (formulas in ``derive_geometry``).
+
 Units: millimeters and radians everywhere inside the package. The only
 exceptions are the tendon cross-section area (m^2) and elastic modulus
 (GPa), which keep their customary units and are converted where used.
@@ -25,10 +31,6 @@ __all__ = [
     "DerivedGeometry",
     "PatternReport",
     "notch_neutral_axis_offset",
-    "composite_neutral_axis_offset",
-    "neutral_axis_length",
-    "tendon_neutral_axis_distance",
-    "slack_tendon_length",
     "derive_geometry",
     "pattern_consistency",
 ]
@@ -189,81 +191,43 @@ def notch_neutral_axis_offset(
     )
 
 
-def composite_neutral_axis_offset(notch_offset: float, notch_width: float, bridge_length: float) -> float:
-    """Axial-width-weighted average of notch and bridge offsets, mm.
-
-    The bridge is a full annulus, so its own offset is exactly zero; the
-    composite is notch_offset * w / (w + d).
-    """
-    if notch_width <= 0.0:
-        raise DomainError(f"notch_width must be > 0, got {notch_width}")
-    if bridge_length < 0.0:
-        raise DomainError(f"bridge_length must be >= 0, got {bridge_length}")
-    if bridge_length == 0.0:
-        return notch_offset
-    return notch_offset * notch_width / (notch_width + bridge_length)
-
-
-def neutral_axis_length(patterned_length: float, na_offset: float, turn_count: int = 1) -> float:
-    """Arc length of the helical neutral fiber, mm.
-
-    A helix of axial length ``l`` winding ``n`` full turns at radius
-    ``y`` has length sqrt(l^2 + (2 pi n y)^2).
-    """
-    if patterned_length <= 0.0:
-        raise DomainError(f"patterned_length must be > 0, got {patterned_length}")
-    if na_offset < 0.0:
-        raise DomainError(f"na_offset must be >= 0, got {na_offset}")
-    if turn_count < 1:
-        raise DomainError(f"turn_count must be >= 1, got {turn_count}")
-    return math.hypot(patterned_length, 2.0 * math.pi * turn_count * na_offset)
-
-
-def tendon_neutral_axis_distance(na_offset: float, inner_radius: float, tendon_radius: float) -> float:
-    """Distance between the tendon centerline and the neutral axis, mm.
-
-    The tendon hugs the inner wall on the notched side while the neutral
-    axis sits on the uncut side, so the two are separated by
-    na_offset + inner_radius - tendon_radius.
-    """
-    if tendon_radius >= inner_radius:
-        raise DomainError(
-            f"tendon_radius ({tendon_radius}) must be smaller than inner_radius ({inner_radius})"
-        )
-    distance = na_offset + inner_radius - tendon_radius
-    if distance <= 0.0:
-        raise DomainError(f"tendon/neutral-axis distance must be positive, got {distance}")
-    return distance
-
-
-def slack_tendon_length(spec: TubeSpec) -> float:
-    """Tendon length through the patterned region at rest, mm.
-
-    Defined as the length of the helical path the tendon occupies when the
-    tube is straight: radius inner_radius - tendon_radius about the tube
-    axis, axial length patterned_length, turn_count turns. Under this
-    convention zero stroke at zero tension maps back to the straight tube.
-    """
-    return math.hypot(
-        spec.patterned_length,
-        2.0 * math.pi * spec.turn_count * (spec.inner_radius - spec.tendon_radius),
-    )
-
-
 def derive_geometry(spec: TubeSpec) -> DerivedGeometry:
-    """Compute all derived constants for a tube specification."""
+    """Compute all derived constants for a tube specification.
+
+    The spec has already checked its dimensions (w > 0, d >= 0, l > 0,
+    n >= 1, 0 < r_t < r_i < r_o, half-angle in (0, pi]), so y_na >= 0 and
+    d_t-na > 0 follow and nothing here checks again. With w the notch
+    width, d the bridge, l the patterned length, n the turn count, r_i,
+    r_o and r_t the inner, outer and tendon radii:
+
+    - notch offset y_notch = :func:`notch_neutral_axis_offset` (r_i, r_o,
+      remaining half-angle), the centroid of the notched cross section;
+    - composite offset y_na = y_notch * w / (w + d), or y_notch itself
+      when d = 0: the bridge is a full annulus whose own offset is zero;
+    - neutral-axis length l_na = sqrt(l^2 + (2 pi n y_na)^2), the length
+      of a helix of n turns at radius y_na over the axial length l;
+    - tendon/neutral-axis distance d_t-na = y_na + r_i - r_t: the tendon
+      hugs the inner wall on the notched side, the neutral axis sits on
+      the uncut side;
+    - slack tendon length l_t0 = sqrt(l^2 + (2 pi n (r_i - r_t))^2), the
+      tendon's helical path in the straight tube, so that zero stroke at
+      zero tension maps back to the straight tube.
+    """
     y_notch = notch_neutral_axis_offset(
         spec.inner_radius, spec.outer_radius, spec.remaining_half_angle
     )
-    y_na = composite_neutral_axis_offset(y_notch, spec.notch_axial_width, spec.bridge_length)
+    width, bridge = spec.notch_axial_width, spec.bridge_length
+    # y * w / w is not always y, so no bridge keeps y_notch itself.
+    y_na = y_notch if bridge == 0.0 else y_notch * width / (width + bridge)
+    two_pi_n = 2.0 * math.pi * spec.turn_count
     return DerivedGeometry(
         notch_na_offset=y_notch,
         composite_na_offset=y_na,
-        na_length=neutral_axis_length(spec.patterned_length, y_na, spec.turn_count),
-        tendon_na_distance=tendon_neutral_axis_distance(
-            y_na, spec.inner_radius, spec.tendon_radius
+        na_length=math.hypot(spec.patterned_length, two_pi_n * y_na),
+        tendon_na_distance=y_na + spec.inner_radius - spec.tendon_radius,
+        slack_tendon_length=math.hypot(
+            spec.patterned_length, two_pi_n * (spec.inner_radius - spec.tendon_radius)
         ),
-        slack_tendon_length=slack_tendon_length(spec),
         turn_count=spec.turn_count,
     )
 

@@ -60,7 +60,6 @@ __all__ = [
     "joint_from_actuation",
     "joints_from_actuation",
     "actuation_failures",
-    "rest_joint",
     "forward_kinematics",
     "backbone_samples",
     "cylinder_axis",
@@ -477,12 +476,6 @@ def actuation_failures(
         except DomainError as exc:
             failures.append((i, str(exc)))
     return tuple(failures)
-
-
-def rest_joint(geom: DerivedGeometry, roll: float = 0.0) -> JointState:
-    """Joint state of the straight, unactuated tube (R = y_na, phi = 0)."""
-    radius, height = cylinder_from_tendon_length(geom.slack_tendon_length, geom)
-    return JointState(radius, height, deflection_angle(radius, height, geom), roll)
 
 
 def backbone_samples(na_length: float, count: int = DEFAULT_BACKBONE_SAMPLES) -> np.ndarray:

@@ -151,9 +151,10 @@ def _panel(
     return parts, [to_px(uv) for uv in projected]
 
 
-def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) -> str:
+def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
     """Render one or more (N, 3) mm point arrays as a three-panel SVG string.
 
+    The legend below the panels names each curve by its entry of ``names``.
     A legend name's unprintable characters are written as their ``unicode_escape``
     text (``\\x01``, ``\\udcff``), then ``&``, ``<`` and ``>`` as XML entities.
     """
@@ -165,7 +166,7 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
 
     panel_w = _PANEL + 2 * _MARGIN
     width = 3 * panel_w + 2 * _GAP
-    height = _PANEL + 2 * _MARGIN + (18 if names else 0)
+    height = _PANEL + 2 * _MARGIN + 18
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -185,19 +186,18 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str] | None = None) 
             for color, _ in zip(_COLORS * len(pixels), pixels)
         ]
 
-    if names:
-        for k, name in enumerate(names):
-            color = _COLORS[k % len(_COLORS)]
-            name = _printable(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            x = 10 + 170 * k
-            y = height - 6
-            parts.append(
-                f'<line x1="{x}" y1="{y - 4}" x2="{x + 18}" y2="{y - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{x + 22}" y="{y}" font-size="11" font-family="sans-serif">{name}</text>'
-            )
+    for k, name in enumerate(names):
+        color = _COLORS[k % len(_COLORS)]
+        name = _printable(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        x = 10 + 170 * k
+        y = height - 6
+        parts.append(
+            f'<line x1="{x}" y1="{y - 4}" x2="{x + 18}" y2="{y - 4}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{x + 22}" y="{y}" font-size="11" font-family="sans-serif">{name}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -699,6 +699,52 @@ class TestPlotCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+class TestUnprintableOutputPaths:
+    """A status line names a path holding a byte that is not UTF-8 escaped, so strict UTF-8 stdout takes it."""
+
+    @staticmethod
+    def _run(argv, written, shown):
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict", write_through=True)
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == 0
+        assert all(path.exists() for path in written)
+        out = stream.buffer.getvalue().decode("utf-8")
+        assert all(str(path) in out for path in shown)
+
+    def test_shape(self, tmp_path, spec_file):
+        out = tmp_path / os.fsdecode(b"h\xff.csv")
+        argv = ["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(out)]
+        self._run(argv, [out], [tmp_path / "h\\udcff.csv"])
+
+    def test_sweep(self, tmp_path, spec_file):
+        out, bundle = tmp_path / os.fsdecode(b"j\xff.csv"), tmp_path / os.fsdecode(b"b\xff")
+        argv = ["sweep", "--spec", spec_file, "--stroke-max", "2.0", "--steps", "3", "--dataset-dir", str(bundle)]
+        shown = [tmp_path / "j\\udcff.csv", tmp_path / "b\\udcff"]
+        self._run([*argv, "-o", str(out)], [out, bundle / "spec.json"], shown)
+
+    def test_ftl(self, tmp_path, spec_file):
+        out = tmp_path / os.fsdecode(b"t\xff.csv")
+        argv = ["ftl", "--spec", spec_file, "--stroke", "2.0", "--eta-steps", "11", "-o", str(out)]
+        self._run(argv, [out], [tmp_path / "t\\udcff.csv"])
+
+    @pytest.mark.parametrize("method", ["stroke", "position"])
+    def test_estimate(self, tmp_path, spec_file, method):
+        log = tmp_path / "log.csv"
+        if method == "stroke":
+            log.write_text("dl_t_mm,T_N\n0,0\n2,0\n")
+        else:
+            fileio.write_marker_csv(log, np.array([0.0, 1.0]), np.array([[60.9, 5.0, 1.0], [64.0, 0.0, 0.0]]))
+        out = tmp_path / os.fsdecode(b"e\xff.csv")
+        argv = ["estimate", "--spec", spec_file, "--method", method, "-i", str(log), "-o", str(out)]
+        self._run(argv, [out], [tmp_path / "e\\udcff.csv"])
+
+    def test_plot(self, tmp_path, spec_file):
+        curve_csv = tmp_path / "curve.csv"
+        assert main(["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(curve_csv)]) == 0
+        out = tmp_path / os.fsdecode(b"p\xff.svg")
+        self._run(["plot", str(curve_csv), "-o", str(out)], [out], [tmp_path / "p\\udcff.svg"])
+
+
 class TestNonUtf8Files:
     """A byte that is not UTF-8 in any user file exits 2 with one line naming the file."""
 

@@ -9,18 +9,15 @@ from helikin.errors import DomainError, ValidationError
 from helikin.geometry import (
     TendonSpec,
     TubeSpec,
-    composite_neutral_axis_offset,
     derive_geometry,
-    neutral_axis_length,
     notch_neutral_axis_offset,
     pattern_consistency,
-    slack_tendon_length,
-    tendon_neutral_axis_distance,
 )
 from helikin.kinematics import cylinder_from_tendon_length
 from helikin.presets import compact_prototype_tube, default_tube
 
 from .oracles import helix_arclength_chords, midpoint_notch_offset
+from .strategies import tube_specs
 
 # Frozen from the quadrature / chord-sum / zero-stroke oracles in this file.
 Y_NOTCH_EXPECTED = 0.7316983150467443
@@ -82,59 +79,42 @@ class TestNotchOffset:
 
 
 class TestCompositeOffset:
-    def test_reference_tube(self):
-        assert composite_neutral_axis_offset(Y_NOTCH_EXPECTED, 0.5, 0.3) == pytest.approx(
-            0.4574, abs=5e-4
-        )
+    def test_reference_tube(self, geom):
+        assert geom.composite_na_offset == pytest.approx(0.4574, abs=5e-4)
 
-    def test_no_bridge_returns_notch_offset(self):
-        assert composite_neutral_axis_offset(0.71, 0.4, 0.0) == 0.71
+    def test_no_bridge_returns_notch_offset(self, tube):
+        geom = derive_geometry(dataclasses.replace(tube, bridge_length=0.0))
+        assert geom.composite_na_offset == geom.notch_na_offset
 
-    def test_equal_widths_halve_the_offset(self):
-        assert composite_neutral_axis_offset(0.71, 0.35, 0.35) == pytest.approx(0.355)
-
-    def test_rejects_zero_notch_width(self):
-        with pytest.raises(DomainError):
-            composite_neutral_axis_offset(0.7, 0.0, 0.3)
-
-    @given(
-        offset=st.floats(0.01, 2.0),
-        width=st.floats(0.01, 2.0),
-        bridge=st.floats(0.001, 2.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_composite_strictly_between_zero_and_notch(self, offset, width, bridge):
-        composite = composite_neutral_axis_offset(offset, width, bridge)
-        assert 0.0 < composite < offset
+    def test_equal_widths_halve_the_offset(self, tube):
+        geom = derive_geometry(dataclasses.replace(tube, bridge_length=tube.notch_axial_width))
+        assert geom.composite_na_offset == pytest.approx(geom.notch_na_offset / 2.0)
 
 
 class TestNeutralAxisLength:
-    def test_reference_value_against_chord_sums(self):
-        expected = helix_arclength_chords(64.0, 0.4574)
-        value = neutral_axis_length(64.0, 0.4574)
-        assert value == pytest.approx(expected, rel=1e-9)
-        assert value == pytest.approx(64.0645, abs=5e-4)
+    def test_reference_value_against_chord_sums(self, geom):
+        expected = helix_arclength_chords(64.0, geom.composite_na_offset)
+        assert geom.na_length == pytest.approx(expected, rel=1e-9)
+        assert geom.na_length == pytest.approx(64.0645, abs=5e-4)
 
-    def test_zero_offset_is_straight(self):
-        assert neutral_axis_length(64.0, 0.0, 3) == 64.0
+    def test_zero_offset_is_straight(self, tube):
+        spec = dataclasses.replace(tube, remaining_half_angle=math.pi, turn_count=3)
+        assert derive_geometry(spec).na_length == 64.0
 
-    def test_two_turns_against_chord_sums(self):
-        expected = helix_arclength_chords(64.0, 0.4574, turns=2)
-        value = neutral_axis_length(64.0, 0.4574, 2)
-        assert value == pytest.approx(expected, rel=1e-9)
-        assert value == pytest.approx(64.2575899848, rel=1e-10)
+    def test_two_turns_against_chord_sums(self, tube):
+        geom = derive_geometry(dataclasses.replace(tube, turn_count=2))
+        expected = helix_arclength_chords(64.0, geom.composite_na_offset, turns=2)
+        assert geom.na_length == pytest.approx(expected, rel=1e-9)
 
 
 class TestTendonDistance:
-    def test_reference_tube(self):
-        assert tendon_neutral_axis_distance(0.4574, 0.851, 0.115) == pytest.approx(1.1934)
+    def test_reference_tube(self, geom):
+        assert geom.tendon_na_distance == pytest.approx(1.1934, abs=5e-4)
 
-    def test_degenerate_tendon_filling_lumen(self):
-        with pytest.raises(DomainError):
-            tendon_neutral_axis_distance(0.0, 1.0, 1.0)
-
-    def test_direct_sum(self):
-        assert tendon_neutral_axis_distance(0.5, 1.0, 0.1) == pytest.approx(1.4)
+    def test_direct_sum(self, tube):
+        spec = dataclasses.replace(tube, tendon_radius=0.1)
+        geom = derive_geometry(spec)
+        assert geom.tendon_na_distance == geom.composite_na_offset + spec.inner_radius - spec.tendon_radius
 
 
 class TestSlackTendonLength:
@@ -147,19 +127,8 @@ class TestSlackTendonLength:
         assert geom.slack_tendon_length == pytest.approx(L_T0_EXPECTED, rel=1e-12)
 
     def test_axial_tendon_collapses_to_patterned_length(self, tube):
-        spec = TubeSpec(
-            inner_radius=tube.inner_radius,
-            outer_radius=tube.outer_radius,
-            notch_axial_width=tube.notch_axial_width,
-            notch_circumferential_extent=tube.notch_circumferential_extent,
-            bridge_length=tube.bridge_length,
-            circumferential_offset=tube.circumferential_offset,
-            patterned_length=tube.patterned_length,
-            remaining_half_angle=tube.remaining_half_angle,
-            turn_count=tube.turn_count,
-            tendon_radius=tube.inner_radius - 1e-15,
-        )
-        assert slack_tendon_length(spec) == pytest.approx(tube.patterned_length)
+        spec = dataclasses.replace(tube, tendon_radius=tube.inner_radius - 1e-15)
+        assert derive_geometry(spec).slack_tendon_length == pytest.approx(tube.patterned_length)
 
     def test_two_turns_zero_stroke_oracle(self, tube):
         spec = TubeSpec(
@@ -201,6 +170,21 @@ class TestDeriveGeometry:
         geom = derive_geometry(compact_prototype_tube())
         assert geom.composite_na_offset > 0.0
         assert geom.na_length > 75.4
+
+    @given(spec=tube_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_constants_over_the_spec_domain(self, spec):
+        geom = derive_geometry(spec)
+        assert all(math.isfinite(value) for value in dataclasses.astuple(geom))
+        y_notch, y_na = geom.notch_na_offset, geom.composite_na_offset
+        assert 0.0 < y_na <= y_notch < spec.outer_radius
+        if spec.bridge_length == 0.0:
+            assert y_na == y_notch
+        else:
+            assert y_na < y_notch
+        assert spec.patterned_length <= geom.na_length
+        assert spec.patterned_length <= geom.slack_tendon_length
+        assert geom.tendon_na_distance > y_na
 
 
 class TestPatternConsistency:

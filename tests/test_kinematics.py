@@ -25,7 +25,6 @@ from helikin.kinematics import (
     forward_kinematics,
     joint_from_actuation,
     joints_from_actuation,
-    rest_joint,
     tendon_length_from_cylinder,
     tendon_length_from_stroke,
 )
@@ -222,8 +221,8 @@ class TestHelixFrame:
 
 
 class TestForwardKinematics:
-    def test_rest_backbone_lies_on_axis(self, geom):
-        curve = forward_kinematics(rest_joint(geom), geom)
+    def test_rest_backbone_lies_on_axis(self, tendon, geom):
+        curve = forward_kinematics(joint_from_actuation(0.0, 0.0, tendon, geom), geom)
         off_axis = np.linalg.norm(curve.points[:, 1:], axis=1)
         assert np.max(off_axis) < 1e-6
         assert curve.points[-1, 0] == pytest.approx(64.0, rel=1e-9)
@@ -254,8 +253,8 @@ class TestForwardKinematics:
         for other in norms[1:]:
             assert np.allclose(other, norms[0], rtol=1e-12, atol=1e-12)
 
-    def test_default_sampling_density(self, geom):
-        curve = forward_kinematics(rest_joint(geom), geom)
+    def test_default_sampling_density(self, tendon, geom):
+        curve = forward_kinematics(joint_from_actuation(0.0, 0.0, tendon, geom), geom)
         assert len(curve) == 129
 
     def test_chord_sums_converge_to_centerline_length(self, tendon, geom):
@@ -289,8 +288,8 @@ class TestForwardKinematics:
         assert point.tobytes() == expected[0].tobytes()
         assert direction.tobytes() == expected[1].tobytes()
 
-    def test_rejects_unsorted_or_out_of_range_samples(self, geom):
-        joint = rest_joint(geom)
+    def test_rejects_unsorted_or_out_of_range_samples(self, tendon, geom):
+        joint = joint_from_actuation(0.0, 0.0, tendon, geom)
         with pytest.raises(Exception):
             forward_kinematics(joint, geom, np.array([2.0, 1.0]))
         with pytest.raises(DomainError):
@@ -537,7 +536,7 @@ class TestFtlTipTrace:
         assert np.max(np.linalg.norm(tip.points - curve.points, axis=1)) < 1e-9
 
     def test_tip_at_zero_is_origin(self, tendon, geom):
-        for joint in (rest_joint(geom), joint_from_actuation(2.0, 0.0, tendon, geom, roll=0.9)):
+        for joint in (joint_from_actuation(0.0, 0.0, tendon, geom), joint_from_actuation(2.0, 0.0, tendon, geom, roll=0.9)):
             tip, _ = ftl_run(joint, geom, np.array([0.0, 1.0]))
             assert tip.points[0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
@@ -548,9 +547,9 @@ class TestFtlTipTrace:
         assert tip.points[-1] == pytest.approx(list(full), abs=1e-12)
 
     @pytest.mark.parametrize("grid", [[-0.2, 0.5], [0.5, 1.5]])
-    def test_progression_range_error(self, geom, grid):
+    def test_progression_range_error(self, tendon, geom, grid):
         with pytest.raises(DomainError):
-            ftl_run(rest_joint(geom), geom, np.array(grid))
+            ftl_run(joint_from_actuation(0.0, 0.0, tendon, geom), geom, np.array(grid))
 
 
 class TestJointState:

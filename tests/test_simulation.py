@@ -23,7 +23,6 @@ from helikin.kinematics import (
     cylinder_axis,
     forward_kinematics,
     joint_from_actuation,
-    rest_joint,
 )
 from helikin.simulation import (
     NoiseSpec,
@@ -1107,9 +1106,9 @@ class TestLazyBodies:
             bodies[7].points
         assert repr(bodies[7]) == repr(BackboneCurve(*expected[7]))
 
-    def test_missing_attributes_raise_the_standard_error(self, deployment, geom):
+    def test_missing_attributes_raise_the_standard_error(self, deployment, tendon, geom):
         bodies, _, _ = deployment
-        curve = forward_kinematics(rest_joint(geom), geom)
+        curve = forward_kinematics(joint_from_actuation(0.0, 0.0, tendon, geom), geom)
         for target in (curve, bodies[3]):
             with pytest.raises(AttributeError) as caught:
                 getattr(target, "x")

@@ -44,3 +44,9 @@ def test_every_source_file_adds_up_to_its_line_count():
     for path in sorted(src_lines.SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert sum(src_lines.count_lines(text).values()) == len(text.splitlines()), path.name
+
+
+def test_public_names_of_a_known_source():
+    source = '__all__ = [\n    "area",\n    "Record",\n]\nnames = ["x", "y", "z"]\n\n\ndef f():\n    __all__ = ("inner",)\n'
+    assert src_lines.count_public(source) == 2
+    assert src_lines.count_public(SOURCE) == 0

@@ -46,7 +46,7 @@ class TestPolylinesOfOneSvg:
     def test_empty_curve_is_named(self, shapes, index):
         curves = [np.ones(shape) for shape in shapes]
         with pytest.raises(svgplot.ValidationError, match=f"curve {index} has no points"):
-            svgplot.render_curves_svg(curves)
+            svgplot.render_curves_svg(curves, [f"c{k}" for k in range(len(curves))])
 
 
 class TestLegend:
@@ -70,4 +70,4 @@ class TestLegend:
 
     def test_no_curves_raise_validation_error(self):
         with pytest.raises(svgplot.ValidationError, match="need at least one curve to plot"):
-            svgplot.render_curves_svg([])
+            svgplot.render_curves_svg([], [])

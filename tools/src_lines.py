@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code, docstring, comment and blank lines of each helikin source file.
+"""Count the code, docstring, comment and blank lines and the public names of each helikin source file.
 
     python3 tools/src_lines.py
 
@@ -7,8 +7,10 @@ Docstring lines are the lines of each string that ``ast`` takes as the
 docstring of a module, class or function. Of the other lines, a line that a
 token other than a comment spans is code (so are the lines of a multi-line
 string that is no docstring), a line with only a comment is a comment line,
-and the rest are blank. Prints one row per file of ``src/helikin`` and a
-total row; the four kinds add up to ``wc -l``. Only the standard library is
+and the rest are blank. The public names are the entries of the module's
+``__all__``, read with ``ast`` so that nothing is imported; a module without
+one has none. Prints one row per file of ``src/helikin`` and a total row;
+the four kinds of line add up to ``wc -l``. Only the standard library is
 used.
 """
 
@@ -49,15 +51,25 @@ def count_lines(source: str) -> dict[str, int]:
     return counts
 
 
+def count_public(source: str) -> int:
+    """Entries of the module-level ``__all__`` list or tuple of ``source``, 0 without one."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(node.value.elts)
+    return 0
+
+
 def main() -> int:
-    total = dict.fromkeys(KINDS, 0)
-    print(f"{'file':<16}" + "".join(f"{kind:>11}" for kind in KINDS))
+    columns = (*KINDS, "public")
+    total = dict.fromkeys(columns, 0)
+    print(f"{'file':<16}" + "".join(f"{column:>11}" for column in columns))
     for path in sorted(SRC.glob("*.py")):
-        counts = count_lines(path.read_text(encoding="utf-8"))
-        for kind in KINDS:
-            total[kind] += counts[kind]
-        print(f"{path.name:<16}" + "".join(f"{counts[kind]:>11}" for kind in KINDS))
-    print(f"{'total':<16}" + "".join(f"{total[kind]:>11}" for kind in KINDS))
+        source = path.read_text(encoding="utf-8")
+        counts = {**count_lines(source), "public": count_public(source)}
+        for column in columns:
+            total[column] += counts[column]
+        print(f"{path.name:<16}" + "".join(f"{counts[column]:>11}" for column in columns))
+    print(f"{'total':<16}" + "".join(f"{total[column]:>11}" for column in columns))
     return 0
 
 
