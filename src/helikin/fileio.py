@@ -348,9 +348,13 @@ def _cells(values: np.ndarray, digits: int = 12) -> np.ndarray:
     whole = np.floor(np.divide(m, power, out=s), out=s)
     np.subtract(m, np.multiply(whole, power, out=power), out=m)
     fraction = np.multiply(m, _POW10[::-1].take(e), out=m).astype(np.intp)
-    high, low = np.divmod(fraction, 10**8, out=(e, fraction))
-    g0, g1 = np.divmod(high, 10**4, out=(high, np.empty_like(high)))
-    g2, g3 = np.divmod(low, 10**4, out=(low, np.empty_like(low)))
+    # Floor division by a scalar takes numpy's fast path, which divmod lacks;
+    # every value here is non-negative, so a - (a // d) * d is a mod d.
+    high = np.floor_divide(fraction, 10**8, out=e)
+    low = np.subtract(fraction, high * 10**8, out=fraction)
+    g0, g2 = high // 10**4, low // 10**4
+    g1 = np.subtract(high, g0 * 10**4, out=high)
+    g3 = np.subtract(low, g2 * 10**4, out=low)
     # A group with no digit after it takes the stripped half of its table.
     low_zero = (g2 == 0) & (g3 == 0)
     np.add(g0, 1000, out=g0, where=low_zero & (g1 == 0))

@@ -615,7 +615,12 @@ def ftl_fidelity(tip: TipTrajectory, final_backbone: BackboneCurve) -> Trajector
         )
     span = final_backbone.s[-1] if final_backbone.s[-1] > 0.0 else 1.0
     expected = tip.eta * final_backbone.s[-1]
-    if not np.allclose(final_backbone.s, expected, atol=1e-9 * max(span, 1.0)):
+    # np.allclose's test at its default rtol, less its NaN and inf handling:
+    # both grids are finite, and expected, monotone in eta, is finite unless
+    # one of its ends overflowed.
+    tol = 1e-9 * max(span, 1.0) + 1e-5 * np.abs(expected)
+    close = (np.abs(final_backbone.s - expected) <= tol).all()
+    if not (close and math.isfinite(expected[0]) and math.isfinite(expected[-1])):
         raise GridMismatchError(
             "backbone samples do not match s = eta * l_na for the tip's eta grid"
         )

@@ -1,8 +1,12 @@
 """Minimal deterministic SVG rendering of 3-D curves.
 
 Three fixed orthographic panels: X-Y, X-Z, and an isometric projection.
-Output is plain hand-assembled SVG so identical inputs produce identical
-bytes, which keeps plots diffable in tests and across runs.
+Every point is stacked once into contiguous x, y and z columns. Each panel
+draws two of them (the isometric one u and v, computed from all three); one
+minimum and one maximum reduction give the bounds of every panel, and the
+pixels of all panels are one (3, N, 2) array, whose rows are in the order
+the polylines print. Output is plain hand-assembled SVG so identical inputs
+produce identical bytes, which keeps plots diffable in tests and across runs.
 """
 
 from __future__ import annotations
@@ -21,16 +25,11 @@ _MARGIN = 46          # margin around each panel for ticks/labels, px
 _GAP = 24             # gap between panels, px
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
+_TITLES = ("top view (X-Y)", "side view (X-Z)", "isometric")
+_LABELS = (("x", "y"), ("x", "z"), ("u", "v"))
+
 _ISO_C30 = math.cos(math.radians(30.0))
 _ISO_S30 = math.sin(math.radians(30.0))
-
-
-def _iso_project(points: np.ndarray) -> np.ndarray:
-    """Isometric projection of (N, 3) points onto the drawing plane."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    u = (x - y) * _ISO_C30
-    v = (x + y) * _ISO_S30 - z
-    return np.column_stack([u, v])
 
 
 def _nice_step(span: float) -> float:
@@ -64,50 +63,27 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _polyline_points(*curves: np.ndarray) -> str:
-    """(N, 2) pixel coordinates as ``x,y x,y ...``, each ``%.10g`` like :func:`_fmt`.
+def _polyline_points(px: np.ndarray, breaks: np.ndarray | tuple[()]) -> str:
+    """Pixel coordinates, rows of (x, y), as ``x,y x,y ...``, each ``%.10g`` like :func:`_fmt`.
 
-    Several curves give one such line each, joined by newlines; one call of
-    the CSV writers' cell kernel formats the coordinates of them all.
+    A new line starts after each row index in ``breaks`` (``()`` for one
+    line), so several curves give one line each, joined by newlines; one call
+    of the CSV writers' cell kernel formats the coordinates of them all.
     """
-    px = np.concatenate(curves)
     cells = _cells(px.ravel(), 10).reshape(-1, 2, 5)
-    ends = np.full(len(px), ord(" "), np.uint8)
-    ends[np.cumsum([len(c) for c in curves]) - 1] = ord("\n")
+    ends = np.full(len(cells), ord(" "), np.uint8)
+    np.put(ends, breaks, ord("\n"))
     return _join_cells([cells[:, 0], cells[:, 1]], ends)[:-1].decode()
 
 
 def _panel(
-    projected: list[np.ndarray], labels: tuple[str, str], title: str, origin_x: float
-) -> tuple[list[str], list[np.ndarray]]:
-    """Render one panel's axes and ticks at the given x offset; return them and its curves in pixels.
+    origin_x: int, labels: tuple[str, str], title: str, scale: float, window: list[list[float]]
+) -> list[str]:
+    """Render one panel's box, title, axis labels and ticks at the given x offset.
 
-    Raises ValidationError when the panel cannot be scaled: its padded extent
-    overflows, or it rounds to zero for coordinates too large for their spread.
+    ``scale`` is in px per mm, and ``window`` holds the low and the high data
+    corner of the panel square, each as [horizontal, vertical].
     """
-    allpts = np.vstack(projected)
-    lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        span = np.maximum(hi - lo, 1e-9)
-        pad = 0.05 * float(span.max())
-        lo, hi = lo - pad, hi + pad
-        scale = _PANEL / np.max(hi - lo)
-        # center the data inside the square panel
-        offset = (np.array([_PANEL, _PANEL]) - scale * (hi - lo)) / 2.0
-        # data-coordinate range covered by the full panel square
-        window_lo = lo - offset / scale
-        window_hi = window_lo + _PANEL / scale
-    if not (0.0 < scale < math.inf and np.isfinite((window_lo, window_hi)).all()):
-        raise ValidationError(
-            f"cannot draw the {title} panel: its coordinates overflow or are too large to resolve"
-        )
-
-    def to_px(uv: np.ndarray) -> np.ndarray:
-        px = origin_x + _MARGIN + offset[0] + (uv[:, 0] - lo[0]) * scale
-        py = _MARGIN + _PANEL - (offset[1] + (uv[:, 1] - lo[1]) * scale)
-        return np.column_stack([px, py])
-
     x0, x1 = origin_x + _MARGIN, origin_x + _MARGIN + _PANEL
     y0, y1 = _MARGIN, _MARGIN + _PANEL
     parts = [
@@ -122,8 +98,8 @@ def _panel(
         f'transform="rotate(-90 {_fmt(x0 - 36)} {_fmt((y0 + y1) / 2)})">{labels[1]} (mm)</text>',
     ]
 
-    u_min, v_min = window_lo
-    for tick in _ticks(u_min, window_hi[0]):
+    (u_min, v_min), (u_max, v_max) = window
+    for tick in _ticks(u_min, u_max):
         px = x0 + (tick - u_min) * scale
         if not x0 <= px <= x1:
             continue
@@ -135,7 +111,7 @@ def _panel(
             f'<text x="{_fmt(px)}" y="{_fmt(y1 + 17)}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>'
         )
-    for tick in _ticks(v_min, window_hi[1]):
+    for tick in _ticks(v_min, v_max):
         py = y1 - (tick - v_min) * scale
         if not y0 <= py <= y1:
             continue
@@ -148,7 +124,7 @@ def _panel(
             f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>'
         )
 
-    return parts, [to_px(uv) for uv in projected]
+    return parts
 
 
 def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
@@ -157,6 +133,8 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
     The legend below the panels names each curve by its entry of ``names``.
     A legend name's unprintable characters are written as their ``unicode_escape``
     text (``\\x01``, ``\\udcff``), then ``&``, ``<`` and ``>`` as XML entities.
+    Raises ValidationError when a panel cannot be scaled: its padded extent
+    overflows, or it rounds to zero for coordinates too large for their spread.
     """
     if not curves:
         raise ValidationError("need at least one curve to plot")
@@ -173,17 +151,41 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    panels = [
-        ([p[:, :2] for p in pts], ("x", "y"), "top view (X-Y)"),
-        ([p[:, [0, 2]] for p in pts], ("x", "z"), "side view (X-Z)"),
-        ([_iso_project(p) for p in pts], ("u", "v"), "isometric"),
-    ]
-    drawn = [_panel(*panel, k * (panel_w + _GAP)) for k, panel in enumerate(panels)]
-    lines = iter(_polyline_points(*(px for _, pixels in drawn for px in pixels)).split("\n"))
-    for frame, pixels in drawn:
-        parts += frame + [
+    # Every point once, as contiguous x, y and z columns; each panel draws two
+    # of them, or the isometric u and v, as its horizontal and vertical axis.
+    x, y, z = np.concatenate([p.T for p in pts], axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coords = np.array([[x, y], [x, z], [(x - y) * _ISO_C30, (x + y) * _ISO_S30 - z]])
+        lo, hi = np.minimum.reduce(coords, axis=2), np.maximum.reduce(coords, axis=2)
+        pad = 0.05 * np.maximum(hi - lo, 1e-9).max(axis=1, keepdims=True)
+        lo, hi = lo - pad, hi + pad
+        scale = _PANEL / (hi - lo).max(axis=1, keepdims=True)
+        # center the data inside each square panel
+        offset = (_PANEL - scale * (hi - lo)) / 2.0
+        # data-coordinate range covered by each full panel square
+        window_lo = lo - offset / scale
+        window_hi = window_lo + _PANEL / scale
+    for k, title in enumerate(_TITLES):
+        if not (0.0 < scale[k, 0] < math.inf and np.isfinite((window_lo[k], window_hi[k])).all()):
+            raise ValidationError(
+                f"cannot draw the {title} panel: its coordinates overflow or are too large to resolve"
+            )
+    # One pixel array for all panels, its rows in the order the polylines
+    # print: origin + offset + (a - lo) * scale, the y axis pointing down.
+    origins = [k * (panel_w + _GAP) for k in range(3)]
+    offset[:, 0] += [origin + _MARGIN for origin in origins]
+    px = np.empty((3, len(x), 2))
+    for j in range(2):
+        np.subtract(coords[:, j], lo[:, j, None], out=px[..., j])
+    px *= scale[:, None]
+    px += offset[:, None]
+    np.subtract(_MARGIN + _PANEL, px[..., 1], out=px[..., 1])
+    lines = iter(_polyline_points(px, np.cumsum([len(p) for p in pts] * 3) - 1).split("\n"))
+    for k, origin_x in enumerate(origins):
+        window = [window_lo[k].tolist(), window_hi[k].tolist()]
+        parts += _panel(origin_x, _LABELS[k], _TITLES[k], scale[k, 0].item(), window) + [
             f'<polyline points="{next(lines)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            for color, _ in zip(_COLORS * len(pixels), pixels)
+            for color, _ in zip(_COLORS * len(pts), pts)
         ]
 
     for k, name in enumerate(names):

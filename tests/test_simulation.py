@@ -612,6 +612,24 @@ class TestFtlFidelity:
         with pytest.raises(GridMismatchError):
             ftl_fidelity(tip, wrong)
 
+    @pytest.mark.parametrize("k", [0, 5, 10])
+    @pytest.mark.parametrize("factor, inside", [(0.99, True), (1.01, False), (-0.99, True), (-1.01, False)])
+    def test_grid_tolerance_is_allclose_at_its_default_rtol(self, k, factor, inside):
+        eta = default_eta_grid(11)
+        length = 64.0
+        s = eta * length
+        # np.allclose(s, eta * length, atol=1e-9 * length): atol + 1e-5 * |expected|
+        s[k] += factor * (1e-9 * length + 1e-5 * s[k])
+        points = np.column_stack([s, np.zeros(11), np.zeros(11)])
+        tip = TipTrajectory(eta=eta, points=points)
+        backbone = BackboneCurve(s=s, points=points)
+        assert np.allclose(s, eta * length, atol=1e-9 * length) == inside
+        if inside:
+            assert ftl_fidelity(tip, backbone).max_distance == 0.0
+        else:
+            with pytest.raises(GridMismatchError, match=r"backbone samples do not match s = eta \* l_na"):
+                ftl_fidelity(tip, backbone)
+
 
 class TestPhantomClearance:
     @staticmethod

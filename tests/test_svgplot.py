@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,16 +24,15 @@ class TestPolylinePoints:
         px = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, size=(n, 2))
         count = min(px.size, 12)
         px.flat[rng.choice(px.size, size=count, replace=False)] = rng.choice(_SPECIAL, size=count)
-        assert svgplot._polyline_points(px) == _per_point_join(px)
+        assert svgplot._polyline_points(px, ()) == _per_point_join(px)
 
     def test_every_special_value(self):
         px = np.array(list(zip(_SPECIAL, reversed(_SPECIAL))))
-        assert svgplot._polyline_points(px) == _per_point_join(px)
+        assert svgplot._polyline_points(px, ()) == _per_point_join(px)
 
     def test_non_contiguous_columns(self):
         uv = np.arange(12.0).reshape(3, 4)[:, ::2] / 7.0
-        assert svgplot._polyline_points(uv) == _per_point_join(uv)
-
+        assert svgplot._polyline_points(uv, ()) == _per_point_join(uv)
 
 
 class TestPolylinesOfOneSvg:
@@ -39,7 +40,8 @@ class TestPolylinesOfOneSvg:
         rng = np.random.default_rng(7)
         curves = [rng.uniform(-50.0, 1100.0, (n, 2)) for n in (1, 129, 1001)]
         curves[1][3] = [math.nan, 1e-7]
-        lines = svgplot._polyline_points(*curves).split("\n")
+        breaks = np.cumsum([len(c) for c in curves]) - 1
+        lines = svgplot._polyline_points(np.concatenate(curves), breaks).split("\n")
         assert lines == [_per_point_join(c) for c in curves]
 
     @pytest.mark.parametrize("shapes, index", [([(0, 3)], 0), ([(4, 3), (0, 3)], 1)])
@@ -71,3 +73,51 @@ class TestLegend:
     def test_no_curves_raise_validation_error(self):
         with pytest.raises(svgplot.ValidationError, match="need at least one curve to plot"):
             svgplot.render_curves_svg([], [])
+
+
+def _arc(n: int) -> np.ndarray:
+    """n points of a rational circle arc rising in z; + - * / alone give the same bits on any platform."""
+    t = np.arange(n) / max(n - 1, 1)
+    d = 1.0 + t * t
+    return np.column_stack([(1.0 - t * t) / d * 20.0, 2.0 * t / d * 20.0, t * 60.0])
+
+
+class TestRenderBytes:
+    """sha256 of whole documents for inputs the demo does not draw: 1-3 curves of 1-1001 points, negative,
+    flat and far-off coordinates."""
+
+    CASES = {
+        "one-point": ([np.array([[1.5, -2.0, 0.25]])], ["p"]),
+        "two-points": ([np.array([[0.0, 0.0, 0.0], [10.0, 5.0, -3.0]])], ["segment"]),
+        "backbone-and-tip": ([_arc(129), _arc(1001) + [0.5, -0.25, 0.0]], ["backbone", "tip trace"]),
+        "three-curves": ([_arc(2), _arc(129) * 0.5, np.array([[3.0, 4.0, 5.0]])], ["a", "b", "c"]),
+        "negative": ([-_arc(129) - 100.0], ["negative"]),
+        "flat-in-z": ([_arc(129) * [1.0, 1.0, 0.0] + [0.0, 0.0, 7.5]], ["flat"]),
+        "far-from-origin": ([_arc(1001) / 20.0 + [1e6, -2e6, 3e5]], ["far"]),
+        "vertical-line": ([_arc(1001) * [0.0, 0.0, 1.0] + [2.0, -3.0, 0.0], _arc(129)], ["line", "arc"]),
+    }
+    DIGESTS = {
+        "one-point": "87f12c7320b9a975eed683c6b0469735431cce2ff0ac3b073c85c4b70004079f",
+        "two-points": "8c9b68dbb5e48d27107c8d8ab259a778b5ab7c8f90ab1fa8a9cbaffa5bf697ec",
+        "backbone-and-tip": "a2372364a1e66d366c98be589a258d2e9aaba9200a6446dafc92df2a1a08c64b",
+        "three-curves": "358e9b69c5267b9679d9586061883dd7e9c93110bafba6faff47899ea893d8d1",
+        "negative": "53e9406f33b54ef67d4eb92b51e9258b5c791951120944b0f3b451cfe35c5f15",
+        "flat-in-z": "322d36173e7403ce9f374ba9d3b966e003adc1df85f9c32d13db5c8bfe1c1f4a",
+        "far-from-origin": "08f5003cf13f15cfa33fb248f1c66d67ef251b2585fe7fd2aba8a138c56c9cb9",
+        "vertical-line": "06c9e675ee565df155439acff41780fbf558a5f506f135c29374c96bb3abbcc5",
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_document_digest(self, case):
+        svg = svgplot.render_curves_svg(*self.CASES[case])
+        assert hashlib.sha256(svg.encode()).hexdigest() == self.DIGESTS[case]
+
+
+class TestRefusal:
+    def test_overflowing_projection_refuses_without_warning(self):
+        curve = np.array([[1e308, -1e308, 0.0], [0.0, 0.0, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(svgplot.ValidationError, match="cannot draw the isometric panel"):
+                svgplot.render_curves_svg([curve], ["c"])
+        assert caught == []
