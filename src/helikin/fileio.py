@@ -365,7 +365,7 @@ def _cells(values: np.ndarray, digits: int = 12) -> np.ndarray:
     np.add(whole, 10**4, out=whole, where=negative)
     cells = np.empty((len(v), 5), np.uint32)
     for j, (table, index) in enumerate(zip([_INT_WORDS, _FIRST_WORDS] + [_GROUP_WORDS] * 3, [whole, g0, g1, g2, g3])):
-        np.take(table, index, out=cells[:, j], mode="clip")
+        cells[:, j] = table[index]  # every index is in range by construction
     slow = np.flatnonzero(~fast)
     text = [f"%.{digits}g" % value for value in v[slow].tolist()]
     cells[slow] = np.array(text, dtype="S20").view(np.uint32).reshape(-1, 5)

@@ -89,11 +89,11 @@ class TubeSpec:
             value = getattr(self, name)
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        # pi itself is tolerated: a full annulus means zero offset, which the
-        # geometry pipeline reports with a warning instead of rejecting.
-        if not 0.0 < self.remaining_half_angle <= math.pi:
+        # pi is a full annulus: its neutral axis is the tube axis, so the straight
+        # tube is a cylinder of radius R = y_na = 0, which no joint state has.
+        if not 0.0 < self.remaining_half_angle < math.pi:
             raise ValidationError(
-                f"remaining_half_angle must lie in (0, pi], got {self.remaining_half_angle}"
+                f"remaining_half_angle must lie in (0, pi), got {self.remaining_half_angle}"
             )
         # bool is an int but no count; 1.5 or inf must not truncate to a count.
         # Past 2**53 a float skips integers; 1e200 turns overflow the helix
@@ -195,7 +195,7 @@ def derive_geometry(spec: TubeSpec) -> DerivedGeometry:
     """Compute all derived constants for a tube specification.
 
     The spec has already checked its dimensions (w > 0, d >= 0, l > 0,
-    n >= 1, 0 < r_t < r_i < r_o, half-angle in (0, pi]), so y_na >= 0 and
+    n >= 1, 0 < r_t < r_i < r_o, half-angle in (0, pi)), so y_na > 0 and
     d_t-na > 0 follow and nothing here checks again. With w the notch
     width, d the bridge, l the patterned length, n the turn count, r_i,
     r_o and r_t the inner, outer and tendon radii:

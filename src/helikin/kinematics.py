@@ -22,7 +22,13 @@ helix at radius R instead of R - y_na; it keeps the fixed arc length l_na.
 One private kernel, ``_centerline``, computes this map:
 :func:`forward_kinematics` runs it on one joint state's floats and
 ``synthetic_sweep`` on arrays of joint states. It writes the helix columns
-in place. Its frames come from ``_frames``, the package's one rotation
+in place, from the cos and sin of the helix angle that ``_helix_trig``
+alone computes. FK keeps one grid: the last one it accepted, under the key
+(the float grid's bytes, l_na, n), with its clamped samples and their cos
+and sin, read-only. A call on that key skips the grid checks and the trig;
+any other grid replaces the entry once it passes the checks, so a tracker
+whose marker arc lengths stay put pays for them once. Its frames come
+from ``_frames``, the package's one rotation
 construction, which writes out the nine entries of Rx(theta) @ Ry(-phi)
 with no BLAS call, for a float phi (as Python floats) or an array of them;
 :func:`cylinder_axis` calls it alone. FK looks at every point for a
@@ -55,7 +61,6 @@ __all__ = [
     "DEFAULT_BACKBONE_SAMPLES",
     "tendon_length_from_stroke",
     "cylinder_from_tendon_length",
-    "deflection_angle",
     "tendon_length_from_cylinder",
     "joint_from_actuation",
     "joints_from_actuation",
@@ -344,19 +349,6 @@ def _radius_and_height_sq(tendon_length, geom: DerivedGeometry):
     return radius, tendon_length * tendon_length - bent * bent
 
 
-def deflection_angle(radius: float, height: float, geom: DerivedGeometry) -> float:
-    """Angle of the deployed tube against the outer-tube axis, rad.
-
-    atan2(2 pi n (R - y_na), H): the pitch angle of the tube-centerline
-    helix, zero for the straight tube, signed if R ever dips below y_na.
-    """
-    if height <= 0.0:
-        raise DomainError(f"cylinder height must be > 0, got {height}")
-    return math.atan2(
-        2.0 * math.pi * geom.turn_count * (radius - geom.composite_na_offset), height
-    )
-
-
 def tendon_length_from_cylinder(radius: float, height: float, geom: DerivedGeometry) -> float:
     """Tendon length implied by a cylinder state (inverse of the stroke map), mm."""
     return math.hypot(
@@ -374,14 +366,18 @@ def joint_from_actuation(
 ) -> JointState:
     """Full actuation-to-joint map: stroke and tension to (R, H, phi, theta).
 
-    n comes from ``geom``; a turn count that is given only has to match it.
+    phi = atan2(2 pi n (R - y_na), H) is the pitch angle of the tube-centerline
+    helix against the outer-tube axis: zero for the straight tube, signed if R
+    ever dips below y_na. n comes from ``geom``; a turn count that is given
+    only has to match it.
     """
     _check_turn_count(geom, turn_count)
     length = tendon_length_from_stroke(stroke, tension, tendon, geom.slack_tendon_length, geom)
     radius, height = cylinder_from_tendon_length(length, geom)
     _check_roll(roll)
+    phi = math.atan2(2.0 * math.pi * geom.turn_count * (radius - geom.composite_na_offset), height)
     # The map has shown R and H finite and > 0, and phi is an atan2 of finite values.
-    return _joint_state(radius, height, deflection_angle(radius, height, geom), roll)
+    return _joint_state(radius, height, phi, roll)
 
 
 class JointBatch(NamedTuple):
@@ -500,16 +496,56 @@ def forward_kinematics(
     (s H / l_na, r - r cos a, r sin a), a = 2 pi n s / l_na, r = R - y_na,
     then tilted by -phi about Y and rolled by theta about X. n comes from
     ``geom``; a turn count that is given only has to match it.
+
+    The last grid accepted is kept, keyed by its bytes, l_na and n, so a
+    call on the same grid skips the grid checks and cos a and sin a; the
+    curve's ``s`` is always its own array.
     """
     _check_turn_count(geom, turn_count)
     if samples is None:
         samples = backbone_samples(geom.na_length)
+    s, cos_a, sin_a = _sample_grid(samples, geom)
+    bend_radius = joint.cylinder_radius - geom.composite_na_offset
+    height = joint.cylinder_height
+    points, _ = _centerline(bend_radius, height, joint.deflection, joint.roll, s, geom, (cos_a, sin_a))
+    # A point is at most |x| + |y| + |z| <= s_max H / l_na + 3 |R - y_na| from the
+    # origin, as no frame entry exceeds 1. Both terms below 2^1021 keep that sum
+    # and every partial sum under 2^1023, so the points are finite without looking
+    # at them; the bound is written so that NaN fails it.
+    reach = float(s[-1]) * height / geom.na_length
+    if not (reach < _FINITE_BOUND and abs(bend_radius) < _FINITE_BOUND) and not np.isfinite(points).all():
+        raise ValidationError("curve contains non-finite values")
+    return BackboneCurve._trusted(s, points)
+
+
+# FK's last accepted grid: (key, clamped s or None where clamping changed
+# nothing, cos a, sin a), the arrays read-only. Replaced whole on each miss,
+# so it never holds more than one grid, and a reader sees one whole entry.
+_last_grid = None
+
+
+def _sample_grid(samples, geom: DerivedGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FK's checked arc-length grid, clamped to [0, l_na], and cos a and sin a on it.
+
+    The last grid this accepted is kept under the key (bytes of the float
+    grid, l_na, n), on which its range checks and its angles depend alone:
+    a call with the same key skips both. A rejected grid is never kept, so
+    it raises on every call. The grid returned is the caller's own array;
+    the kept grid and both trig arrays are read-only.
+    """
+    global _last_grid
     s = np.array(samples, dtype=float)  # a copy: clamping must not touch the caller's array
     if s.ndim != 1 or s.size == 0:
         raise ValidationError(f"samples must be a non-empty 1-D array, got shape {s.shape}")
+    key = (s.tobytes(), geom.na_length, geom.turn_count)
+    entry = _last_grid
+    if entry is not None and entry[0] == key:
+        _, clamped, cos_a, sin_a = entry
+        return (s if clamped is None else clamped.copy()), cos_a, sin_a
     # One strict comparison of neighbours rules out a decreasing pair, NaN and
-    # equal samples at once; the slower tests run only where it fails.
-    rising = (s[1:] > s[:-1]).all()
+    # equal samples at once; the slower tests run only where it fails. Counting
+    # the rises costs less than .all() on a short grid.
+    rising = np.count_nonzero(s[1:] > s[:-1]) == s.size - 1
     if not rising and (s[1:] < s[:-1]).any():
         raise ValidationError("samples must be sorted ascending")
     # Sorted, only the endpoints can leave [0, l_na]; overshoot within
@@ -526,17 +562,22 @@ def forward_kinematics(
         s[s > upper] = upper
     if (not rising or low < 0.0 or high > upper) and (s[1:] == s[:-1]).any():
         raise ValidationError("arc-length samples must be strictly increasing")
-    bend_radius = joint.cylinder_radius - geom.composite_na_offset
-    height = joint.cylinder_height
-    points, _ = _centerline(bend_radius, height, joint.deflection, joint.roll, s, geom)
-    # A point is at most |x| + |y| + |z| <= s_max H / l_na + 3 |R - y_na| from the
-    # origin, as no frame entry exceeds 1. Both terms below 2^1021 keep that sum
-    # and every partial sum under 2^1023, so the points are finite without looking
-    # at them; the bound is written so that NaN fails it.
-    reach = float(s[-1]) * height / upper
-    if not (reach < _FINITE_BOUND and abs(bend_radius) < _FINITE_BOUND) and not np.isfinite(points).all():
-        raise ValidationError("curve contains non-finite values")
-    return BackboneCurve._trusted(s, points)
+    cos_a, sin_a = _helix_trig(s, geom)
+    cos_a.setflags(write=False)
+    sin_a.setflags(write=False)
+    # Only an end that overshot changes the grid; else a hit's own copy is the grid.
+    clamped = None
+    if low < 0.0 or high > upper:
+        clamped = s.copy()
+        clamped.setflags(write=False)
+    _last_grid = (key, clamped, cos_a, sin_a)
+    return s, cos_a, sin_a
+
+
+def _helix_trig(s: np.ndarray, geom: DerivedGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """cos a and sin a of the helix angle a = 2 pi n s / l_na at the arc lengths ``s``."""
+    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
+    return np.cos(angle), np.sin(angle)
 
 
 def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -550,16 +591,18 @@ def cylinder_axis(joint: JointState, geom: DerivedGeometry) -> tuple[np.ndarray,
     return frame @ np.array([0.0, bend_radius, 0.0]), frame @ np.array([1.0, 0.0, 0.0])
 
 
-def _centerline(bend_radius, height, deflection, roll: float, s: np.ndarray, geom: DerivedGeometry):
+def _centerline(bend_radius, height, deflection, roll: float, s: np.ndarray, geom: DerivedGeometry, trig=None):
     """The centerline map at one roll, at the k arc lengths ``s`` of shape (k,).
 
     R - y_na, H and phi are floats for one joint state, giving (k, 3) points
     and a (3, 3) frame, or arrays of shape (m,), giving (m, k, 3) and
-    (m, 3, 3). The helix is written column by column in place, and the
-    points are ``helix @ frame.T``, one BLAS product per joint, so a joint's
-    rows do not depend on the batch around it.
+    (m, 3, 3). ``trig`` is the (cos a, sin a) of :func:`_helix_trig` on ``s``,
+    which FK passes from its grid cache; without it they are computed here.
+    The helix is written column by column in place, and the points are
+    ``helix @ frame.T``, one BLAS product per joint, so a joint's rows do not
+    depend on the batch around it.
     """
-    angle = 2.0 * math.pi * geom.turn_count * s / geom.na_length
+    cos_a, sin_a = _helix_trig(s, geom) if trig is None else trig
     if isinstance(deflection, np.ndarray):  # joints along rows, samples along columns
         bend_radius, height = bend_radius[:, None], height[:, None]
         helix = np.empty((deflection.size, s.size, 3))
@@ -568,8 +611,8 @@ def _centerline(bend_radius, height, deflection, roll: float, s: np.ndarray, geo
     x, y, z = helix[..., 0], helix[..., 1], helix[..., 2]
     np.divide(np.multiply(s, height, out=x), geom.na_length, out=x)
     # -r * cos(a) + r bit for bit, one operation fewer
-    np.subtract(bend_radius, np.multiply(bend_radius, np.cos(angle), out=y), out=y)
-    np.multiply(bend_radius, np.sin(angle), out=z)
+    np.subtract(bend_radius, np.multiply(bend_radius, cos_a, out=y), out=y)
+    np.multiply(bend_radius, sin_a, out=z)
     frame = _frames(deflection, roll)
     return helix @ frame.swapaxes(-1, -2), frame
 

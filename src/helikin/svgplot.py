@@ -130,7 +130,8 @@ def _panel(
 def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
     """Render one or more (N, 3) mm point arrays as a three-panel SVG string.
 
-    The legend below the panels names each curve by its entry of ``names``.
+    The legend below the panels names each curve by its entry of ``names``,
+    one name per curve, and each curve has its own colour, so at most six curves.
     A legend name's unprintable characters are written as their ``unicode_escape``
     text (``\\x01``, ``\\udcff``), then ``&``, ``<`` and ``>`` as XML entities.
     Raises ValidationError when a panel cannot be scaled: its padded extent
@@ -138,6 +139,10 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
     """
     if not curves:
         raise ValidationError("need at least one curve to plot")
+    if len(names) != len(curves):
+        raise ValidationError(f"need one legend name per curve, got {len(names)} for {len(curves)} curves")
+    if len(curves) > len(_COLORS):
+        raise ValidationError(f"can plot at most {len(_COLORS)} curves, one colour each, got {len(curves)}")
     pts = [np.asarray(c, dtype=float).reshape(-1, 3) for c in curves]
     if not all(len(p) for p in pts):
         raise ValidationError(f"curve {[len(p) for p in pts].index(0)} has no points to plot")
@@ -185,11 +190,10 @@ def render_curves_svg(curves: list[np.ndarray], names: list[str]) -> str:
         window = [window_lo[k].tolist(), window_hi[k].tolist()]
         parts += _panel(origin_x, _LABELS[k], _TITLES[k], scale[k, 0].item(), window) + [
             f'<polyline points="{next(lines)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            for color, _ in zip(_COLORS * len(pts), pts)
+            for color, _ in zip(_COLORS, pts)
         ]
 
-    for k, name in enumerate(names):
-        color = _COLORS[k % len(_COLORS)]
+    for k, (color, name) in enumerate(zip(_COLORS, names)):
         name = _printable(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         x = 10 + 170 * k
         y = height - 6

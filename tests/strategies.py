@@ -25,7 +25,7 @@ def tube_specs(draw):
         bridge_length=draw(st.just(0.0) | st.floats(0.01, 3.0)),
         circumferential_offset=draw(st.floats(0.0, 1.0)),
         patterned_length=draw(st.floats(5.0, 300.0)),
-        remaining_half_angle=draw(st.floats(0.05, math.pi)),
+        remaining_half_angle=draw(st.floats(0.05, math.pi, exclude_max=True)),
         turn_count=draw(st.integers(1, 3)),
         tendon_radius=inner * draw(st.floats(0.02, 0.5)),
     )

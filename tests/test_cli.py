@@ -42,13 +42,26 @@ class TestGeometryCommand:
 
     def test_degenerate_half_angle_warns(self, tmp_path, capsys):
         payload = json.loads(fileio.dump_tube_spec(default_tube()))
-        payload["tube"]["remaining_half_angle"] = 180.0
+        payload["tube"]["remaining_half_angle"] = 180.0 - 1e-10  # y_notch about 5e-13 mm
         path = tmp_path / "flat_annulus.json"
         path.write_text(json.dumps(payload))
         assert main(["geometry", "--spec", str(path)]) == 0
         out = capsys.readouterr().out
         assert "warning" in out
         assert "cannot form a helix" in out
+
+    @pytest.mark.parametrize("command", [["geometry"], ["shape", "--stroke", "0", "-o", "shape.csv"]])
+    def test_full_annulus_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        # A full annulus has no straight joint state (R = y_na = 0): refused with the spec.
+        payload = json.loads(fileio.dump_tube_spec(default_tube()))
+        payload["tube"]["remaining_half_angle"] = 180.0
+        path = tmp_path / "annulus.json"
+        path.write_text(json.dumps(payload))
+        assert main([command[0], "--spec", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "remaining_half_angle must lie in (0, pi)" in err
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         payload = json.loads(fileio.dump_tube_spec(default_tube()))["tube"]
@@ -668,6 +681,15 @@ class TestPlotCommand:
         assert main(["plot", str(lf), "-o", str(tmp_path / "a.svg")]) == 0
         assert main(["plot", str(other), "-o", str(tmp_path / "b.svg")]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+    def test_seven_curves_exit_2(self, tmp_path, spec_file, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        assert main(["shape", "--spec", spec_file, "--stroke", "2.0", "-o", str(curve_csv)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.svg"
+        assert main(["plot", *[str(curve_csv)] * 7, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: can plot at most 6 curves, one colour each, got 7\n"
+        assert not out.exists()
 
     def test_header_only_trajectory_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

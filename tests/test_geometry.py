@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from helikin.geometry import (
     notch_neutral_axis_offset,
     pattern_consistency,
 )
-from helikin.kinematics import cylinder_from_tendon_length
-from helikin.presets import compact_prototype_tube, default_tube
+from helikin.kinematics import cylinder_from_tendon_length, joint_from_actuation
+from helikin.presets import compact_prototype_tube, default_tendon, default_tube
 
 from .oracles import helix_arclength_chords, midpoint_notch_offset
 from .strategies import tube_specs
@@ -98,7 +99,8 @@ class TestNeutralAxisLength:
         assert geom.na_length == pytest.approx(64.0645, abs=5e-4)
 
     def test_zero_offset_is_straight(self, tube):
-        spec = dataclasses.replace(tube, remaining_half_angle=math.pi, turn_count=3)
+        # One ulp short of pi: y_na is about 1e-17 mm.
+        spec = dataclasses.replace(tube, remaining_half_angle=math.nextafter(math.pi, 0.0), turn_count=3)
         assert derive_geometry(spec).na_length == 64.0
 
     def test_two_turns_against_chord_sums(self, tube):
@@ -236,6 +238,16 @@ class TestPatternConsistency:
 class TestTubeSpecValidation:
     def test_default_is_valid(self):
         default_tube()
+
+    def test_full_annulus_is_refused(self, tube):
+        with pytest.raises(ValidationError, match=re.escape("remaining_half_angle must lie in (0, pi), got")):
+            dataclasses.replace(tube, remaining_half_angle=math.pi)
+
+    def test_straight_state_just_short_of_a_full_annulus(self, tube):
+        geom = derive_geometry(dataclasses.replace(tube, remaining_half_angle=math.radians(179.999)))
+        joint = joint_from_actuation(0.0, 0.0, default_tendon(), geom)
+        assert joint.cylinder_radius == pytest.approx(geom.composite_na_offset, rel=1e-6)
+        assert abs(joint.deflection) < 1e-9
 
     @pytest.mark.parametrize(
         "field,value",

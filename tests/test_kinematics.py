@@ -21,7 +21,6 @@ from helikin.kinematics import (
     backbone_samples,
     cylinder_axis,
     cylinder_from_tendon_length,
-    deflection_angle,
     forward_kinematics,
     joint_from_actuation,
     joints_from_actuation,
@@ -142,23 +141,25 @@ class TestCylinderFromTendonLength:
             assert abs(recovered - stroke) < 1e-9
 
 
-class TestDeflectionAngle:
-    def test_straight_configuration(self, geom):
-        assert deflection_angle(geom.composite_na_offset, 64.0, geom) == 0.0
+class TestDeflection:
+    """phi of the actuation map: the pitch angle of the tube-centerline helix."""
 
-    def test_two_mm_stroke_value(self, geom):
-        phi = deflection_angle(R_AT_2MM, H_AT_2MM, geom)
+    def test_straight_configuration(self, tendon, geom):
+        joint = joint_from_actuation(0.0, 0.0, tendon, geom)
+        assert abs(joint.deflection) < 1e-12
+
+    def test_two_mm_stroke_value(self, tendon, geom):
+        phi = joint_from_actuation(2.0, 0.0, tendon, geom).deflection
         assert phi == pytest.approx(PHI_AT_2MM, rel=1e-12)
         assert math.degrees(phi) == pytest.approx(15.45, abs=0.01)
 
-    def test_limit_approaches_quarter_turn(self, geom):
-        assert deflection_angle(1e9, 10.0, geom) == pytest.approx(
-            math.pi / 2.0, abs=1e-6
-        )
-
-    def test_rejects_nonpositive_height(self, geom):
-        with pytest.raises(DomainError):
-            deflection_angle(1.0, 0.0, geom)
+    @pytest.mark.parametrize("turn_count", [1, 2, 3])
+    def test_phi_is_the_atan2_of_the_map_output(self, turn_count):
+        tendon, geom = _turns_device(turn_count)
+        for stroke in np.linspace(0.0, 0.99 * _max_stroke(tendon, geom), 9).tolist():
+            joint = joint_from_actuation(stroke, 0.5, tendon, geom)
+            pitch = 2.0 * math.pi * turn_count * (joint.cylinder_radius - geom.composite_na_offset)
+            assert joint.deflection == math.atan2(pitch, joint.cylinder_height)
 
 
 class TestHelixFrame:
@@ -436,6 +437,113 @@ class TestForwardKinematicsBoundaries:
                 cls(np.array([0.0, 0.5, 0.5]), points)
             single = cls(np.array([1]), np.array([[1, 2, 3]]))
             assert getattr(single, name).dtype == single.points.dtype == np.float64
+
+
+def _fresh(joint, geom, samples):
+    """FK on an empty grid cache, so that it checks the grid and takes its trig anew."""
+    kinematics._last_grid = None
+    return forward_kinematics(joint, geom, samples)
+
+
+def _assert_same_curve(curve, fresh):
+    assert curve.s.tobytes() == fresh.s.tobytes()
+    assert curve.points.tobytes() == fresh.points.tobytes()
+
+
+class TestGridCache:
+    """FK keeps its last accepted grid; a call on the same grid gives what a fresh call does."""
+
+    @staticmethod
+    def _joint(tendon, geom):
+        return joint_from_actuation(3.0, 0.0, tendon, geom, roll=0.5)
+
+    def test_writes_into_the_callers_array_are_seen(self, tendon, geom):
+        joint = self._joint(tendon, geom)
+        samples = np.linspace(0.0, geom.na_length, 9)
+        forward_kinematics(joint, geom, samples)
+        samples[3] += 0.5
+        curve = forward_kinematics(joint, geom, samples)
+        assert curve.s[3] == samples[3]
+        _assert_same_curve(curve, _fresh(joint, geom, samples))
+        samples[3] = samples[2]
+        with pytest.raises(ValidationError, match="arc-length samples must be strictly increasing"):
+            forward_kinematics(joint, geom, samples)
+
+    def test_writes_into_a_returned_curve_do_not_reach_the_next_call(self, tendon, geom):
+        joint = self._joint(tendon, geom)
+        samples = np.linspace(0.0, geom.na_length, 9)
+        first = forward_kinematics(joint, geom, samples)
+        second = forward_kinematics(joint, geom, samples)  # a hit
+        assert not np.shares_memory(first.s, second.s)
+        first.s[0] = second.s[1] = 5.0
+        curve = forward_kinematics(joint, geom, samples)
+        assert curve.s.tobytes() == samples.tobytes()
+        _assert_same_curve(curve, _fresh(joint, geom, samples))
+
+    def test_clamped_grid_is_the_same_on_a_hit(self, tendon, geom):
+        joint = self._joint(tendon, geom)
+        length = geom.na_length
+        slop = 0.5 * _REL_SLOP * length
+        samples = np.array([-slop, 1.0, length + slop])
+        miss = _fresh(joint, geom, samples)
+        assert miss.s.tolist() == [0.0, 1.0, length]
+        hit = forward_kinematics(joint, geom, samples)
+        _assert_same_curve(hit, miss)
+        expected = (miss.s.tobytes(), miss.points.tobytes())
+        miss.s[0] = hit.s[0] = 7.0
+        again = forward_kinematics(joint, geom, samples)
+        assert (again.s.tobytes(), again.points.tobytes()) == expected
+        assert not any(array.flags.writeable for array in kinematics._last_grid[1:])
+
+    @pytest.mark.parametrize(
+        "samples, error",
+        [
+            ([0.0, 20.0, 10.0], ValidationError),
+            ([0.0, math.nan, 20.0], DomainError),
+            ([0.0, 1e6], DomainError),
+            ([0.0, 10.0, 10.0], ValidationError),
+        ],
+        ids=["descending", "nan", "beyond", "equal"],
+    )
+    def test_rejected_grid_raises_on_every_call(self, tendon, geom, samples, error):
+        joint = self._joint(tendon, geom)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                forward_kinematics(joint, geom, samples)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_geometries_with_one_grid_never_share_an_entry(self):
+        (tendon, geom2), (_, geom3) = _turns_device(2), _turns_device(3)
+        # Keys that differ in n alone, and in l_na alone.
+        geom2_as_3 = dataclasses.replace(geom2, turn_count=3)
+        geom2_long = dataclasses.replace(geom2, na_length=geom3.na_length)
+        samples = np.linspace(0.0, min(geom2.na_length, geom3.na_length), 7)
+        joints = {g: joint_from_actuation(1.5, 0.0, tendon, g, 0.3) for g in (geom2, geom3)}
+        joints[geom2_as_3] = joints[geom2_long] = joints[geom2]
+        calls = [geom2, geom3, geom3, geom2, geom2_as_3, geom2, geom2_as_3, geom2_long, geom2, geom2_long]
+        curves = [forward_kinematics(joints[g], g, samples) for g in calls]
+        for g, curve in zip(calls, curves):
+            _assert_same_curve(curve, _fresh(joints[g], g, samples))
+
+    @given(
+        fraction=st.floats(0.0, 0.999),
+        roll=st.floats(-math.pi, math.pi),
+        count=st.sampled_from([1, 2, 5, 129]) | st.integers(1, 300),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hit_equals_miss(self, fraction, roll, count, grid, seed):
+        tendon, geom = default_tendon(), derive_geometry(default_tube())
+        joint = joint_from_actuation(fraction * _max_stroke(tendon, geom), 0.0, tendon, geom, roll)
+        if grid and count > 1:
+            s = backbone_samples(geom.na_length, count)
+        else:
+            s = np.unique(np.random.default_rng(seed).uniform(0.0, geom.na_length, count))
+        miss = _fresh(joint, geom, s)
+        _assert_same_curve(forward_kinematics(joint, geom, s), miss)
 
 
 # sha256 of FK's points over 5 strokes x 5 rolls, by sample count. Recorded with

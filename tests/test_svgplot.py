@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -73,6 +74,19 @@ class TestLegend:
     def test_no_curves_raise_validation_error(self):
         with pytest.raises(svgplot.ValidationError, match="need at least one curve to plot"):
             svgplot.render_curves_svg([], [])
+
+    @pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"]], ids=["none", "fewer", "more"])
+    def test_one_name_per_curve(self, names):
+        with pytest.raises(svgplot.ValidationError, match=f"got {len(names)} for 2 curves"):
+            svgplot.render_curves_svg([np.eye(3), np.ones((2, 3))], names)
+
+    def test_one_colour_per_curve(self):
+        names = [f"c{k}" for k in range(7)]
+        with pytest.raises(svgplot.ValidationError, match="at most 6 curves, one colour each, got 7"):
+            svgplot.render_curves_svg([np.eye(3)] * 7, names)
+        svg = svgplot.render_curves_svg([np.eye(3) * k for k in range(1, 7)], names[:6])
+        legend = re.findall(r'<line [^>]* stroke="(#[0-9a-f]{6})" stroke-width="2"/>', svg)
+        assert legend == list(svgplot._COLORS)
 
 
 def _arc(n: int) -> np.ndarray:
