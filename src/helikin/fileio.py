@@ -59,7 +59,6 @@ __all__ = [
     "read_tip_csv",
     "write_joints_csv",
     "read_strokes_csv",
-    "write_marker_csv",
     "read_marker_csv",
     "comparison_to_json",
     "write_comparison_csv",
@@ -447,21 +446,6 @@ def read_strokes_csv(path: str | Path) -> list[tuple[float, float]]:
     data = _read_table(path, ["dl_t_mm", "T_N"], optional=1, samples="actuation samples")
     tensions = data[:, 1] if data.shape[1] == 2 else np.zeros(len(data))
     return list(zip(data[:, 0].tolist(), tensions.tolist()))
-
-
-def write_marker_csv(
-    path: str | Path,
-    index: np.ndarray,
-    points: np.ndarray,
-    strokes: np.ndarray | None = None,
-    tensions: np.ndarray | None = None,
-) -> None:
-    header = ["eta", "x_mm", "y_mm", "z_mm"]
-    columns = [index, *np.asarray(points, dtype=float).T]
-    if strokes is not None:
-        header += ["dl_t_mm", "T_N"]
-        columns += [strokes, np.zeros_like(strokes, dtype=float) if tensions is None else tensions]
-    write_table_csv(path, header, columns)
 
 
 def read_marker_csv(path: str | Path) -> dict[str, np.ndarray | None]:

@@ -64,7 +64,7 @@ DEFAULT_ETA_STEPS = 101
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian measurement noise: per-axis position sigma and stroke sigma (mm)."""
+    """Gaussian measurement noise: per-axis position sigma and stroke sigma (mm), stored as floats."""
 
     position_sigma: float = 0.0
     stroke_sigma: float = 0.0
@@ -76,6 +76,7 @@ class NoiseSpec:
             value = getattr(self, name)
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValidationError(f"noise {name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, float(value))
         # The seeds default_rng accepts; bool is an int but no seed.
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -194,6 +195,11 @@ def synthetic_sweep(
     differs from ``default_rng``, every row is drawn from
     :meth:`NoiseSpec.sample_rng` instead.
 
+    With both sigmas 0 the sweep draws nothing and never imports
+    ``numpy.random``: the noisy channels are ``true + 0.0``, which equals
+    ``0 * draw + true`` bit for bit except that a true -0.0, such as a
+    logged -0.0 stroke, becomes +0.0. NaN rows keep their bytes.
+
     Samples the actuation map rejects are recorded, not fatal: their
     joint is None, their track and tip rows are NaN, and ``failures``
     pairs each index with the scalar map's error message on the logged
@@ -226,8 +232,10 @@ def synthetic_sweep(
     )
 
     # The noisy strokes and tracks are views of the draws' columns, scaled
-    # and offset in place, so the draws take no memory beyond them.
-    draws = _noise_draws(noise, n, 1 + 3 * marker_s.size)
+    # and offset in place, so the draws take no memory beyond them. With
+    # both sigmas 0 the draws are zeros, and numpy.random is never loaded.
+    width = 1 + 3 * marker_s.size
+    draws = _noise_draws(noise, n, width) if noise.position_sigma or noise.stroke_sigma else np.zeros((n, width))
     strokes_noisy = draws[:, 0]
     strokes_noisy *= noise.stroke_sigma
     strokes_noisy += log.strokes

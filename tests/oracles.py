@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
+from helikin import fileio
+
 
 def midpoint_notch_offset(inner_radius, outer_radius, half_angle, m_r=4096, m_psi=16384):
     """2-D midpoint-rule quadrature of the sector-centroid integrals.
@@ -128,3 +130,15 @@ def ftl_bodies_one_by_one(master, tips):
             s, points = np.append(s, s_tip), np.vstack([points, tip])
         bodies.append((s, points))
     return bodies
+
+
+def write_marker_table(path, index, points, strokes=None, tensions=None):
+    """A marker CSV through ``fileio.write_table_csv``: eta, x, y, z, then dl_t_mm and T_N if strokes are given.
+
+    Tensions default to 0.
+    """
+    header, columns = ["eta", "x_mm", "y_mm", "z_mm"], [index, *np.asarray(points, dtype=float).T]
+    if strokes is not None:
+        header += ["dl_t_mm", "T_N"]
+        columns += [strokes, np.zeros_like(strokes, dtype=float) if tensions is None else tensions]
+    fileio.write_table_csv(path, header, columns)

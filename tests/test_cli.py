@@ -22,6 +22,8 @@ from helikin.geometry import derive_geometry
 from helikin.kinematics import TipTrajectory, joint_from_actuation
 from helikin.presets import default_tendon, default_tube
 
+from .oracles import write_marker_table
+
 
 @pytest.fixture()
 def spec_file(tmp_path):
@@ -338,7 +340,7 @@ class TestEstimateCommand:
 
         # drop eta = 0 (origin carries no shape information)
         trajectory = fileio.read_tip_csv(tip_csv)
-        fileio.write_marker_csv(tmp_path / "tips.csv", trajectory.eta[1:], trajectory.points[1:])
+        write_marker_table(tmp_path / "tips.csv", trajectory.eta[1:], trajectory.points[1:])
 
         code = main(
             [
@@ -361,7 +363,7 @@ class TestEstimateCommand:
         tips = tmp_path / "tips.csv"
         out = tmp_path / "estimates.csv"
         points = np.array([[60.9, 5.0, 1.0], [100.0, 0.0, 0.0], [64.0, 0.0, 0.0]])
-        fileio.write_marker_csv(tips, np.array([0.0, 0.5, 1.0]), points)
+        write_marker_table(tips, np.array([0.0, 0.5, 1.0]), points)
         args = [
             "estimate", "--spec", spec_file, "--method", "position",
             "-i", str(tips), "-o", str(out),
@@ -377,7 +379,7 @@ class TestEstimateCommand:
 
     def test_position_exits_3_when_every_sample_fails(self, tmp_path, spec_file, capsys):
         tips = tmp_path / "tips.csv"
-        fileio.write_marker_csv(tips, np.array([0.0]), np.array([[100.0, 0.0, 0.0]]))
+        write_marker_table(tips, np.array([0.0]), np.array([[100.0, 0.0, 0.0]]))
         out = tmp_path / "estimates.csv"
         args = [
             "estimate", "--spec", spec_file, "--method", "position",
@@ -397,7 +399,7 @@ class TestEstimateCommand:
     )
     def test_position_names_why_a_tip_has_no_norm(self, tmp_path, spec_file, capsys, point, message):
         tips = tmp_path / "tips.csv"
-        fileio.write_marker_csv(tips, np.array([0.0]), np.array([point]))
+        write_marker_table(tips, np.array([0.0]), np.array([point]))
         out = tmp_path / "estimates.csv"
         args = [
             "estimate", "--spec", spec_file, "--method", "position",
@@ -445,7 +447,7 @@ class TestEstimateCommand:
 
     def test_stroke_on_a_quoted_marker_header(self, tmp_path, spec_file):
         # The readers parse the header as CSV, so the kind of file is told the same way.
-        fileio.write_marker_csv(tmp_path / "plain.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
+        write_marker_table(tmp_path / "plain.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
         lines = (tmp_path / "plain.csv").read_text().splitlines(keepends=True)
         quoted = tmp_path / "quoted.csv"
         quoted.write_text('"eta","x_mm","y_mm","z_mm","dl_t_mm","T_N"\n' + "".join(lines[1:]))
@@ -455,7 +457,7 @@ class TestEstimateCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_stroke_on_a_crlf_marker_csv_reads_it_as_a_marker_file(self, tmp_path, spec_file):
-        fileio.write_marker_csv(tmp_path / "lf.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
+        write_marker_table(tmp_path / "lf.csv", np.array([0.0, 1.0]), np.ones((2, 3)), np.array([1.0, 2.0]))
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes((tmp_path / "lf.csv").read_bytes().replace(b"\n", b"\r\n"))
         argv = ["estimate", "--spec", spec_file, "--method", "stroke", "-o"]
@@ -465,7 +467,7 @@ class TestEstimateCommand:
 
     def test_stroke_on_a_marker_csv_without_actuation_exits_2(self, tmp_path, spec_file, capsys):
         markers = tmp_path / "markers.csv"
-        fileio.write_marker_csv(markers, np.array([0.0, 1.0]), np.ones((2, 3)))
+        write_marker_table(markers, np.array([0.0, 1.0]), np.ones((2, 3)))
         out = tmp_path / "estimates.csv"
         argv = ["estimate", "--spec", spec_file, "--method", "stroke", "-i", str(markers), "-o", str(out)]
         assert main(argv) == 2
@@ -755,7 +757,7 @@ class TestUnprintableOutputPaths:
         if method == "stroke":
             log.write_text("dl_t_mm,T_N\n0,0\n2,0\n")
         else:
-            fileio.write_marker_csv(log, np.array([0.0, 1.0]), np.array([[60.9, 5.0, 1.0], [64.0, 0.0, 0.0]]))
+            write_marker_table(log, np.array([0.0, 1.0]), np.array([[60.9, 5.0, 1.0], [64.0, 0.0, 0.0]]))
         out = tmp_path / os.fsdecode(b"e\xff.csv")
         argv = ["estimate", "--spec", spec_file, "--method", method, "-i", str(log), "-o", str(out)]
         self._run(argv, [out], [tmp_path / "e\\udcff.csv"])
@@ -1005,6 +1007,40 @@ class TestDemoCommand:
         monkeypatch.setattr(simulation, "forward_kinematics", counted)
         assert main(["demo", "--outdir", str(tmp_path / "d"), "--eta-steps", "11"]) == 0
         assert sorted(calls) == [11, 11, 129]
+
+
+class TestNoiselessRunsDrawNothing:
+    """A run with both noise sigmas at 0 never loads numpy.random."""
+
+    # Runs cli.main, then prints every loaded module's name as stderr's last line.
+    _WRAPPER = (
+        "import sys; from helikin import cli; code = cli.main(sys.argv[1:]); "
+        "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)"
+    )
+
+    def _modules_at_exit(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop(SPEC_PATH_ENV, None)
+        result = subprocess.run(
+            [sys.executable, "-c", self._WRAPPER, *argv],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stderr.splitlines()[-1].split())
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["demo", "--outdir", "demo"], False),
+            (["sweep", "--stroke-max", "3", "--dataset-dir", "bundle", "-o", "joints.csv"], False),
+            (["sweep", "--stroke-max", "3", "--noise-sigma", "0.1", "-o", "joints.csv"], True),
+        ],
+        ids=["demo", "sweep", "sweep-noisy"],
+    )
+    def test_numpy_random_is_loaded_only_for_noise(self, tmp_path, argv, loaded):
+        modules = self._modules_at_exit(tmp_path, argv)
+        assert "helikin.simulation" in modules
+        assert ("numpy.random" in modules) is loaded
 
 
 class TestOutOfMemory:

@@ -23,6 +23,8 @@ from helikin.kinematics import (
 from helikin.presets import default_tendon, default_tube
 from helikin.simulation import NoiseSpec, PhantomSpec, synthetic_sweep
 
+from .oracles import write_marker_table
+
 
 class TestDeviceSpecJson:
     def test_round_trip(self, tube, tendon, tmp_path):
@@ -297,7 +299,7 @@ class TestMarkerCsv:
         points = np.random.default_rng(1).normal(size=(5, 3))
         strokes = np.linspace(0.0, 2.0, 5)
         path = tmp_path / "marker.csv"
-        fileio.write_marker_csv(path, index, points, strokes)
+        write_marker_table(path, index, points, strokes)
         data = fileio.read_marker_csv(path)
         assert np.allclose(data["points"], points, rtol=1e-11)
         assert np.allclose(data["strokes"], strokes, rtol=1e-11)
@@ -307,7 +309,7 @@ class TestMarkerCsv:
         index = np.linspace(0.0, 1.0, 4)
         points = np.zeros((4, 3))
         path = tmp_path / "marker.csv"
-        fileio.write_marker_csv(path, index, points)
+        write_marker_table(path, index, points)
         data = fileio.read_marker_csv(path)
         assert data["strokes"] is None
         assert path.read_text().splitlines()[0] == "eta,x_mm,y_mm,z_mm"
@@ -431,7 +433,7 @@ class TestCsvReaderSyntax:
 class TestHeaderOnlyCsv:
     def test_marker_reads_as_empty_arrays(self, tmp_path):
         path = tmp_path / "marker.csv"
-        fileio.write_marker_csv(path, np.zeros(0), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+        write_marker_table(path, np.zeros(0), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = fileio.read_marker_csv(path)
@@ -510,7 +512,7 @@ class TestTableWriterParity:
         table = np.array(rows, dtype=float)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "marker.csv"
-            fileio.write_marker_csv(path, table[:, 0], table[:, 1:])
+            write_marker_table(path, table[:, 0], table[:, 1:])
             data = fileio.read_marker_csv(path)
         loaded = np.column_stack([data["index"], data["points"]])
         expected = np.array([[float(format(x, ".12g")) for x in row] for row in rows])
@@ -594,7 +596,7 @@ class TestTableWriterRejects:
     def test_marker_points_of_two_columns(self, tmp_path):
         path = tmp_path / "marker.csv"
         with pytest.raises(ValidationError, match="4 names for columns of shapes"):
-            fileio.write_marker_csv(path, np.arange(3.0), np.ones((3, 2)))
+            write_marker_table(path, np.arange(3.0), np.ones((3, 2)))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -646,22 +648,22 @@ class TestDatasetBundle:
 
     @staticmethod
     def _reference_bundle(directory, dataset):
-        """The CSV files of a bundle, each written by its public writer."""
+        """The CSV files of a bundle, each written through a public writer."""
         directory.mkdir()
         n, ok = dataset.n_samples, dataset.batch.ok
         index = np.zeros(1) if n == 1 else np.arange(n) / (n - 1)
         strokes, tensions = dataset.strokes, dataset.tensions
         fileio.write_joints_csv(directory / "joints.csv", dataset)
-        fileio.write_marker_csv(
+        write_marker_table(
             directory / "tip.csv", index[ok], dataset.tips_true[ok], strokes[ok], tensions[ok]
         )
         for s in dataset.marker_arclengths:
             tag = ("%.12g" % s).replace(".", "p")
-            fileio.write_marker_csv(
+            write_marker_table(
                 directory / f"marker_{tag}.csv",
                 index[ok], dataset.tracks_noisy[s][ok], dataset.strokes_noisy[ok], tensions[ok],
             )
-            fileio.write_marker_csv(
+            write_marker_table(
                 directory / f"marker_{tag}_truth.csv",
                 index[ok], dataset.tracks_true[s][ok], strokes[ok], tensions[ok],
             )
@@ -697,6 +699,19 @@ class TestDatasetBundle:
         ok = dataset.batch.ok
         if noisy and ok.any():
             assert not np.array_equal(dataset.strokes_noisy[ok], dataset.strokes[ok])
+
+    @pytest.mark.parametrize("sigma", [np.float32(0.1), np.int64(1)], ids=["float32", "int64"])
+    def test_numpy_scalar_sigmas_write_as_floats(self, tmp_path, tube, tendon, geom, sigma):
+        profile = [(1.0, 0.0), (2.0, 0.5)]
+        bundles = []
+        for name, value in [("numpy", sigma), ("float", float(sigma))]:
+            noise = NoiseSpec(position_sigma=value, stroke_sigma=value, seed=1)
+            dataset = synthetic_sweep(geom, tendon, profile, [33.2], noise, 0.0, tube)
+            bundles.append(fileio.write_dataset_bundle(tmp_path / name, dataset))
+        for a, b in zip(*bundles):
+            assert a.read_bytes() == b.read_bytes(), a.name
+        noise = json.loads((tmp_path / "numpy" / "spec.json").read_text())["noise"]
+        assert noise["position_sigma_mm"] == noise["stroke_sigma_mm"] == float(sigma)
 
     def test_markers_alike_at_12_digits_get_files_of_their_own(self, tmp_path, tube, tendon, geom):
         markers = [20.0, 20.000000000001, 40.0]

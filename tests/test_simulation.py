@@ -312,6 +312,32 @@ class TestNoiseStreams:
         # Each call: the failed check of sample 0, then every sample.
         assert sample_rng_calls == 2 * [0, *range(50)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 9.0, math.nan]) | st.floats(0.0, 12.0),
+                st.sampled_from([0.0, 2.5]) | st.floats(0.0, 10.0),
+            ),
+            min_size=1, max_size=12,
+        ),
+        fractions=st.sets(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+        roll=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-7.0, 7.0),
+        seed=st.integers(0, 2**64),
+    )
+    def test_zero_sigmas_draw_nothing(self, tube, tendon, geom, profile, fractions, roll, seed):
+        # Over-actuated and NaN strokes give NaN rows; a -0.0 stroke's noisy value is +0.0.
+        def no_draws(*args):
+            raise AssertionError("a sweep with both sigmas 0 drew noise")
+
+        markers = sorted({f * geom.na_length for f in fractions})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_noise_draws", no_draws)
+            dataset = synthetic_sweep(geom, tendon, profile, markers, NoiseSpec(seed=seed), roll, tube)
+        assert dataset.strokes_noisy.tobytes() == (dataset.strokes + 0.0).tobytes()
+        for s in dataset.marker_arclengths:
+            assert dataset.tracks_noisy[s].tobytes() == (dataset.tracks_true[s] + 0.0).tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 2**32 - 1))
     def test_hash_and_pcg64_state_match_numpy(self, seed, index):
@@ -746,6 +772,12 @@ class TestNoiseSpec:
     def test_numpy_integer_seed_is_stored_as_int(self):
         noise = NoiseSpec(seed=np.uint64(2**63))
         assert type(noise.seed) is int and noise.seed == 2**63
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(1), 2])
+    def test_sigmas_are_stored_as_float(self, value):
+        noise = NoiseSpec(position_sigma=value, stroke_sigma=value)
+        assert type(noise.position_sigma) is type(noise.stroke_sigma) is float
+        assert noise.position_sigma == noise.stroke_sigma == float(value)
 
     def test_sample_streams_are_index_stable(self):
         noise = NoiseSpec(position_sigma=1.0, seed=5)
