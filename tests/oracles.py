@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: quadrature
 instead of the closed-form centroid, chord summation instead of the helix
 length formula, root finding on the defining equations instead of the
-eliminated closed form.
+eliminated closed form. ``write_marker_table`` builds marker CSV inputs
+through the public table writer.
 """
 
 import math
