@@ -236,12 +236,31 @@ def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryCompariso
     """Both metrics plus the per-sample distance profile, in one pass.
 
     Bit for bit, NaN included: ``d = np.linalg.norm(a - b, axis=1)``, ``np.max(d)``, ``np.sqrt(np.mean(d**2))``.
+
+    Sequences of fewer than 8 points of 3 coordinates, such as a tracker
+    frame's markers, are scored in Python floats, which skips numpy's
+    per-call dispatch; every other shape takes numpy's reductions. numpy's
+    ``add.reduce`` sums fewer than 8 terms strictly left to right, and so
+    does the running ``total += d * d`` (builtin ``sum`` would not: it
+    compensates from Python 3.12 on), so both paths give the same bits. A
+    sum of squares that is not finite (NaN, inf or overflow) goes to numpy
+    too, since Python's ``max`` passes over a NaN that is not first.
     """
     a, b = _point_rows(a), _point_rows(b)
     if a.shape != b.shape:
         raise GridMismatchError(f"point sequences differ in shape: {a.shape} vs {b.shape}")
-    if a.shape[0] < 1:
+    n = a.shape[0]
+    if n < 1:
         raise GridMismatchError("point sequences must contain at least one sample")
+    if n < 8 and a.shape[1:] == (3,):
+        distances, total = [], 0.0
+        for (ax, ay, az), (bx, by, bz) in zip(a.tolist(), b.tolist()):
+            dx, dy, dz = ax - bx, ay - by, az - bz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            distances.append(d)
+            total += d * d
+        if math.isfinite(total):
+            return _comparison(max(distances), math.sqrt(total / n), np.array(distances))
     diff = a - b
     distances = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))
     squares = distances * distances

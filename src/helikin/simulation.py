@@ -24,6 +24,7 @@ lengths bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -62,6 +63,14 @@ __all__ = [
 DEFAULT_ETA_STEPS = 101
 
 
+def _nonnegative_float(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number >= 0; bool is an int but no such number."""
+    # not (x >= 0) rejects NaN too; isfinite rejects inf.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (value >= 0.0 and math.isfinite(value)):
+        raise ValidationError(f"{what} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian measurement noise: per-axis position sigma and stroke sigma (mm), stored as floats."""
@@ -71,12 +80,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # not (x >= 0) rejects NaN too; isfinite rejects inf.
         for name in ("position_sigma", "stroke_sigma"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ValidationError(f"noise {name} must be finite and >= 0, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _nonnegative_float(getattr(self, name), f"noise {name}"))
         # The seeds default_rng accepts; bool is an int but no seed.
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -112,13 +117,11 @@ class PhantomSpec(_ValueRecord):
             raise ValidationError(
                 f"axis_direction must be a unit vector, |d| = {np.linalg.norm(direction):.9g}"
             )
-        # not (r >= 0) rejects NaN too; isfinite rejects inf.
-        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
-            raise ValidationError(f"phantom radius must be finite and >= 0, got {self.radius}")
+        radius = _nonnegative_float(self.radius, "phantom radius")
         point.flags.writeable = direction.flags.writeable = False
         object.__setattr__(self, "axis_point", point)
         object.__setattr__(self, "axis_direction", direction)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -653,10 +656,12 @@ def phantom_clearance(
     clearance is bit-identical to that of a plain curve with the same rows,
     on any BLAS.
     """
-    if not (tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)):
-        raise ValidationError(
-            f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius}"
-        )
+    try:
+        valid = tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)
+    except TypeError:  # a str or None, which no comparison with a float takes
+        valid = False
+    if not valid:
+        raise ValidationError(f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius!r}")
     ftl = curve._ftl
     if ftl is None:
         least = _axis_distance_sq(curve.points, phantom).min()
@@ -665,7 +670,7 @@ def phantom_clearance(
         least = deployment.least_sq(phantom)[k]
     # sqrt is monotone and correctly rounded: the root of the least squared
     # distance is the least distance, bit for bit.
-    clearance = float(math.sqrt(least) - phantom.radius - tube_outer_radius)
+    clearance = math.sqrt(least) - phantom.radius - float(tube_outer_radius)
     return clearance, clearance < 0.0
 
 

@@ -73,6 +73,13 @@ def test_failed_share_compared(tmp_path, capsys, a, b, code):
     assert ("B FAILS A LARGER SHARE" in capsys.readouterr().out) == bool(code)
 
 
+@pytest.mark.parametrize("attempted, ratio", [(136, "1.3600"), (50, "0.5000"), (100, "1.0000")])
+def test_ops_ratio_on_the_failed_share_line(tmp_path, capsys, attempted, ratio):
+    assert _diff(tmp_path, _bench(attempted=100), _bench(attempted=attempted)) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if " failed share " in line)
+    assert f"0/100 vs 0/{attempted}, ops B/A {ratio}" in line
+
+
 def test_workload_missing_from_b_fails(tmp_path, capsys):
     a, b = _bench(), _bench()
     a["workloads"]["dataset"] = copy.deepcopy(a["workloads"]["cli"])

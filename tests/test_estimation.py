@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helikin import kinematics
+from helikin import estimation, kinematics
 from helikin.errors import DomainError, GridMismatchError, ValidationError
 from helikin.estimation import (
     PositionEstimate,
@@ -351,6 +352,96 @@ class TestOnePassMetrics:
         assert got.per_sample_distances.tobytes() == distances.tobytes()
         assert np.array([got.max_distance, got.rmse]).tobytes() == np.array([d_max, root]).tobytes()
         assert fields.tobytes() == np.array([d_max, root]).tobytes()
+
+
+def _assert_former_bits(a, b):
+    """compare_point_sequences(a, b) keeps the former formula's bits on the inputs' point rows."""
+    rows_a, rows_b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (a, b))
+    distances, d_max, root = _metrics_by_former_formula(rows_a, rows_b)
+    got = compare_point_sequences(a, b)
+    assert got.per_sample_distances.tobytes() == distances.tobytes()
+    assert got.per_sample_distances.shape == distances.shape
+    assert np.array([got.max_distance, got.rmse]).tobytes() == np.array([d_max, root]).tobytes()
+    assert type(got.max_distance) is type(got.rmse) is float
+    return got
+
+
+class TestSmallSequences:
+    """Fewer than 8 points of 3 coordinates are scored in Python floats, with the former formula's bits."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 7, 8, 9])
+    def test_bits_equal_former_formula_at_the_boundary(self, rows):
+        # At 8 rows numpy's sum is pairwise, and differs from a left-to-right sum on about 40 % of inputs.
+        rng = np.random.default_rng(rows)
+        for scale in (1e-3, 1.0, 1e3, 1e150):
+            for _ in range(100):
+                a, b = rng.normal(size=(2, rows, 3)) * scale
+                _assert_former_bits(a, b)
+
+    @pytest.mark.parametrize("rows", [1, 7, 8])
+    def test_numpy_reduces_only_from_eight_rows(self, rows, monkeypatch):
+        a, b = np.random.default_rng(rows).normal(size=(2, rows, 3))
+        expected = compare_point_sequences(a, b)
+        # Only the conversions are left: any numpy reduction raises AttributeError.
+        monkeypatch.setattr(estimation, "np", SimpleNamespace(asarray=np.asarray, array=np.array))
+        if rows < 8:
+            assert compare_point_sequences(a, b) == expected
+        else:
+            with pytest.raises(AttributeError):
+                compare_point_sequences(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.arange(10.0).reshape(5, 2), np.ones((5, 2))),  # (n, 2)
+            (np.arange(12.0).reshape(3, 4) / 7.0, np.ones((3, 4))),  # (n, 4)
+            (np.arange(3.0) / 3.0, np.ones(3)),  # one point
+            (0.1, 0.7),  # a scalar is one sample of one coordinate
+            ([[0, 0, 0], [1, 2, 2]], [[3, 4, 0], [0, 0, 0]]),  # lists of ints
+            ([[0.1, 0.2, 0.3]] * 7, [[0.3, 0.2, 0.1]] * 7),
+        ],
+        ids=["n-by-2", "n-by-4", "one-point", "scalar", "int-lists", "float-lists"],
+    )
+    def test_other_shapes_and_lists(self, a, b):
+        _assert_former_bits(a, b)
+
+    @pytest.mark.parametrize("row", [1, 3, 6])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_after_the_first_row(self, row, value):
+        a, b = np.random.default_rng(row).normal(size=(2, 7, 3))
+        a[row, 1] = value
+        got = _assert_former_bits(a, b)
+        # Python's max passes over a NaN that is not first; numpy's keeps it.
+        assert math.isnan(got.max_distance) if math.isnan(value) else got.max_distance == math.inf
+
+    def test_inf_minus_inf_is_nan(self):
+        a, b = np.zeros((4, 3)), np.zeros((4, 3))
+        a[2, 0] = b[2, 0] = math.inf
+        with np.errstate(invalid="ignore"):
+            got = _assert_former_bits(a, b)
+        assert math.isnan(got.max_distance) and math.isnan(got.rmse)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1e200, 0.0, 0.0], [1.0, 2.0, 3.0]], np.zeros((2, 3))),  # a square overflows
+            ([[1e154, 0.0, 0.0], [0.0, 1e154, 0.0]], np.zeros((2, 3))),  # each square is finite, their sum is not
+            ([[1.7e308, 0.0, 0.0], [0.0, 0.0, 0.0]], [[-1.7e308, 0.0, 0.0], [1.0, 0.0, 0.0]]),  # a difference
+        ],
+        ids=["square", "sum", "difference"],
+    )
+    def test_overflowing_rows_keep_the_former_bits(self, a, b):
+        with np.errstate(over="ignore"):
+            got = _assert_former_bits(np.array(a), np.array(b))
+        assert got.rmse == math.inf
+
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    def test_distances_are_read_only_float64(self, rows):
+        a, b = np.random.default_rng(rows).normal(size=(2, rows, 3))
+        distances = compare_point_sequences(a, b).per_sample_distances
+        assert distances.dtype == np.float64 and distances.shape == (rows,)
+        with pytest.raises(ValueError, match="read-only"):
+            distances[0] = 0.0
 
 
 class TestRepeatabilityCompare:

@@ -734,7 +734,7 @@ class TestPhantomClearance:
         bend_radius = joint.cylinder_radius - geom.composite_na_offset
         assert np.allclose(distances, bend_radius, atol=1e-9)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.1, "0.5", None])
     def test_bad_tube_radius_rejected(self, radius):
         phantom = PhantomSpec(
             axis_point=np.array([0.0, 10.0, 0.0]),
@@ -743,6 +743,14 @@ class TestPhantomClearance:
         )
         with pytest.raises(ValidationError, match="tube_outer_radius must be finite and >= 0"):
             phantom_clearance(self._straight_curve(), phantom, radius)
+
+    @pytest.mark.parametrize("radius", [np.float32(0.953), np.float64(0.953), 1])
+    def test_tube_radius_is_taken_as_a_float(self, radius):
+        # math.sqrt(2) - 0.3 - np.float32(0.1) would round the clearance to float32.
+        phantom = PhantomSpec(np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.3)
+        clearance, collides = phantom_clearance(self._straight_curve(), phantom, radius)
+        assert type(clearance) is float and type(collides) is bool
+        assert clearance == math.sqrt(2.0) - 0.3 - float(radius)
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValidationError):
@@ -762,6 +770,12 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["position_sigma", "stroke_sigma"])
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_sigma_that_is_no_number_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"noise {field} must be finite and >= 0, got {value!r}"):
             NoiseSpec(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
@@ -805,7 +819,7 @@ class TestPhantomSpec:
         with pytest.raises(ValidationError, match="must be finite"):
             PhantomSpec(**fields)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1", None, True])
     def test_bad_radius_rejected(self, value):
         with pytest.raises(ValidationError, match="radius must be finite and >= 0"):
             PhantomSpec(**{**self._fields(), "radius": value})

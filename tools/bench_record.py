@@ -34,8 +34,10 @@ medians differ by more than A's IQR. Where A's IQR is a larger share of
 its median than the metric's bound and not every run of B reads better
 than every run of A, it marks the metric unresolved with that share; that
 mark is not flagged. Per workload it prints both files'
-``correct`` flag and failed/attempted share, and flags B when it is
-incorrect or fails a larger share of its ops. It exits 1 if anything is
+``correct`` flag and failed/attempted share, with B / A of the ops
+attempted (a faster change completes more ops in the same run time, and
+perfbench's memory figures can grow with that count), and flags B when it
+is incorrect or fails a larger share of its ops. It exits 1 if anything is
 flagged. The named figures both files hold are printed after a workload's
 bounded metrics, with how many pairs B read lower, and are never flagged: they
 have no bound. The same goes for the per-layer metrics, printed with how
@@ -222,12 +224,14 @@ def diff(path_a: str, path_b: str) -> int:
             continue
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         share_a, share_b = (w["failed"] / max(w["attempted"], 1) for w in (wa, wb))
+        ops = wb["attempted"] / wa["attempted"] if wa["attempted"] else float("inf")
         notes = [note for note, bad in (("B INCORRECT", not wb["correct"]),
                                         ("B FAILS A LARGER SHARE", share_b > share_a)) if bad]
         flagged += len(notes)
         print(f"{workload:<13} {'correct':<16} {str(wa['correct']):>12} {str(wb['correct']):>12}")
         print(f"{workload:<13} {'failed share':<16} {share_a:>12.6g} {share_b:>12.6g}  "
-              f"{wa['failed']}/{wa['attempted']} vs {wb['failed']}/{wb['attempted']}  {'; '.join(notes)}")
+              f"{wa['failed']}/{wa['attempted']} vs {wb['failed']}/{wb['attempted']}, ops B/A {ops:.4f}  "
+              f"{'; '.join(notes)}")
         for name, bound in a["bounds"].items():
             ma, mb = wa["metrics"][name], wb["metrics"][name]
             ratio = mb["median"] / ma["median"] if ma["median"] else float("inf")
