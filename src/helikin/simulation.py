@@ -65,8 +65,12 @@ DEFAULT_ETA_STEPS = 101
 
 def _nonnegative_float(value, what: str) -> float:
     """``value`` as a float if it is a finite real number >= 0; bool is an int but no such number."""
-    # not (x >= 0) rejects NaN too; isfinite rejects inf.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (value >= 0.0 and math.isfinite(value)):
+    # not (x >= 0) rejects NaN too; isfinite rejects inf, and overflows on an int past the float range.
+    try:
+        valid = not isinstance(value, bool) and isinstance(value, numbers.Real) and value >= 0.0 and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not valid:
         raise ValidationError(f"{what} must be finite and >= 0, got {value!r}")
     return float(value)
 
@@ -658,7 +662,7 @@ def phantom_clearance(
     """
     try:
         valid = tube_outer_radius >= 0.0 and math.isfinite(tube_outer_radius)
-    except TypeError:  # a str or None, which no comparison with a float takes
+    except (TypeError, OverflowError):  # a str or None, or an int past the float range
         valid = False
     if not valid:
         raise ValidationError(f"tube_outer_radius must be finite and >= 0, got {tube_outer_radius!r}")

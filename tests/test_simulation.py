@@ -734,7 +734,7 @@ class TestPhantomClearance:
         bend_radius = joint.cylinder_radius - geom.composite_na_offset
         assert np.allclose(distances, bend_radius, atol=1e-9)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.1, "0.5", None])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.1, "0.5", None, pytest.param(10**400, id="int-1e400")])
     def test_bad_tube_radius_rejected(self, radius):
         phantom = PhantomSpec(
             axis_point=np.array([0.0, 10.0, 0.0]),
@@ -778,6 +778,11 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError, match=f"noise {field} must be finite and >= 0, got {value!r}"):
             NoiseSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["position_sigma", "stroke_sigma"])
+    def test_sigma_past_the_float_range_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"noise {field} must be finite and >= 0"):
+            NoiseSpec(**{field: 10**400})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
@@ -819,7 +824,7 @@ class TestPhantomSpec:
         with pytest.raises(ValidationError, match="must be finite"):
             PhantomSpec(**fields)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1", None, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1", None, True, pytest.param(10**400, id="int-1e400")])
     def test_bad_radius_rejected(self, value):
         with pytest.raises(ValidationError, match="radius must be finite and >= 0"):
             PhantomSpec(**{**self._fields(), "radius": value})
