@@ -176,7 +176,7 @@ def stroke_based_estimate(
     columns = np.array(strokes, dtype=float), np.array(tensions, dtype=float)
     batch = joints_from_actuation(*columns, tendon, geom)
     # The scalar map gets the logged values, so an int stroke's message shows an int.
-    return EstimateResult(*columns, batch, roll, actuation_failures(strokes, tensions, batch.ok, tendon, geom))
+    return EstimateResult(*columns, batch, float(roll), actuation_failures(strokes, tensions, batch.ok, tendon, geom))
 
 
 def position_based_estimate(
@@ -245,6 +245,7 @@ def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryCompariso
     compensates from Python 3.12 on), so both paths give the same bits. A
     sum of squares that is not finite (NaN, inf or overflow) goes to numpy
     too, since Python's ``max`` passes over a NaN that is not first.
+    Points with more than two axes raise ValidationError.
     """
     a, b = _point_rows(a), _point_rows(b)
     if a.shape != b.shape:
@@ -269,9 +270,13 @@ def compare_point_sequences(a: np.ndarray, b: np.ndarray) -> TrajectoryCompariso
 
 
 def _point_rows(points) -> np.ndarray:
-    """``points`` as float64 with at least two axes, as ``np.atleast_2d`` gives them."""
+    """``points`` as float64 rows, one or two axes as ``np.atleast_2d`` gives them; more raise ValidationError."""
     points = np.asarray(points, dtype=float)
-    return points if points.ndim >= 2 else points.reshape(1, -1)
+    if points.ndim == 2:
+        return points
+    if points.ndim > 2:
+        raise ValidationError(f"point sequences need one or two axes, got shape {points.shape}")
+    return points.reshape(1, -1)
 
 
 def repeatability_compare(trial_a: TipTrajectory, trial_b: TipTrajectory) -> tuple[np.ndarray, TrajectoryComparison]:

@@ -12,6 +12,18 @@ constants: the notch and composite neutral-axis offsets y_notch and y_na,
 the neutral-fiber length l_na, the tendon/neutral-axis distance d_t-na and
 the slack tendon length l_t0 (formulas in ``derive_geometry``).
 
+``_finite_float`` is the package's one rule for the numbers a record is
+built from: a finite real number, no bool, optionally > 0 or >= 0, stored
+as a float, or ValidationError with the value's repr. ``TubeSpec``,
+``TendonSpec``, ``kinematics.JointState``, ``simulation.NoiseSpec`` and
+``simulation.PhantomSpec`` route every float field through it; only the
+relations between fields (r_t < r_i < r_o, half-angle < pi) are checked
+apart. Two checks keep their own code: ``simulation.phantom_clearance``
+tests its tube radius inline, since a deployment clears every one of its
+bodies and a helper call would land on each of them, and
+``fileio._number`` reads JSON, where the message names the file and the
+field.
+
 Units: millimeters and radians everywhere inside the package. The only
 exceptions are the tendon cross-section area (m^2) and elastic modulus
 (GPa), which keep their customary units and are converted where used.
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, ValidationError
 
@@ -34,6 +46,26 @@ __all__ = [
     "derive_geometry",
     "pattern_consistency",
 ]
+
+
+def _finite_float(value, what: str, bound: str = "") -> float:
+    """``value`` as a float if it is a finite real number, not a bool, and ``bound`` holds.
+
+    ``bound`` is "" (none), "> 0" or ">= 0". Anything else raises
+    ValidationError naming ``what`` and the value's repr; an int past the
+    float range counts as not finite. The number fields of TubeSpec,
+    TendonSpec, JointState, NoiseSpec and PhantomSpec all pass through
+    here, so a str, None, True or 10**400 fails alike in each of them.
+    """
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if math.isfinite(number) and {"": True, "> 0": number > 0.0, ">= 0": number >= 0.0}[bound]:
+        return number
+    raise ValidationError(f"{what} must be finite{bound and ' and ' + bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +87,8 @@ class TubeSpec:
         turn_count: number of helical turns the pattern completes, at
             most 2**53; an integral float such as 2.0 is stored as the int 2.
         tendon_radius: radius of the actuation tendon, mm.
+
+    Every field but the turn count is stored as a float.
     """
 
     inner_radius: float
@@ -69,29 +103,16 @@ class TubeSpec:
     tendon_radius: float = 0.0
 
     def __post_init__(self):
-        # Guards read not (x > 0) and not (x >= 0), which NaN fails too;
-        # isfinite rejects inf.
-        if not (0.0 < self.inner_radius < self.outer_radius and math.isfinite(self.outer_radius)):
+        for name in (field.name for field in fields(self) if field.name != "turn_count"):
+            bound = ">= 0" if name in ("bridge_length", "circumferential_offset") else "> 0"
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name, bound))
+        if not self.inner_radius < self.outer_radius:
             raise ValidationError(
-                f"need 0 < inner_radius < outer_radius, both finite, got "
-                f"{self.inner_radius} and {self.outer_radius}"
+                f"need inner_radius < outer_radius, got {self.inner_radius} and {self.outer_radius}"
             )
-        positive = {
-            "notch_axial_width": self.notch_axial_width,
-            "notch_circumferential_extent": self.notch_circumferential_extent,
-            "patterned_length": self.patterned_length,
-            "tendon_radius": self.tendon_radius,
-        }
-        for name, value in positive.items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
-        for name in ("bridge_length", "circumferential_offset"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         # pi is a full annulus: its neutral axis is the tube axis, so the straight
         # tube is a cylinder of radius R = y_na = 0, which no joint state has.
-        if not 0.0 < self.remaining_half_angle < math.pi:
+        if not self.remaining_half_angle < math.pi:
             raise ValidationError(
                 f"remaining_half_angle must lie in (0, pi), got {self.remaining_half_angle}"
             )
@@ -113,7 +134,7 @@ class TubeSpec:
 
 @dataclass(frozen=True)
 class TendonSpec:
-    """Actuation tendon: full routed length (mm), cross section (m^2), modulus (GPa)."""
+    """Actuation tendon: full routed length (mm), cross section (m^2), modulus (GPa), stored as floats."""
 
     total_length: float
     cross_section_area: float
@@ -121,9 +142,7 @@ class TendonSpec:
 
     def __post_init__(self):
         for name in ("total_length", "cross_section_area", "elastic_modulus"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name, "> 0"))
 
     @property
     def stiffness_n(self) -> float:

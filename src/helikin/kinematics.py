@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonPhysicalError, OverActuationError, ValidationError
-from .geometry import DerivedGeometry, TendonSpec, _check_turn_count
+from .geometry import DerivedGeometry, TendonSpec, _check_turn_count, _finite_float
 
 __all__ = [
     "JointState",
@@ -78,9 +78,17 @@ _FINITE_BOUND = 2.0**1021  # FK's points are finite if both terms of its reach s
 
 
 def _check_roll(roll: float) -> None:
-    """Reject a non-finite roll angle theta, which no bending direction has."""
-    if not math.isfinite(roll):
-        raise ValidationError(f"roll angle theta must be finite, got {roll}")
+    """Reject a roll angle theta that is no finite number, which no bending direction has.
+
+    This runs on every tracker frame, so it is one ``math.isfinite`` and no
+    type test: a bool roll passes, as it does in ``phantom_clearance``.
+    """
+    try:
+        if math.isfinite(roll):
+            return
+    except (TypeError, OverflowError):  # a str or None, or an int past the float range
+        pass
+    raise ValidationError(f"roll angle theta must be finite, got {roll!r}")
 
 
 def _check_count(count: int, what: str) -> None:
@@ -102,6 +110,8 @@ class JointState:
             axis, rad.
         roll: actuation angle theta about X_0 selecting the bending
             direction, rad. Always a commanded input, never inferred.
+
+    The constructor stores each field as a float.
     """
 
     cylinder_radius: float
@@ -110,14 +120,9 @@ class JointState:
     roll: float = 0.0
 
     def __post_init__(self):
-        # Written as not (0 < x < inf) so that NaN is rejected too.
-        if not 0.0 < self.cylinder_radius < math.inf:
-            raise ValidationError(f"cylinder_radius must be finite and > 0, got {self.cylinder_radius}")
-        if not 0.0 < self.cylinder_height < math.inf:
-            raise ValidationError(f"cylinder_height must be finite and > 0, got {self.cylinder_height}")
-        if not math.isfinite(self.deflection):
-            raise ValidationError(f"deflection must be finite, got {self.deflection}")
-        _check_roll(self.roll)
+        for name, bound in (("cylinder_radius", "> 0"), ("cylinder_height", "> 0"), ("deflection", ""), ("roll", "")):
+            what = "roll angle theta" if name == "roll" else name
+            object.__setattr__(self, name, _finite_float(getattr(self, name), what, bound))
 
     def closure_residual(self, geom: DerivedGeometry) -> float:
         """Relative error of sqrt(H^2 + (2 pi n R)^2) against the fixed l_na."""

@@ -24,7 +24,6 @@ lengths bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ValidationError
 from .estimation import EstimateResult, TrajectoryComparison, compare_point_sequences, stroke_based_estimate
-from .geometry import DerivedGeometry, TendonSpec, TubeSpec, _check_turn_count
+from .geometry import DerivedGeometry, TendonSpec, TubeSpec, _check_turn_count, _finite_float
 from .kinematics import (
     DEFAULT_BACKBONE_SAMPLES,
     BackboneCurve,
@@ -63,18 +62,6 @@ __all__ = [
 DEFAULT_ETA_STEPS = 101
 
 
-def _nonnegative_float(value, what: str) -> float:
-    """``value`` as a float if it is a finite real number >= 0; bool is an int but no such number."""
-    # not (x >= 0) rejects NaN too; isfinite rejects inf, and overflows on an int past the float range.
-    try:
-        valid = not isinstance(value, bool) and isinstance(value, numbers.Real) and value >= 0.0 and math.isfinite(value)
-    except OverflowError:
-        valid = False
-    if not valid:
-        raise ValidationError(f"{what} must be finite and >= 0, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian measurement noise: per-axis position sigma and stroke sigma (mm), stored as floats."""
@@ -85,7 +72,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("position_sigma", "stroke_sigma"):
-            object.__setattr__(self, name, _nonnegative_float(getattr(self, name), f"noise {name}"))
+            object.__setattr__(self, name, _finite_float(getattr(self, name), f"noise {name}", ">= 0"))
         # The seeds default_rng accepts; bool is an int but no seed.
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -121,7 +108,7 @@ class PhantomSpec(_ValueRecord):
             raise ValidationError(
                 f"axis_direction must be a unit vector, |d| = {np.linalg.norm(direction):.9g}"
             )
-        radius = _nonnegative_float(self.radius, "phantom radius")
+        radius = _finite_float(self.radius, "phantom radius", ">= 0")
         point.flags.writeable = direction.flags.writeable = False
         object.__setattr__(self, "axis_point", point)
         object.__setattr__(self, "axis_direction", direction)

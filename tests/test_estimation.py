@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +274,11 @@ class TestMetrics:
         b = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         assert rmse(a, b) == pytest.approx(math.sqrt(12.5))
         assert max_euclidean_distance(a, b) == 4.0
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 1, 4, 3)])
+    def test_more_than_two_axes_raise(self, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"point sequences need one or two axes, got shape {shape}")):
+            compare_point_sequences(np.ones(shape), np.zeros(shape))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(GridMismatchError):

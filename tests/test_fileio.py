@@ -34,6 +34,15 @@ class TestDeviceSpecJson:
         assert loaded_tube == tube
         assert loaded_tendon == tendon
 
+    def test_numpy_fields_are_stored_and_dumped_as_float(self, tube, tendon):
+        numpy_tube = dataclasses.replace(tube, outer_radius=np.float32(0.953), patterned_length=np.int64(64))
+        numpy_tendon = dataclasses.replace(tendon, total_length=np.int64(475), elastic_modulus=np.float32(53.97))
+        python_tube = dataclasses.replace(tube, outer_radius=float(np.float32(0.953)), patterned_length=64.0)
+        python_tendon = dataclasses.replace(tendon, total_length=475.0, elastic_modulus=float(np.float32(53.97)))
+        for spec in (numpy_tube, numpy_tendon):
+            assert {type(v) for k, v in dataclasses.asdict(spec).items() if k != "turn_count"} == {float}
+        assert fileio.dump_tube_spec(numpy_tube, numpy_tendon) == fileio.dump_tube_spec(python_tube, python_tendon)
+
     def test_half_angle_stored_in_degrees(self, tube, tendon, tmp_path):
         payload = json.loads(fileio.dump_tube_spec(tube, tendon))
         assert payload["tube"]["remaining_half_angle"] == pytest.approx(63.0)
@@ -618,6 +627,12 @@ class TestComparisonOutputs:
 
 
 class TestDatasetBundle:
+    def test_numpy_roll_writes_a_bundle(self, tmp_path, tube, tendon, geom):
+        dataset = synthetic_sweep(geom, tendon, [(1.0, 0.0)], [33.2], NoiseSpec(seed=1), np.float32(0.5), tube)
+        assert type(dataset.roll) is float
+        fileio.write_dataset_bundle(tmp_path / "bundle", dataset)
+        assert json.loads((tmp_path / "bundle" / "spec.json").read_text())["theta_rad"] == 0.5
+
     def test_bundle_layout_and_determinism(self, tmp_path):
         tube = default_tube()
         tendon = default_tendon()

@@ -284,6 +284,16 @@ class TestTubeSpecValidation:
             ("turn_count", 1e200),
             pytest.param("turn_count", 10**400, id="turn_count-401-digit"),
             ("tendon_radius", math.nan),
+            # No number, a bool or an int past the float range: each field alike.
+            ("outer_radius", "1"),
+            ("inner_radius", None),
+            ("notch_axial_width", True),
+            ("bridge_length", True),
+            ("circumferential_offset", "0.075"),
+            ("remaining_half_angle", None),
+            ("tendon_radius", "0.115"),
+            pytest.param("patterned_length", 10**400, id="patterned_length-401-digit"),
+            pytest.param("bridge_length", 10**400, id="bridge_length-401-digit"),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -306,7 +316,7 @@ class TestTubeSpecValidation:
 
 class TestTendonSpecValidation:
     @pytest.mark.parametrize("field", ["total_length", "cross_section_area", "elastic_modulus"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, "1", None, True, pytest.param(10**400, id="int-1e400")])
     def test_rejects_bad_fields(self, field, value):
         values = dict(total_length=475.0, cross_section_area=1.135e-6, elastic_modulus=53.97)
         values[field] = value

@@ -685,16 +685,31 @@ class TestJointState:
             ((1.0, 10.0, -math.inf), "deflection must be finite"),
             ((1.0, 10.0, 0.0, math.nan), "roll angle theta must be finite"),
             ((1.0, 10.0, 0.0, math.inf), "roll angle theta must be finite"),
+            (("1", 10.0, 0.0), "cylinder_radius must be finite"),
+            ((True, 10.0, 0.0), "cylinder_radius must be finite"),
+            pytest.param((10**400, 1.0, 0.0), "cylinder_radius must be finite", id="radius-int-1e400"),
+            ((1.0, None, 0.0), "cylinder_height must be finite"),
+            pytest.param((1.0, 10**400, 0.0), "cylinder_height must be finite", id="height-int-1e400"),
+            ((1.0, 10.0, "0"), "deflection must be finite"),
+            ((1.0, 10.0, True), "deflection must be finite"),
+            ((1.0, 10.0, 0.0, None), "roll angle theta must be finite"),
+            ((1.0, 10.0, 0.0, True), "roll angle theta must be finite"),
+            pytest.param((1.0, 10.0, 0.0, 10**400), "roll angle theta must be finite", id="roll-int-1e400"),
         ],
     )
     def test_rejects_non_finite_fields(self, args, message):
         with pytest.raises(ValidationError, match=message):
             JointState(*args)
 
-    @pytest.mark.parametrize("roll", [math.nan, math.inf])
+    @pytest.mark.parametrize("roll", [math.nan, math.inf, "0", None, pytest.param(10**400, id="int-1e400")])
     def test_actuation_map_rejects_a_non_finite_roll(self, tendon, geom, roll):
         with pytest.raises(ValidationError, match="roll angle theta must be finite"):
             joint_from_actuation(2.0, 0.0, tendon, geom, roll)
+
+    def test_fields_are_stored_as_float(self):
+        joint = JointState(np.float32(1.5), np.int64(10), np.float64(0.25), 1)
+        assert [type(v) for v in (joint.cylinder_radius, joint.cylinder_height, joint.deflection, joint.roll)] == [float] * 4
+        assert joint == JointState(1.5, 10.0, 0.25, 1.0)
 
 
 # 100x the default tendon's compliance (0.78 mm/N): within 10 N its

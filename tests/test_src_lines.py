@@ -1,6 +1,7 @@
-"""``tools/src_lines.py`` on a small source string with known counts."""
+"""``tools/src_lines.py`` on a small source string with known counts, and against a revision of a temporary git repository."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
@@ -50,3 +51,33 @@ def test_public_names_of_a_known_source():
     source = '__all__ = [\n    "area",\n    "Record",\n]\nnames = ["x", "y", "z"]\n\n\ndef f():\n    __all__ = ("inner",)\n'
     assert src_lines.count_public(source) == 2
     assert src_lines.count_public(SOURCE) == 0
+
+
+def test_changes_against_a_git_revision(tmp_path):
+    package = tmp_path / "src" / "helikin"
+    package.mkdir(parents=True)
+    (package / "kept.py").write_text('__all__ = ["a"]\na = 1\n')
+    (package / "gone.py").write_text("# only a comment\n\nb = 2\n")
+    (package / "notes.txt").write_text("not python\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (package / "kept.py").write_text('"""Doc."""\n\n__all__ = ["a", "c"]\na = 1\nc = 3\n')
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text("d = 4\n")
+
+    old = src_lines.rev_counts("HEAD", tmp_path)
+    assert sorted(old) == ["gone.py", "kept.py"]
+    deltas = src_lines.changes(src_lines.tree_counts(tmp_path), old)
+    assert deltas == {
+        "kept.py": {"code": 1, "docstring": 1, "comment": 0, "blank": 1, "public": 1},
+        "gone.py": {"code": -1, "docstring": 0, "comment": -1, "blank": -1, "public": 0},
+        "new.py": {"code": 1, "docstring": 0, "comment": 0, "blank": 0, "public": 0},
+    }
+    lines = src_lines.table(deltas, signed=True).splitlines()
+    assert lines[1].split() == ["gone.py", "-1", "+0", "-1", "-1", "+0"]
+    assert lines[-1].split() == ["total", "+1", "+1", "-1", "+0", "+1"]
